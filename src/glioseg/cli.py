@@ -53,11 +53,11 @@ ARCHITECTURES = {
 }
 
 
-def _write_atomic(writer, volume, path: Path) -> None:
+def _write_atomic(writer, content, path: Path) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".tmp-{os.getpid()}-{path.name}")
     try:
-        writer(volume, tmp)
+        writer(content, tmp)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -177,7 +177,7 @@ def cmd_postprocess(config: PipelineConfig, input_dir, output_dir) -> int:
     return EXIT_CASE_FAILURE if failures else EXIT_OK
 
 
-def _report_payload(reports, missing, config) -> dict:
+def _report_payload(reports, missing, failed, config) -> dict:
     cases = []
     for report in sorted(reports, key=lambda r: r.case):
         regions = {
@@ -185,7 +185,13 @@ def _report_payload(reports, missing, config) -> dict:
             for score in report.scores
         }
         cases.append({"case": report.case, "regions": regions})
-    payload = {"cases": cases, "summary": {}, "missing": missing, "config": config_to_dict(config)}
+    payload = {
+        "cases": cases,
+        "summary": {},
+        "missing": missing,
+        "failed": failed,
+        "config": config_to_dict(config),
+    }
     if reports:
         cohort = aggregate(list(reports))
         for region in Region:
@@ -221,18 +227,15 @@ def cmd_evaluate(config: PipelineConfig, pred_dir, truth_dir, report_path) -> in
     shared = sorted(set(truths) & set(preds))
     failures = _run_cases([(c, lambda c=c: evaluate_one(c)) for c in shared], config.parallel_cases)
 
-    payload = _report_payload(list(reports.values()), missing, config)
+    failed = {case: str(failures[case]) for case in sorted(failures)}
+    payload = _report_payload(list(reports.values()), missing, failed, config)
     report_path = Path(report_path)
-    if report_path.parent != Path(""):
-        report_path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = report_path.with_name(f".tmp-{os.getpid()}-{report_path.name}")
-    try:
-        tmp.write_text(json.dumps(payload, indent=2) + "\n")
-        os.replace(tmp, report_path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    _write_atomic(
+        lambda data, path: path.write_text(json.dumps(data, indent=2) + "\n"), payload, report_path
+    )
     logger.info(
-        "report: %d case(s) evaluated, %d missing -> %s", len(reports), len(missing), report_path
+        "report: %d case(s) evaluated, %d missing, %d failed -> %s",
+        len(reports), len(missing), len(failed), report_path,
     )
     return EXIT_CASE_FAILURE if failures or missing else EXIT_OK
 

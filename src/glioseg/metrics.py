@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from glioseg.volume import LabelVolume, Region, RegionMask, extract_region
+from glioseg.volume import LabelVolume, Region, RegionMask, extract_region, require_same_grid
 
 _FACE_STRUCTURE = ndimage.generate_binary_structure(3, 1)
 
@@ -89,16 +89,9 @@ class CohortSummary:
             raise ValueError("cohort summary needs at least one case")
 
 
-def _check_grids(a: RegionMask, b: RegionMask):
-    if a.dims != b.dims:
-        raise ValueError(f"mask dims differ: {a.dims} vs {b.dims}")
-    if not np.allclose(a.spacing, b.spacing, rtol=0.0, atol=1e-6):
-        raise ValueError(f"mask spacings differ: {a.spacing} vs {b.spacing}")
-
-
 def dice(a: RegionMask, b: RegionMask, config: MetricConfig = MetricConfig()) -> float:
     """2|A∩B| / (|A|+|B|); both-empty returns config.empty_empty_dice."""
-    _check_grids(a, b)
+    require_same_grid(a, b, "masks")
     size_a = int(a.data.sum())
     size_b = int(b.data.sum())
     if size_a == 0 and size_b == 0:
@@ -127,8 +120,12 @@ def hd95(
 
     spacing defaults to the masks' common grid spacing; passing it
     explicitly overrides. Empty-mask conventions come from config.
+
+    Surfaces and both distance transforms cover only the bounding box of
+    a|b, which is exact: every surface voxel lies in the box, and the
+    voxels just outside it are background, as the erosion assumes.
     """
-    _check_grids(a, b)
+    require_same_grid(a, b, "masks")
     if spacing is None:
         spacing = a.spacing
     a_empty = not a.data.any()
@@ -137,9 +134,10 @@ def hd95(
         return config.empty_empty_hd95
     if a_empty or b_empty:
         return config.empty_pred_penalty_mm
-    surf_a = surface_mask(a.data)
-    surf_b = surface_mask(b.data)
-    # distance from every voxel to the nearest surface voxel, in mm
+    box = ndimage.find_objects((a.data | b.data).view(np.uint8))[0]
+    surf_a = surface_mask(a.data[box])
+    surf_b = surface_mask(b.data[box])
+    # distance from every box voxel to the nearest surface voxel, in mm
     dist_to_b = ndimage.distance_transform_edt(~surf_b, sampling=spacing)
     dist_to_a = ndimage.distance_transform_edt(~surf_a, sampling=spacing)
     return max(_directed_p95(surf_a, dist_to_b), _directed_p95(surf_b, dist_to_a))
@@ -152,10 +150,7 @@ def evaluate_case(
     case: str = "",
 ) -> CaseReport:
     """Score one prediction against its reference, all three regions."""
-    if pred.dims != truth.dims:
-        raise ValueError(f"label dims differ: {pred.dims} vs {truth.dims}")
-    if not np.allclose(pred.spacing, truth.spacing, rtol=0.0, atol=1e-6):
-        raise ValueError(f"label spacings differ: {pred.spacing} vs {truth.spacing}")
+    require_same_grid(pred, truth, "label maps")
     scores = []
     for region in Region:
         mask_p = extract_region(pred, region)

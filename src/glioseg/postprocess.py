@@ -31,7 +31,9 @@ from glioseg.volume import (
     extract_region,
 )
 
-_STRUCTURE_RANK = {6: 1, 18: 2, 26: 3}
+_STRUCTURES = {
+    n: ndimage.generate_binary_structure(3, rank) for n, rank in ((6, 1), (18, 2), (26, 3))
+}
 
 
 @dataclass(frozen=True)
@@ -47,7 +49,7 @@ class PostprocessConfig:
             raise ValueError(f"et_min_volume must be >= 0, got {self.et_min_volume}")
         for name in ("foreground_connectivity", "hole_connectivity"):
             value = getattr(self, name)
-            if value not in _STRUCTURE_RANK:
+            if value not in _STRUCTURES:
                 raise ValueError(f"{name} must be one of 6, 18, 26, got {value}")
         if self.hole_fill_label not in (LABEL_NCR, LABEL_ET):
             raise ValueError(
@@ -81,29 +83,24 @@ class ComponentLabeling:
         return len(self.component_sizes)
 
 
-def _label_array(mask: np.ndarray, connectivity: int):
-    """Label a bool array; ids follow raster order of first occurrence."""
-    structure = ndimage.generate_binary_structure(3, _STRUCTURE_RANK[connectivity])
-    raw, count = ndimage.label(mask, structure=structure)
+def connected_components(mask: RegionMask, connectivity: int = 26) -> ComponentLabeling:
+    """Partition the mask's foreground into maximal connected components."""
+    if connectivity not in _STRUCTURES:
+        raise ValueError(f"connectivity must be one of 6, 18, 26, got {connectivity}")
+    raw, count = ndimage.label(mask.data, structure=_STRUCTURES[connectivity])
     raw = raw.astype(np.int32, copy=False)
     if count == 0:
-        return raw, {}
+        return ComponentLabeling(raw, {}, connectivity)
+    # renumber so ids follow raster order of each component's first voxel
     flat = raw.ravel()
-    foreground = flat[flat != 0]
-    ids, first_seen = np.unique(foreground, return_index=True)
+    ids, first_seen = np.unique(flat[flat != 0], return_index=True)
     remap = np.zeros(count + 1, dtype=np.int32)
     remap[ids[np.argsort(first_seen)]] = np.arange(1, count + 1, dtype=np.int32)
     relabeled = remap[raw]
     sizes = np.bincount(relabeled.ravel(), minlength=count + 1)
-    return relabeled, {i: int(sizes[i]) for i in range(1, count + 1)}
-
-
-def connected_components(mask: RegionMask, connectivity: int = 26) -> ComponentLabeling:
-    """Partition the mask's foreground into maximal connected components."""
-    if connectivity not in _STRUCTURE_RANK:
-        raise ValueError(f"connectivity must be one of 6, 18, 26, got {connectivity}")
-    ids, sizes = _label_array(mask.data, connectivity)
-    return ComponentLabeling(ids, sizes, connectivity)
+    return ComponentLabeling(
+        relabeled, {i: int(sizes[i]) for i in range(1, count + 1)}, connectivity
+    )
 
 
 def filter_small_et(labels: LabelVolume, config: PostprocessConfig = PostprocessConfig()) -> LabelVolume:
@@ -111,12 +108,13 @@ def filter_small_et(labels: LabelVolume, config: PostprocessConfig = Postprocess
     et = labels.data == LABEL_ET
     if not et.any():
         return labels
-    ids, sizes = _label_array(et, config.foreground_connectivity)
-    small = [i for i, n in sizes.items() if n <= config.et_min_volume]
-    if not small:
+    ids, _ = ndimage.label(et, structure=_STRUCTURES[config.foreground_connectivity])
+    small = np.bincount(ids.ravel()) <= config.et_min_volume
+    small[0] = False
+    if not small.any():
         return labels
     out = labels.data.copy()
-    out[np.isin(ids, small)] = LABEL_BACKGROUND
+    out[small[ids]] = LABEL_BACKGROUND
     return labels.with_data(out)
 
 
@@ -128,21 +126,20 @@ def find_tc_hole_voxels(
     A cavity is a connected component of the core's complement (under
     hole_connectivity) that touches no face of the volume. Only label-0
     voxels inside cavities are reported; enclosed edema stays edema.
+
+    The search covers only the core's bounding box, which is exact: every
+    voxel outside the box reaches a volume face in a straight line of
+    non-core voxels, and every voxel on the box's border has a face
+    neighbor outside it.
     """
     tc = extract_region(labels, Region.TC).data
-    complement = ~tc
-    ids, sizes = _label_array(complement, config.hole_connectivity)
-    if not sizes:
-        return np.zeros(labels.dims, dtype=bool)
-    boundary_ids = set()
-    for axis in range(3):
-        for face in (0, -1):
-            boundary_ids.update(np.unique(np.take(ids, face, axis=axis)))
-    boundary_ids.discard(0)
-    interior = [i for i in sizes if i not in boundary_ids]
-    if not interior:
-        return np.zeros(labels.dims, dtype=bool)
-    return np.isin(ids, interior) & (labels.data == LABEL_BACKGROUND)
+    holes = np.zeros(labels.dims, dtype=bool)
+    for box in ndimage.find_objects(tc.view(np.uint8)):  # one box, none if tc is empty
+        structure = _STRUCTURES[config.hole_connectivity]
+        filled = ndimage.binary_fill_holes(tc[box], structure=structure)
+        # core voxels are labels 1 and 3, so this keeps only background cavities
+        holes[box] = filled & (labels.data[box] == LABEL_BACKGROUND)
+    return holes
 
 
 def repair_tc_holes(

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -248,6 +250,22 @@ def test_evaluate_reports_missing_predictions(tmp_path):
     assert [entry["case"] for entry in report["cases"]] == ["caseA"]
 
 
+def test_evaluate_reports_unreadable_prediction_as_failed(tmp_path, caplog):
+    rng = np.random.default_rng(534)
+    volumes = {"caseA": random_labels(rng), "caseB": random_labels(rng)}
+    truth = seg_dir(tmp_path, "truth", volumes)
+    preds = seg_dir(tmp_path, "preds", volumes)
+    (preds / f"caseB{SEG}").write_bytes(b"\x1f\x8b\x08\x00\x00\x00\x00")  # truncated gzip
+    report_path = tmp_path / "report.json"
+    with caplog.at_level("INFO", logger="glioseg"):
+        assert main(["evaluate", str(preds), str(truth), str(report_path)]) == 1
+    report = json.loads(report_path.read_text())
+    assert [entry["case"] for entry in report["cases"]] == ["caseA"]
+    assert report["missing"] == []
+    assert list(report["failed"]) == ["caseB"] and report["failed"]["caseB"]
+    assert "1 case(s) evaluated, 0 missing, 1 failed" in caplog.text
+
+
 def test_evaluate_matches_module_scores_exactly(tmp_path):
     rng = np.random.default_rng(532)
     truth_labels = random_labels(rng, dims=(8, 8, 8))
@@ -270,7 +288,8 @@ def test_evaluate_report_schema(tmp_path):
     report_path = tmp_path / "deep" / "report.json"
     main(["evaluate", str(truth), str(truth), str(report_path)])
     report = json.loads(report_path.read_text())
-    assert set(report) == {"cases", "summary", "missing", "config"}
+    assert set(report) == {"cases", "summary", "missing", "failed", "config"}
+    assert report["failed"] == {}
     assert set(report["summary"]) == {"ET", "TC", "WT"}
     for section in report["summary"].values():
         assert set(section) == {"dice", "hd95_mm"}
@@ -374,6 +393,15 @@ def test_config_round_trip_and_validation():
         PipelineConfig(label_suffix="")
     with pytest.raises(ConfigError, match="modality"):
         PipelineConfig(modality_suffixes={"t1": "-t1.nii.gz"})
+
+
+def test_readme_config_example_is_accepted():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.DOTALL)
+    assert len(blocks) == 1
+    config = config_from_dict(json.loads(blocks[0]))
+    assert config.postprocess.foreground_connectivity == 26
+    assert config.modality_suffixes["t1gd"] == "_t1ce.nii.gz"
 
 
 def test_config_partial_modality_merge():

@@ -128,6 +128,29 @@ def test_hd95_matches_all_pairs_oracle():
         got = hd95(mask_of(a, sp), mask_of(b, sp))
         want = hd95_oracle(a, b, sp, CFG.empty_pred_penalty_mm, CFG.empty_empty_hd95)
         assert got == pytest.approx(want, abs=1e-9), f"trial {trial}"
+    # small blobs in a larger grid, so the joint box is a crop of it; one
+    # blob sits in a grid corner, the opposite corner, against a face or
+    # inside, by turns
+    dims = np.array((20, 16, 18))
+    for trial in range(24):
+        a = np.zeros(tuple(dims), dtype=bool)
+        b = np.zeros(tuple(dims), dtype=bool)
+        for mask, place in ((a, trial % 4), (b, 3)):
+            size = rng.integers(1, 6, size=3)
+            lo = rng.integers(0, dims - size + 1)
+            if place == 0:
+                lo[:] = 0
+            elif place == 1:
+                lo = dims - size
+            elif place == 2:
+                lo[trial % 3] = 0
+            box = tuple(slice(l, l + n) for l, n in zip(lo, size))
+            mask[box] = rng.random(tuple(size)) < 0.7
+            mask[tuple(lo)] = True
+        sp = spacings[1 + trial % 2]
+        got = hd95(mask_of(a, sp), mask_of(b, sp))
+        want = hd95_oracle(a, b, sp, CFG.empty_pred_penalty_mm, CFG.empty_empty_hd95)
+        assert got == pytest.approx(want, abs=1e-9), f"blob trial {trial}"
 
 
 def test_hd95_symmetry_and_translation():

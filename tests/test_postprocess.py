@@ -203,6 +203,42 @@ def test_report_only_mode():
     assert repair_tc_holes(lab, config) is lab
 
 
+def hole_oracle(data, connectivity):
+    """Background voxels in complement components of the core touching no face."""
+    ids = flood_fill_components(~np.isin(data, (1, 3)), connectivity)
+    on_face = set()
+    for axis in range(3):
+        for face in (0, -1):
+            on_face.update(np.take(ids, face, axis=axis).ravel().tolist())
+    interior = [i for i in range(1, int(ids.max()) + 1) if i not in on_face]
+    return np.isin(ids, interior) & (data == 0)
+
+
+def test_hole_voxels_match_flood_fill_oracle():
+    # porous cores in a larger grid, so the core's box is a crop; the box
+    # holds a grid corner, the opposite corner or neither, by turns
+    rng = np.random.default_rng(203)
+    dims = np.array((14, 12, 10))
+    filled = {6: 0, 18: 0, 26: 0}
+    for trial in range(24):
+        size = rng.integers(4, 9, size=3)
+        lo = (np.zeros(3, int), dims - size, rng.integers(0, dims - size + 1))[trial % 3]
+        data = np.zeros(tuple(dims), dtype=np.uint8)
+        box = tuple(slice(l, l + n) for l, n in zip(lo, size))
+        data[box] = rng.choice([0, 1, 2, 3], p=[0.2, 0.45, 0.1, 0.25], size=tuple(size))
+        # a closed 4x4x4 shell, so every connectivity sees a cavity
+        corner = lo + rng.integers(0, size - 3)
+        data[tuple(slice(c, c + 4) for c in corner)] = 1
+        data[tuple(slice(c + 1, c + 3) for c in corner)] = rng.choice([0, 2], size=(2, 2, 2))
+        lab = labels_of(data)
+        for conn in (6, 18, 26):
+            got = find_tc_hole_voxels(lab, PostprocessConfig(hole_connectivity=conn))
+            want = hole_oracle(data, conn)
+            assert np.array_equal(got, want), f"trial {trial} conn {conn}"
+            filled[conn] += int(want.sum())
+    assert all(filled.values()), filled
+
+
 def test_postprocess_removes_island_and_refills():
     data = np.zeros((9, 9, 9), dtype=np.uint8)
     data[1:8, 1:8, 1:8] = 1
