@@ -120,6 +120,10 @@ def cmd_normalize(config: PipelineConfig, input_dir, output_dir) -> int:
         logger.info("case %s: %d volumes written", case, len(MODALITIES))
 
     failures = _run_cases([(c, lambda c=c: normalize_case(c)) for c in cases], config.parallel_cases)
+    logger.info(
+        "normalize: %d case(s) written, %d failed -> %s",
+        len(cases) - len(failures), len(failures), output_dir,
+    )
     return EXIT_CASE_FAILURE if failures else EXIT_OK
 
 
@@ -153,6 +157,10 @@ def cmd_fuse(config: PipelineConfig, strict: bool = False) -> int:
 
     tasks = [(c, lambda c=c: fuse_case(c)) for c in sorted(shared)]
     failures = _run_cases(tasks, config.parallel_cases)
+    logger.info(
+        "fuse: %d case(s) written, %d skipped, %d failed -> %s",
+        len(shared) - len(failures), len(skipped), len(failures), output_dir,
+    )
     return EXIT_CASE_FAILURE if failures else EXIT_OK
 
 
@@ -174,6 +182,10 @@ def cmd_postprocess(config: PipelineConfig, input_dir, output_dir) -> int:
 
     tasks = [(c, lambda c=c: postprocess_one(c)) for c in sorted(cases)]
     failures = _run_cases(tasks, config.parallel_cases)
+    logger.info(
+        "postprocess: %d case(s) written, %d failed -> %s",
+        len(cases) - len(failures), len(failures), output_dir,
+    )
     return EXIT_CASE_FAILURE if failures else EXIT_OK
 
 
@@ -241,7 +253,7 @@ def cmd_evaluate(config: PipelineConfig, pred_dir, truth_dir, report_path) -> in
 
 
 def cmd_demo_net(architecture: str, input_size: int) -> int:
-    """Build a network, run a seeded forward pass, print the layer table."""
+    """Build a network, run one seeded forward pass, print its layer table."""
     build = ARCHITECTURES[architecture]
     net = build()
     if input_size < 1 or input_size % net.spatial_divisor:
@@ -252,11 +264,12 @@ def cmd_demo_net(architecture: str, input_size: int) -> int:
         return EXIT_USAGE
     shape = (1, net.input_channels, input_size, input_size, input_size)
     x = np.random.default_rng(0).uniform(size=shape)
-    out = forward(net, x)
+    shapes = {}
+    out = forward(net, x, on_node=lambda node, output: shapes.update({node.name: output.shape}))
     expected = (1, net.num_classes, input_size, input_size, input_size)
     if out.shape != expected:
         raise AssertionError(f"forward produced {out.shape}, expected {expected}")
-    print(summary(net, spatial=(input_size,) * 3))
+    print(summary(net, shapes))
     print(f"forward: input {shape} -> output {out.shape}")
     return EXIT_OK
 

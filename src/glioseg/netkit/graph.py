@@ -4,6 +4,12 @@ A NetworkGraph is an ordered tuple of named nodes; each node applies one
 LayerSpec to the outputs of earlier nodes (or to the network input, named
 "input"). Construction order is evaluation order, so the graph is acyclic
 by design. The last node is the network output.
+
+`forward` is the one evaluation loop. It frees each intermediate right
+after its last consumer has run, and drops an output that no node reads
+as soon as the optional per-node hook has seen it, so only the tensors
+later nodes still need are alive at any step. `summary` evaluates nothing:
+it formats the output shapes a hooked forward pass recorded.
 """
 
 from __future__ import annotations
@@ -101,20 +107,30 @@ def _apply(layer: LayerSpec, operands: list[np.ndarray]) -> np.ndarray:
     return attention_gate_forward(operands[0], operands[1], layer)
 
 
-def forward(net: NetworkGraph, x: np.ndarray) -> np.ndarray:
-    """Evaluate the graph on a (batch, channels, D, H, W) tensor."""
+def forward(net: NetworkGraph, x: np.ndarray, on_node=None) -> np.ndarray:
+    """Evaluate the graph on a (batch, channels, D, H, W) tensor.
+
+    on_node(node, output), if given, is called once per node in graph order,
+    right after the node is evaluated.
+    """
     x = require_tensor5(np.asarray(x, dtype=np.float64), net.input_channels)
     for axis, size in zip("DHW", x.shape[2:]):
         if size % net.spatial_divisor:
             raise ValueError(
                 f"{axis}={size} not divisible by {net.spatial_divisor} required by {net.name}"
             )
+    last_use = {ref: step for step, node in enumerate(net.nodes) for ref in node.inputs}
+    final = net.nodes[-1].name if net.nodes else INPUT_NAME
+    last_use[final] = len(net.nodes)  # the network output outlives the loop
     values = {INPUT_NAME: x}
-    out = x
-    for node in net.nodes:
-        out = _apply(node.layer, [values[ref] for ref in node.inputs])
-        values[node.name] = out
-    return out
+    for step, node in enumerate(net.nodes):
+        values[node.name] = _apply(node.layer, [values[ref] for ref in node.inputs])
+        if on_node is not None:
+            on_node(node, values[node.name])
+        for ref in {*node.inputs, node.name}:
+            if last_use.get(ref, step) == step:  # no later node reads it
+                del values[ref]
+    return values[final]
 
 
 def param_count(net: NetworkGraph) -> int:
@@ -122,15 +138,12 @@ def param_count(net: NetworkGraph) -> int:
     return sum(node.layer.num_parameters for node in net.nodes)
 
 
-def summary(net: NetworkGraph, spatial=(32, 32, 32), batch: int = 1) -> str:
-    """Layer table with output shapes traced on a dry-run input."""
-    x = np.zeros((batch, net.input_channels, *spatial))
-    values = {INPUT_NAME: require_tensor5(x, net.input_channels)}
+def summary(net: NetworkGraph, shapes: dict[str, tuple[int, ...]]) -> str:
+    """Layer table from a {node name: output shape} map, e.g. one recorded
+    by a forward on_node hook."""
     rows = [("node", "kind", "output shape", "params")]
     for node in net.nodes:
-        out = _apply(node.layer, [values[ref] for ref in node.inputs])
-        values[node.name] = out
-        shape = "x".join(str(s) for s in out.shape)
+        shape = "x".join(str(s) for s in shapes[node.name])
         rows.append((node.name, node.layer.kind, shape, str(node.layer.num_parameters)))
     rows.append(("total", net.name, "", str(param_count(net))))
     widths = [max(len(r[i]) for r in rows) for i in range(4)]

@@ -104,18 +104,21 @@ def connected_components(mask: RegionMask, connectivity: int = 26) -> ComponentL
 
 
 def filter_small_et(labels: LabelVolume, config: PostprocessConfig = PostprocessConfig()) -> LabelVolume:
-    """Erase enhancing-tumor components of size <= et_min_volume to background."""
+    """Erase enhancing-tumor components of size <= et_min_volume to background.
+
+    Components are labelled on the ET mask's bounding box only, which is
+    exact: no component has a voxel outside the box.
+    """
     et = labels.data == LABEL_ET
-    if not et.any():
-        return labels
-    ids, _ = ndimage.label(et, structure=_STRUCTURES[config.foreground_connectivity])
-    small = np.bincount(ids.ravel()) <= config.et_min_volume
-    small[0] = False
-    if not small.any():
-        return labels
-    out = labels.data.copy()
-    out[small[ids]] = LABEL_BACKGROUND
-    return labels.with_data(out)
+    for box in ndimage.find_objects(et.view(np.uint8)):  # one box, none if et is empty
+        ids, _ = ndimage.label(et[box], structure=_STRUCTURES[config.foreground_connectivity])
+        small = np.bincount(ids.ravel()) <= config.et_min_volume
+        small[0] = False
+        if small.any():
+            out = labels.data.copy()
+            out[box][small[ids]] = LABEL_BACKGROUND
+            return labels.with_data(out)
+    return labels
 
 
 def find_tc_hole_voxels(

@@ -22,11 +22,14 @@ to the tolerance or at max_iterations. The fused mask is W >= threshold
 
 Label maps are fused per region: ET, TC, and WT are each fused as an
 independent binary problem and the results recombined with nesting
-repair, so the output always satisfies ET within TC within WT.
+repair, so the output always satisfies ET within TC within WT. A region
+whose EM stops at max_iterations without converging is logged as a
+WARNING on the glioseg.staple logger.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +42,8 @@ from glioseg.volume import (
     reconstruct_labels,
     require_same_grid,
 )
+
+logger = logging.getLogger(__name__)
 
 PERFORMANCE_CLAMP = 1e-6  # p, q kept inside [clamp, 1 - clamp]
 
@@ -255,6 +260,21 @@ def majority_vote(decisions: RaterDecisions) -> RegionMask:
     return decisions.to_mask(2 * counts > decisions.num_raters)
 
 
+def _staple_mask(decisions: RaterDecisions, config: StapleConfig) -> RegionMask:
+    """staple_binary's mask, with a WARNING if EM stopped before converging.
+
+    The result, with its float64 weights over the whole grid, is freed on
+    return rather than kept alive through the next region's EM.
+    """
+    result = staple_binary(decisions, config)
+    if not result.converged:
+        logger.warning(
+            "STAPLE %s stopped at %d iteration(s) without reaching tolerance %g",
+            decisions.region.name, result.iterations, config.tolerance,
+        )
+    return result.mask
+
+
 def fuse_labels(
     predictions: list[LabelVolume],
     config: StapleConfig = StapleConfig(),
@@ -276,7 +296,7 @@ def fuse_labels(
         if method == "majority":
             fused[region] = majority_vote(decisions)
         else:
-            fused[region] = staple_binary(decisions, config).mask
+            fused[region] = _staple_mask(decisions, config)
     return reconstruct_labels(
         fused[Region.ET], fused[Region.TC], fused[Region.WT], orientation=first.orientation
     )

@@ -17,6 +17,7 @@ from glioseg.config import (
     load_config,
 )
 from glioseg.metrics import evaluate_case
+from glioseg.netkit import build_vnet, graph
 from glioseg.nifti import read_label_volume, read_scalar_volume, write_label_volume, write_scalar_volume
 from glioseg.preprocess import preprocess_volume
 from glioseg.staple import fuse_labels
@@ -72,14 +73,16 @@ def test_normalize_writes_every_modality(tmp_path):
             assert got.data.min() >= 0.0 and got.data.max() <= 1.0
 
 
-def test_normalize_constant_modality_fails_only_that_case(tmp_path):
+def test_normalize_constant_modality_fails_only_that_case(tmp_path, caplog):
     rng = np.random.default_rng(501)
     write_case_modalities(tmp_path / "raw", "bad", rng, constant_t1=True)
     write_case_modalities(tmp_path / "raw", "good", rng)
     out = tmp_path / "norm"
-    assert main(["normalize", str(tmp_path / "raw"), str(out)]) == 1
+    with caplog.at_level("INFO", logger="glioseg"):
+        assert main(["normalize", str(tmp_path / "raw"), str(out)]) == 1
     assert len(list((out / "good").glob("*.nii.gz"))) == 4
     assert not (out / "bad" / f"bad{MOD_SUFFIXES[0]}").exists()
+    assert "normalize: 1 case(s) written, 1 failed" in caplog.text
 
 
 def test_normalize_missing_modality_file_fails(tmp_path):
@@ -147,6 +150,18 @@ def test_fuse_dimension_mismatch_fails_case(tmp_path):
     assert main(["fuse", "--members", *dirs, "--output-dir", str(tmp_path / "fused")]) == 1
 
 
+def test_fuse_counts_a_truncated_member_file_as_failed(tmp_path, caplog):
+    rng = np.random.default_rng(515)
+    dirs = write_member_dirs(tmp_path, [random_labels(rng), random_labels(rng)])
+    (Path(dirs[1]) / f"caseA{SEG}").write_bytes(b"\x1f\x8b\x08\x00\x00\x00\x00")  # truncated gzip
+    write_member_dirs(tmp_path, [random_labels(rng)], case="caseB")  # member0 only
+    out = tmp_path / "fused"
+    with caplog.at_level("INFO", logger="glioseg"):
+        assert main(["fuse", "--members", *dirs, "--output-dir", str(out)]) == 1
+    assert not (out / f"caseA{SEG}").exists()
+    assert "fuse: 0 case(s) written, 1 skipped, 1 failed" in caplog.text
+
+
 def test_fuse_without_members_is_a_usage_error(tmp_path):
     assert main(["fuse", "--output-dir", str(tmp_path / "fused")]) == 2
 
@@ -172,6 +187,17 @@ def test_postprocess_removes_small_et_island(tmp_path):
     assert main(["postprocess", str(src), str(out)]) == 0
     cleaned = read_label_volume(out / f"caseA{SEG}")
     assert not np.any(cleaned.data == 3)
+
+
+def test_postprocess_logs_cases_written_and_failed(tmp_path, caplog):
+    labels, _ = et_island_labels(50)
+    src = tmp_path / "pred"
+    src.mkdir()
+    write_label_volume(labels, src / f"caseA{SEG}")
+    (src / f"caseB{SEG}").write_bytes(b"\x1f\x8b\x08\x00\x00\x00\x00")  # truncated gzip
+    with caplog.at_level("INFO", logger="glioseg"):
+        assert main(["postprocess", str(src), str(tmp_path / "clean")]) == 1
+    assert "postprocess: 1 case(s) written, 1 failed" in caplog.text
 
 
 def test_postprocess_retains_island_above_threshold(tmp_path):
@@ -372,6 +398,20 @@ def test_demo_net_lists_attention_gates(capsys):
 
 def test_demo_net_rejects_indivisible_size(capsys):
     assert main(["demo-net", "unet3d", "--size", "30"]) == 2
+
+
+def test_demo_net_evaluates_each_node_once(monkeypatch):
+    calls = []
+    original = graph.conv3d_forward
+
+    def counting(x, layer):
+        calls.append(layer)
+        return original(x, layer)
+
+    monkeypatch.setattr(graph, "conv3d_forward", counting)
+    assert main(["demo-net", "vnet", "--size", "8"]) == 0
+    convs = [node for node in build_vnet().nodes if node.layer.kind == "conv3d"]
+    assert len(calls) == len(convs)
 
 
 # ------------------------------------------------------------ config unit

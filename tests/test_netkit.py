@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from glioseg.netkit import (
     summary,
     transposed_conv3d_forward,
 )
+from glioseg.netkit.graph import _apply
 from glioseg.netkit.layers import (
     activation_forward,
     downsample_forward,
@@ -365,6 +367,65 @@ def test_forward_spatial_contract_on_32_cube(build):
     assert np.all(np.isfinite(out))
 
 
+BUILDERS = pytest.mark.parametrize(
+    "build", [build_unet3d, build_vnet, build_msavnet], ids=["unet3d", "vnet", "msavnet"]
+)
+
+
+def side_branch_graph():
+    """An output no node reads, and a node that reads one input twice."""
+    relu = LayerSpec("activation", activation="relu", in_channels=4, out_channels=4)
+    add = LayerSpec("add_skip", in_channels=4, out_channels=4)
+    nodes = (
+        Node("relu", relu, (INPUT_NAME,)),
+        Node("unread", relu, ("relu",)),
+        Node("double", add, ("relu", "relu")),
+        Node("head", conv_layer(np.random.default_rng(89), 4, 2, 1), ("double",)),
+    )
+    return NetworkGraph("side", nodes, num_classes=2, base_features=4)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [build_unet3d, build_vnet, build_msavnet, side_branch_graph],
+    ids=["unet3d", "vnet", "msavnet", "side_branch"],
+)
+def test_forward_frees_each_output_after_its_last_consumer(build):
+    net = build()
+    last_use = {ref: step for step, node in enumerate(net.nodes) for ref in node.inputs}
+    outputs = []  # weakrefs, one per evaluated node
+    mismatches = []
+
+    def on_node(node, output):
+        step = len(outputs)
+        alive = {i for i, ref in enumerate(outputs) if ref() is not None}
+        needed = {i for i in range(step) if last_use.get(net.nodes[i].name, -1) >= step}
+        if alive != needed:
+            mismatches.append((node.name, sorted(alive ^ needed)))
+        outputs.append(weakref.ref(output))
+
+    x = np.random.default_rng(87).uniform(size=(1, 4, 8, 8, 8))
+    out = forward(net, x, on_node=on_node)
+    assert len(outputs) == len(net.nodes)
+    assert mismatches == []
+    assert outputs[-1]() is out
+
+
+@BUILDERS
+def test_forward_matches_a_loop_that_stores_every_value(build):
+    net = build()
+    x = np.random.default_rng(88).uniform(size=(2, 4, 8, 8, 8))
+    values = {INPUT_NAME: x}
+    for node in net.nodes:
+        values[node.name] = _apply(node.layer, [values[ref] for ref in node.inputs])
+    seen = {}
+    out = forward(net, x, on_node=lambda node, output: seen.update({node.name: output}))
+    assert list(seen) == [node.name for node in net.nodes]
+    for name, output in seen.items():
+        assert np.array_equal(output, values[name]), name
+    assert np.array_equal(out, values[net.nodes[-1].name])
+
+
 def test_vnet_structure():
     net = build_vnet()
     stem = net.node("stem_conv").layer
@@ -491,7 +552,10 @@ def test_param_counts_are_stable():
 
 def test_summary_lists_every_node():
     net = build_vnet()
-    text = summary(net, spatial=(16, 16, 16))
+    shapes = {}
+    x = np.zeros((1, net.input_channels, 16, 16, 16))
+    forward(net, x, on_node=lambda node, output: shapes.update({node.name: output.shape}))
+    text = summary(net, shapes)
     for node in net.nodes:
         assert node.name in text
     assert str(VNET_PARAMS) in text

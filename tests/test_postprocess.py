@@ -136,6 +136,41 @@ def test_et_filter_threshold_zero_keeps_everything():
     assert out.data[3, 3, 3] == 3
 
 
+def test_et_filter_matches_flood_fill_oracle():
+    # porous ET blobs in a larger grid with other labels around, so the ET
+    # box is a crop; blobs sit in a grid corner, the opposite corner,
+    # against a face or inside, by turns
+    rng = np.random.default_rng(204)
+    dims = np.array((14, 12, 10))
+    removed = kept = 0
+    for trial in range(24):
+        data = rng.choice([0, 1, 2], p=[0.7, 0.15, 0.15], size=tuple(dims)).astype(np.uint8)
+        for blob in range(rng.integers(1, 4)):
+            size = rng.integers(2, 7, size=3)
+            lo = (
+                np.zeros(3, int),
+                dims - size,
+                np.where(np.arange(3) == trial % 3, 0, rng.integers(0, dims - size + 1)),
+                rng.integers(1, dims - size),
+            )[(trial + blob) % 4]
+            box = tuple(slice(l, l + n) for l, n in zip(lo, size))
+            data[box][rng.random(tuple(size)) < 0.6] = 3
+        for conn in (6, 18, 26):
+            ids = flood_fill_components(data == 3, conn)
+            sizes = np.bincount(ids.ravel())
+            for threshold in (0, 1, 4, 12, 40):
+                want = data.copy()
+                want[(ids > 0) & (sizes[ids] <= threshold)] = 0
+                got = filter_small_et(
+                    labels_of(data),
+                    PostprocessConfig(et_min_volume=threshold, foreground_connectivity=conn),
+                )
+                assert np.array_equal(got.data, want), f"trial {trial} conn {conn} t {threshold}"
+                removed += int((want != data).any())
+                kept += int((want == 3).any())
+    assert removed and kept
+
+
 def test_center_hole_filled():
     data = np.zeros((7, 7, 7), dtype=np.uint8)
     data[1:6, 1:6, 1:6] = 1

@@ -286,6 +286,21 @@ def test_fuse_output_is_nested():
     assert np.all(wt[tc])
 
 
+def test_fuse_warns_for_each_region_that_does_not_converge(caplog):
+    rng = np.random.default_rng(414)
+    vols = [random_label_volume(rng, (8, 8, 8)) for _ in range(3)]
+    with caplog.at_level("WARNING", logger="glioseg"):
+        fuse_labels(vols, StapleConfig(tolerance=1e-3))  # converges: silent
+        fuse_labels(vols, StapleConfig(max_iterations=1), method="majority")  # no EM
+        assert not caplog.records
+        fuse_labels(vols, StapleConfig(max_iterations=1))
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert len(warnings) == len(Region)
+    for region, message in zip(Region, warnings):
+        assert region.name in message
+        assert "1 iteration(s)" in message and "1e-07" in message
+
+
 def test_fuse_validation():
     with pytest.raises(ValueError, match="at least one"):
         fuse_labels([])
