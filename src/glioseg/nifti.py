@@ -1,10 +1,12 @@
 """Minimal NIfTI-1 single-file reader and writer.
 
 Supports exactly what the segmentation pipeline exchanges: ``.nii`` /
-``.nii.gz`` single files (magic ``n+1\\0``), datatypes uint8 / int16 /
-int32 / float32 / float64, scl_slope/scl_inter rescaling, and both byte
-orders (resolved by checking that sizeof_hdr decodes to 348). Orientation
-comes from the sform when sform_code > 0, otherwise a spacing-scaled
+``.nii.gz`` single files (magic ``n+1\\0``), datatypes int8 / uint8 /
+int16 / uint16 / int32 / uint32 / int64 / float32 / float64 (nibabel
+writes int64 labels by default; raw MRI often comes as uint16),
+scl_slope/scl_inter rescaling, and both byte orders (resolved by
+checking that sizeof_hdr decodes to 348). Orientation comes from the
+sform when sform_code > 0, otherwise a spacing-scaled
 identity affine. qform quaternions, .hdr/.img pairs, NIfTI-2, and header
 extensions are out of scope.
 
@@ -32,6 +34,10 @@ DT_INT16 = 4
 DT_INT32 = 8
 DT_FLOAT32 = 16
 DT_FLOAT64 = 64
+DT_INT8 = 256
+DT_UINT16 = 512
+DT_UINT32 = 768
+DT_INT64 = 1024
 
 _DTYPES = {
     DT_UINT8: ("u1", 8),
@@ -39,6 +45,10 @@ _DTYPES = {
     DT_INT32: ("i4", 32),
     DT_FLOAT32: ("f4", 32),
     DT_FLOAT64: ("f8", 64),
+    DT_INT8: ("i1", 8),
+    DT_UINT16: ("u2", 16),
+    DT_UINT32: ("u4", 32),
+    DT_INT64: ("i8", 64),
 }
 
 # (name, offset, struct format) for the header fields this reader uses;

@@ -16,6 +16,7 @@ topology consistent.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,8 @@ from glioseg.volume import (
     RegionMask,
     extract_region,
 )
+
+logger = logging.getLogger(__name__)
 
 _STRUCTURES = {
     n: ndimage.generate_binary_structure(3, rank) for n, rank in ((6, 1), (18, 2), (26, 3))
@@ -107,18 +110,30 @@ def filter_small_et(labels: LabelVolume, config: PostprocessConfig = Postprocess
     """Erase enhancing-tumor components of size <= et_min_volume to background.
 
     Components are labelled on the ET mask's bounding box only, which is
-    exact: no component has a voxel outside the box.
+    exact: no component has a voxel outside the box. Logs the components
+    and voxels removed at INFO on glioseg.postprocess.
     """
     et = labels.data == LABEL_ET
+    components = removed = voxels = 0
+    out = labels
     for box in ndimage.find_objects(et.view(np.uint8)):  # one box, none if et is empty
-        ids, _ = ndimage.label(et[box], structure=_STRUCTURES[config.foreground_connectivity])
+        ids, components = ndimage.label(
+            et[box], structure=_STRUCTURES[config.foreground_connectivity]
+        )
         small = np.bincount(ids.ravel()) <= config.et_min_volume
         small[0] = False
-        if small.any():
-            out = labels.data.copy()
-            out[box][small[ids]] = LABEL_BACKGROUND
-            return labels.with_data(out)
-    return labels
+        removed = int(np.count_nonzero(small))
+        if removed:
+            erase = small[ids]
+            voxels = int(np.count_nonzero(erase))
+            data = labels.data.copy()
+            data[box][erase] = LABEL_BACKGROUND
+            out = labels.with_data(data)
+    logger.info(
+        "small-ET filter removed %d of %d ET component(s), %d voxel(s)",
+        removed, components, voxels,
+    )
+    return out
 
 
 def find_tc_hole_voxels(
@@ -151,10 +166,14 @@ def repair_tc_holes(
     """Relabel enclosed background cavities in the tumor core.
 
     With fill_holes=False the input is returned unchanged; callers can
-    still inspect find_tc_hole_voxels for reporting.
+    still inspect find_tc_hole_voxels for reporting. Logs the hole voxels
+    found and filled at INFO on glioseg.postprocess.
     """
     holes = find_tc_hole_voxels(labels, config)
-    if not config.fill_holes or not holes.any():
+    found = int(np.count_nonzero(holes))
+    filled = found if config.fill_holes else 0
+    logger.info("core hole repair found %d hole voxel(s), filled %d", found, filled)
+    if not filled:
         return labels
     out = labels.data.copy()
     out[holes] = config.hole_fill_label

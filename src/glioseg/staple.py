@@ -13,18 +13,26 @@ from a high-confidence (0.99999) performance guess:
     p_j = sum_i W_i D_ij / sum_i W_i
     q_j = sum_i (1-W_i)(1-D_ij) / sum_i (1-W_i)
 
+W_i depends on voxel i only through its vote column D_:i, so EM runs on
+the K <= min(2^J, N) distinct columns (vote patterns) and their voxel
+counts: every sum over voxels above is a count-weighted sum over patterns,
+an iteration costs O(J*K), and the K weights are scattered back to the
+voxels once at the end.
+
 The scalar prior f defaults to the mean rater foreground fraction.
-Products run in log space with a per-voxel max subtraction so dozens of
+Products run in log space with a per-pattern max subtraction so dozens of
 raters cannot underflow; p and q are clamped to [1e-6, 1-1e-6] after
-every M-step. Iteration stops when the mean absolute change in W falls
-to the tolerance or at max_iterations. The fused mask is W >= threshold
-(ties to foreground).
+every M-step. Iteration stops when the mean absolute change in W over the
+voxels falls to the tolerance or at max_iterations. The fused mask is
+W >= threshold (ties to foreground).
 
 Label maps are fused per region: ET, TC, and WT are each fused as an
 independent binary problem and the results recombined with nesting
-repair, so the output always satisfies ET within TC within WT. A region
-whose EM stops at max_iterations without converging is logged as a
-WARNING on the glioseg.staple logger.
+repair, so the output always satisfies ET within TC within WT. Each
+region's EM outcome is logged on the glioseg.staple logger, at INFO when
+it converged and at WARNING when it stopped at max_iterations, with the
+iterations, the tolerance and each member's estimated sensitivity and
+specificity.
 """
 
 from __future__ import annotations
@@ -190,16 +198,46 @@ def _degenerate_result(
     )
 
 
+def _vote_patterns(votes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct columns of a bool [J, N] matrix: (patterns [J, K], counts [K], ids [N]).
+
+    Folds in one rater at a time (id = 2 * id + vote). After the last rater,
+    and whenever the next fold could take the ids past N, the ids that occur
+    are renumbered to 0..K-1, so they stay below max(N, 2) for any J and no
+    sort over N is needed. Voxel i has column patterns[:, ids[i]].
+    """
+    num_raters, num_voxels = votes.shape
+    ids = np.zeros(num_voxels, dtype=np.intp)
+    patterns = np.zeros((0, 1), dtype=bool)  # column of each renumbered id
+    fresh = 0  # raters folded in since the last renumbering
+    for j, row in enumerate(votes):
+        ids *= 2
+        ids += row
+        fresh += 1
+        if j + 1 < num_raters and patterns.shape[1] << (fresh + 1) <= num_voxels:
+            continue
+        hits = np.bincount(ids)
+        present = np.flatnonzero(hits)
+        ids = (np.cumsum(hits > 0) - 1)[ids]
+        bits = (present >> np.arange(fresh - 1, -1, -1)[:, None]) & 1 == 1
+        patterns = np.vstack([patterns[:, present >> fresh], bits])
+        fresh = 0
+    return patterns, hits[present], ids
+
+
 def staple_binary(decisions: RaterDecisions, config: StapleConfig = StapleConfig()) -> StapleResult:
     """Run the EM fusion on one binary problem.
 
     An auto prior of exactly 0 (all raters empty) or 1 (all raters full)
     short-circuits to the unanimous answer with the degenerate flag set.
     """
-    d = decisions.decisions.astype(np.float64)
-    num_raters, num_voxels = d.shape
+    patterns, counts, ids = _vote_patterns(decisions.decisions)
+    d = patterns.astype(np.float64)  # [J, K]
+    n = counts.astype(np.float64)  # voxels per pattern
+    num_raters, num_voxels = decisions.num_raters, decisions.num_voxels
+    votes_per_rater = d @ n  # reused by every M-step
     if isinstance(config.prior, str):
-        prior = float(d.mean())
+        prior = float(votes_per_rater.sum()) / (num_raters * num_voxels)
         if prior == 0.0:
             return _degenerate_result(decisions, config, foreground=False)
         if prior == 1.0:
@@ -208,16 +246,14 @@ def staple_binary(decisions: RaterDecisions, config: StapleConfig = StapleConfig
         prior = float(config.prior)
     log_f = np.log(prior)
     log_1f = np.log1p(-prior)
-    votes_per_rater = d.sum(axis=1)  # reused by every M-step
 
     p = _clamp(np.full(num_raters, config.initial_sensitivity))
     q = _clamp(np.full(num_raters, config.initial_specificity))
-    w = np.zeros(num_voxels)
     w_prev = None
     converged = False
     iterations = 0
     for iterations in range(1, config.max_iterations + 1):
-        # E-step, log space: log a_i and log b_i share the structure
+        # E-step, log space: log a_k and log b_k share the structure
         # const + D^T (on - off), so one matvec each.
         log_p, log_1p = np.log(p), np.log1p(-p)
         log_q, log_1q = np.log(q), np.log1p(-q)
@@ -228,15 +264,16 @@ def staple_binary(decisions: RaterDecisions, config: StapleConfig = StapleConfig
         b = np.exp(log_b - peak)
         w = a / (a + b)
 
-        if w_prev is not None and np.abs(w - w_prev).mean() <= config.tolerance:
+        # mean |change in W| over voxels
+        if w_prev is not None and n @ np.abs(w - w_prev) / num_voxels <= config.tolerance:
             converged = True
             break
         w_prev = w
 
         # M-step
-        w_total = w.sum()
+        w_total = n @ w
         complement_total = num_voxels - w_total
-        weighted_votes = d @ w
+        weighted_votes = d @ (n * w)
         if w_total > 0.0:
             p = _clamp(weighted_votes / w_total)
         if complement_total > 0.0:
@@ -245,9 +282,9 @@ def staple_binary(decisions: RaterDecisions, config: StapleConfig = StapleConfig
             )
 
     return StapleResult(
-        mask=decisions.to_mask(w >= config.decision_threshold),
+        mask=decisions.to_mask((w >= config.decision_threshold)[ids]),
         performance=RaterPerformance(p, q),
-        weights=ConsensusWeights(w),
+        weights=ConsensusWeights(w[ids]),
         iterations=iterations,
         converged=converged,
         degenerate=False,
@@ -261,17 +298,23 @@ def majority_vote(decisions: RaterDecisions) -> RegionMask:
 
 
 def _staple_mask(decisions: RaterDecisions, config: StapleConfig) -> RegionMask:
-    """staple_binary's mask, with a WARNING if EM stopped before converging.
+    """staple_binary's mask, with the region's EM outcome logged (INFO, or
+    WARNING if EM stopped before converging).
 
     The result, with its float64 weights over the whole grid, is freed on
     return rather than kept alive through the next region's EM.
     """
     result = staple_binary(decisions, config)
-    if not result.converged:
-        logger.warning(
-            "STAPLE %s stopped at %d iteration(s) without reaching tolerance %g",
-            decisions.region.name, result.iterations, config.tolerance,
-        )
+    logger.log(
+        logging.INFO if result.converged else logging.WARNING,
+        "STAPLE %s %s after %d iteration(s) (tolerance %g); sensitivity [%s], specificity [%s]",
+        decisions.region.name,
+        "converged" if result.converged else "stopped without converging",
+        result.iterations,
+        config.tolerance,
+        ", ".join(f"{v:.4f}" for v in result.performance.sensitivity),
+        ", ".join(f"{v:.4f}" for v in result.performance.specificity),
+    )
     return result.mask
 
 
@@ -286,8 +329,6 @@ def fuse_labels(
     if method not in FUSION_METHODS:
         raise ValueError(f"method must be one of {FUSION_METHODS}, got {method!r}")
     first = predictions[0]
-    for other in predictions[1:]:
-        require_same_grid(first, other, "predictions")
     fused = {}
     for region in Region:
         decisions = RaterDecisions.from_masks(

@@ -141,10 +141,27 @@ def test_label_read_uint8(tmp_path):
 
 def test_label_accepts_integral_float_and_int16(tmp_path):
     labels = np.array([[[0, 1], [2, 3]], [[1, 1], [0, 2]]])
-    for name, dt, bp in [("f.nii", 16, 32), ("i.nii", 4, 16), ("w.nii", 8, 32)]:
-        blob = build_nifti_bytes(labels.astype(np.float64), dt, bp)
+    for name, dt, bp, np_dtype in [
+        ("f.nii", 16, 32, None),
+        ("i.nii", 4, 16, None),
+        ("w.nii", 8, 32, None),
+        ("i1.nii", 256, 8, "i1"),
+        ("u2.nii", 512, 16, "u2"),
+        ("u4.nii", 768, 32, "u4"),
+        ("i8.nii", 1024, 64, "i8"),
+    ]:
+        blob = build_nifti_bytes(labels.astype(np.float64), dt, bp, np_dtype=np_dtype)
         vol = read_label_volume(write_fixture(tmp_path, name, blob))
         assert np.array_equal(vol.data, labels)
+
+
+def test_scalar_read_uint16(tmp_path):
+    # raw MRI intensities above int16's range, big-endian on disk
+    values = np.array([[[0, 1], [40000, 65535]], [[7, 300], [32768, 2]]])
+    blob = build_nifti_bytes(values, 512, 16, order=">", np_dtype="u2")
+    vol = read_scalar_volume(write_fixture(tmp_path, "mri.nii.gz", blob))
+    assert vol.data.dtype == np.float64
+    assert np.array_equal(vol.data, values)
 
 
 def test_label_rejects_fractional_value(tmp_path):

@@ -290,6 +290,23 @@ def test_postprocess_clean_input_unchanged():
     assert np.array_equal(out.data, lab.data)
 
 
+def test_postprocess_logs_removed_et_and_filled_holes(caplog):
+    data = et_blob((24, 24, 24), 50)
+    data[et_blob((24, 24, 24), 51, start=(0, 10, 0)) == 3] = 3
+    data[12:19, 12:19, 12:19] = 1  # NCR cube
+    data[14:17, 14:17, 14:17] = 0  # enclosed 27-voxel cavity
+    with caplog.at_level("INFO", logger="glioseg.postprocess"):
+        postprocess_case(labels_of(data))
+        repair_tc_holes(labels_of(data), PostprocessConfig(fill_holes=False))
+        filter_small_et(labels_of(np.zeros((4, 4, 4))))
+    assert [r.getMessage() for r in caplog.records] == [
+        "small-ET filter removed 1 of 2 ET component(s), 50 voxel(s)",
+        "core hole repair found 27 hole voxel(s), filled 27",
+        "core hole repair found 27 hole voxel(s), filled 0",
+        "small-ET filter removed 0 of 0 ET component(s), 0 voxel(s)",
+    ]
+
+
 def random_labels(rng, dims=(12, 12, 12)):
     data = np.zeros(dims, dtype=np.uint8)
     # a few random blobs per label to create realistic nesting and holes

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -65,12 +68,12 @@ def test_random_instances_match_oracle_trajectory():
     # the same number of E+M passes, log-space and plain-product EM must
     # agree to float precision.
     rng = np.random.default_rng(401)
-    for trial in range(25):
-        num_raters = int(rng.integers(1, 7))
+
+    def check(num_raters, trial):
         num_voxels = int(rng.integers(8, 200))
         rows = rng.random((num_raters, num_voxels)) < rng.uniform(0.2, 0.8)
         if rows.mean() in (0.0, 1.0):
-            continue
+            return
         passes = int(rng.integers(3, 120))
         config = StapleConfig(tolerance=1e-300, max_iterations=passes)
         result = staple_binary(decisions_from_rows(rows), config)
@@ -80,6 +83,30 @@ def test_random_instances_match_oracle_trajectory():
         assert np.max(np.abs(result.weights.values - w_oracle)) < 1e-9, f"trial {trial}"
         assert np.max(np.abs(result.performance.sensitivity - p_oracle)) < 1e-9
         assert np.max(np.abs(result.performance.specificity - q_oracle)) < 1e-9
+
+    for trial in range(25):
+        check(int(rng.integers(1, 7)), trial)
+    # more raters: 2^J passes the voxel count, and J >= 64 rules out a vote
+    # code packed into one 64-bit integer
+    for num_raters in (9, 17, 64, 70):
+        check(num_raters, f"J={num_raters}")
+
+
+def test_memory_is_bounded_by_vote_patterns():
+    # 16 raters over 2^20 voxels with 64 distinct vote columns: a float64
+    # copy of the votes alone would be 128 MiB
+    rng = np.random.default_rng(415)
+    patterns = rng.random((16, 64)) < 0.5
+    rows = patterns[:, rng.integers(0, 64, size=1 << 20)]
+    decisions = decisions_from_rows(rows, dims=(128, 128, 64))
+    tracemalloc.start()
+    try:
+        result = staple_binary(decisions)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.weights.values.shape == (1 << 20,)
+    assert peak < 48 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_structured_instances_reach_oracle_fixed_point():
@@ -299,6 +326,28 @@ def test_fuse_warns_for_each_region_that_does_not_converge(caplog):
     for region, message in zip(Region, warnings):
         assert region.name in message
         assert "1 iteration(s)" in message and "1e-07" in message
+
+
+def test_fuse_logs_each_region_and_member_performance(caplog):
+    rng = np.random.default_rng(416)
+    truth = random_label_volume(rng, (8, 8, 8)).data
+    vols = []
+    for _ in range(3):  # members that each relabel ~10% of the voxels
+        noisy = np.where(rng.random(truth.shape) < 0.1, rng.integers(0, 4, truth.shape), truth)
+        vols.append(LabelVolume.from_array(noisy.astype(np.uint8)))
+    with caplog.at_level("INFO", logger="glioseg.staple"):
+        fuse_labels(vols, method="majority")
+        assert not caplog.records
+        fuse_labels(vols)
+    messages = [r.getMessage() for r in caplog.records]
+    assert [r.levelname for r in caplog.records] == ["INFO"] * len(Region)
+    for region, message in zip(Region, messages):
+        assert message.startswith(f"STAPLE {region.name} converged after ")
+        assert "(tolerance 1e-07)" in message
+        for name in ("sensitivity", "specificity"):
+            values = re.search(name + r" \[([^]]*)\]", message).group(1).split(", ")
+            assert len(values) == 3
+            assert all(re.fullmatch(r"[01]\.\d{4}", v) for v in values), message
 
 
 def test_fuse_validation():
