@@ -16,6 +16,7 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from pathlib import Path
+from time import perf_counter
 
 import numpy as np
 
@@ -71,18 +72,27 @@ def _cases_by_suffix(directory: Path, suffix: str) -> dict[str, Path]:
     return cases
 
 
-def _run_cases(case_tasks, parallel: int) -> dict[str, Exception]:
-    """Run (case, thunk) pairs, isolating failures per case."""
+def _run_cases(stage: str, case_tasks, parallel: int) -> dict[str, Exception]:
+    """Run (case, thunk) pairs, isolating failures per case.
+
+    Each case that succeeds logs its wall time once at INFO.
+    """
+
+    def timed(case, task):
+        started = perf_counter()
+        task()
+        logger.info("case %s: %s in %d ms", case, stage, round(1000 * (perf_counter() - started)))
+
     failures: dict[str, Exception] = {}
     if parallel <= 1 or len(case_tasks) <= 1:
         for case, task in case_tasks:
             try:
-                task()
+                timed(case, task)
             except Exception as exc:  # noqa: BLE001 - case isolation contract
                 failures[case] = exc
     else:
         with ThreadPoolExecutor(max_workers=parallel) as pool:
-            pending = {pool.submit(task): case for case, task in case_tasks}
+            pending = {pool.submit(timed, case, task): case for case, task in case_tasks}
             for future in as_completed(pending):
                 case = pending[future]
                 try:
@@ -117,9 +127,10 @@ def cmd_normalize(config: PipelineConfig, input_dir, output_dir) -> int:
             volume = read_scalar_volume(input_dir / case / name)
             result = preprocess_volume(volume, config.normalization, config.rescale)
             _write_atomic(write_scalar_volume, result, output_dir / case / name)
-        logger.info("case %s: %d volumes written", case, len(MODALITIES))
 
-    failures = _run_cases([(c, lambda c=c: normalize_case(c)) for c in cases], config.parallel_cases)
+    failures = _run_cases(
+        "normalize", [(c, lambda c=c: normalize_case(c)) for c in cases], config.parallel_cases
+    )
     logger.info(
         "normalize: %d case(s) written, %d failed -> %s",
         len(cases) - len(failures), len(failures), output_dir,
@@ -153,10 +164,9 @@ def cmd_fuse(config: PipelineConfig, strict: bool = False) -> int:
         members = [read_label_volume(cases[case]) for cases in per_member]
         fused = fuse_labels(members, config.staple, config.fusion_method)
         _write_atomic(write_label_volume, fused, output_dir / (case + config.label_suffix))
-        logger.info("case %s: fused %d members (%s)", case, len(members), config.fusion_method)
 
     tasks = [(c, lambda c=c: fuse_case(c)) for c in sorted(shared)]
-    failures = _run_cases(tasks, config.parallel_cases)
+    failures = _run_cases("fuse", tasks, config.parallel_cases)
     logger.info(
         "fuse: %d case(s) written, %d skipped, %d failed -> %s",
         len(shared) - len(failures), len(skipped), len(failures), output_dir,
@@ -178,10 +188,9 @@ def cmd_postprocess(config: PipelineConfig, input_dir, output_dir) -> int:
         labels = read_label_volume(cases[case])
         cleaned = postprocess_case(labels, config.postprocess)
         _write_atomic(write_label_volume, cleaned, output_dir / cases[case].name)
-        logger.info("case %s: postprocessed", case)
 
     tasks = [(c, lambda c=c: postprocess_one(c)) for c in sorted(cases)]
-    failures = _run_cases(tasks, config.parallel_cases)
+    failures = _run_cases("postprocess", tasks, config.parallel_cases)
     logger.info(
         "postprocess: %d case(s) written, %d failed -> %s",
         len(cases) - len(failures), len(failures), output_dir,
@@ -234,10 +243,11 @@ def cmd_evaluate(config: PipelineConfig, pred_dir, truth_dir, report_path) -> in
         pred = read_label_volume(preds[case])
         truth = read_label_volume(truths[case])
         reports[case] = evaluate_case(pred, truth, config.metrics, case=case)
-        logger.info("case %s: evaluated", case)
 
     shared = sorted(set(truths) & set(preds))
-    failures = _run_cases([(c, lambda c=c: evaluate_one(c)) for c in shared], config.parallel_cases)
+    failures = _run_cases(
+        "evaluate", [(c, lambda c=c: evaluate_one(c)) for c in shared], config.parallel_cases
+    )
 
     failed = {case: str(failures[case]) for case in sorted(failures)}
     payload = _report_payload(list(reports.values()), missing, failed, config)

@@ -6,14 +6,21 @@ int16 / uint16 / int32 / uint32 / int64 / float32 / float64 (nibabel
 writes int64 labels by default; raw MRI often comes as uint16),
 scl_slope/scl_inter rescaling, and both byte orders (resolved by
 checking that sizeof_hdr decodes to 348). Orientation comes from the
-sform when sform_code > 0, otherwise a spacing-scaled
-identity affine. qform quaternions, .hdr/.img pairs, NIfTI-2, and header
-extensions are out of scope.
+sform when sform_code > 0, else from the qform quaternion, offsets and
+qfac (pixdim[0]) when qform_code > 0, else it is a spacing-scaled
+identity affine. .hdr/.img pairs, NIfTI-2 and header extensions are out
+of scope.
 
 On disk the first voxel axis varies fastest; in memory volumes are
 C-ordered ``[i, j, k]`` arrays (see glioseg.volume), so read/write
-transposes between the two. Labels are always written as uint8 and
-scalars as float32.
+transposes between the two. Each read copies the voxels once into an
+array the volume owns: labels keep their stored integers (float-coded or
+scaled labels must be integral), intensities become float64. The value
+checks (label range, finiteness) belong to LabelVolume and ScalarVolume;
+the reader reports their failures as NiftiFormatError. Labels are written
+as uint8 and scalars as float32, with the orientation as the sform; a
+``.gz`` path gets one gzip member with no file name and mtime 0, so the
+bytes depend only on the volume.
 """
 
 from __future__ import annotations
@@ -64,6 +71,8 @@ _FIELDS = [
     ("scl_inter", 116, "f"),
     ("qform_code", 252, "h"),
     ("sform_code", 254, "h"),
+    ("quatern", 256, "3f"),
+    ("qoffset", 268, "3f"),
     ("srow_x", 280, "4f"),
     ("srow_y", 296, "4f"),
     ("srow_z", 312, "4f"),
@@ -89,6 +98,8 @@ class NiftiHeader:
     scl_inter: float
     qform_code: int
     sform_code: int
+    quatern: tuple[float, float, float]  # (b, c, d)
+    qoffset: tuple[float, float, float]
     srow: np.ndarray  # (3, 4)
     magic: bytes
     byte_order: str  # "<" or ">"
@@ -101,13 +112,42 @@ class NiftiHeader:
     def spacing(self) -> tuple[float, float, float]:
         return self.pixdim[1], self.pixdim[2], self.pixdim[3]
 
+    @property
+    def orientation(self) -> np.ndarray:
+        """Voxel-to-world affine rows: the sform, else the qform, else spacing."""
+        if self.sform_code > 0:
+            return self.srow.copy()
+        if self.qform_code > 0:
+            return _qform_affine(self)
+        return default_orientation(self.spacing)
+
+
+def _qform_affine(header: NiftiHeader) -> np.ndarray:
+    """NIfTI-1 method 2: quaternion rotation, pixdim scaling, qoffset shift.
+
+    qfac = pixdim[0] is -1 for a left-handed grid, which flips the third
+    column; any other value counts as 1.
+    """
+    b, c, d = header.quatern
+    bcd = b * b + c * c + d * d
+    if 1.0 - bcd < 1e-7:  # a 180-degree turn: renormalise (b, c, d) as nifti1_io does
+        a, b, c, d = 0.0, b / np.sqrt(bcd), c / np.sqrt(bcd), d / np.sqrt(bcd)
+    else:
+        a = np.sqrt(1.0 - bcd)
+    rotation = np.array([
+        [a * a + b * b - c * c - d * d, 2 * (b * c - a * d), 2 * (b * d + a * c)],
+        [2 * (b * c + a * d), a * a + c * c - b * b - d * d, 2 * (c * d - a * b)],
+        [2 * (b * d - a * c), 2 * (c * d + a * b), a * a + d * d - b * b - c * c],
+    ])
+    qfac = -1.0 if header.pixdim[0] < 0 else 1.0
+    dx, dy, dz = header.spacing
+    return np.column_stack([rotation * (dx, dy, dz * qfac), header.qoffset])
+
 
 def _read_bytes(path) -> bytes:
     with open(path, "rb") as fh:
-        head = fh.read(2)
-        rest = fh.read()
-    raw = head + rest
-    if head == b"\x1f\x8b":
+        raw = fh.read()
+    if raw.startswith(b"\x1f\x8b"):
         raw = gzip.decompress(raw)
     return raw
 
@@ -162,119 +202,106 @@ def parse_header(raw: bytes) -> NiftiHeader:
         scl_inter=values["scl_inter"][0],
         qform_code=values["qform_code"][0],
         sform_code=values["sform_code"][0],
+        quatern=values["quatern"],
+        qoffset=values["qoffset"],
         srow=srow,
         magic=magic,
         byte_order=order,
     )
 
 
-def _read_raw(path):
+def _read_voxels(path, dtype=None):
+    """Header and voxels of one file, copied once into an owned C-order array.
+
+    The values keep their stored dtype unless ``dtype`` is given; when
+    scl_slope/scl_inter apply they become float64.
+    """
     raw = _read_bytes(path)
     header = parse_header(raw)
     nx, ny, nz = header.shape
     count = nx * ny * nz
-    dtype = np.dtype(header.byte_order + _DTYPES[header.datatype][0])
+    stored = np.dtype(header.byte_order + _DTYPES[header.datatype][0])
     offset = header.vox_offset
     if offset < HEADER_SIZE:
         raise NiftiFormatError(f"vox_offset {offset} points inside the header")
-    end = offset + count * dtype.itemsize
+    end = offset + count * stored.itemsize
     if len(raw) < end:
         raise NiftiFormatError(
             f"truncated data section: need {end} bytes, file has {len(raw)}"
         )
-    flat = np.frombuffer(raw, dtype=dtype, count=count, offset=offset)
+    flat = np.frombuffer(raw, dtype=stored, count=count, offset=offset)
+    slope = header.scl_slope or 1.0  # scl_slope 0 means unscaled
+    scaled = slope != 1.0 or header.scl_inter != 0.0
     # Disk layout is first-axis-fastest; transpose into C-order [i, j, k].
-    voxels = flat.reshape((nz, ny, nx)).transpose(2, 1, 0)
-    if header.sform_code > 0:
-        orientation = header.srow.copy()
-    else:
-        orientation = default_orientation(header.spacing)
-    return header, voxels, orientation
+    data = np.array(
+        flat.reshape((nz, ny, nx)).transpose(2, 1, 0),
+        dtype=np.float64 if scaled else dtype,
+        order="C",
+    )
+    if scaled:
+        data *= slope
+        data += header.scl_inter
+    return header, data
 
 
-def _apply_scaling(header: NiftiHeader, voxels: np.ndarray) -> np.ndarray:
-    slope = header.scl_slope if header.scl_slope != 0.0 else 1.0
-    data = voxels.astype(np.float64)
-    if slope != 1.0 or header.scl_inter != 0.0:
-        data = data * np.float64(slope) + np.float64(header.scl_inter)
-    return data
+def _volume(volume_type, header: NiftiHeader, data: np.ndarray):
+    try:
+        return volume_type(header.shape, header.spacing, header.orientation, data)
+    except ValueError as exc:
+        raise NiftiFormatError(str(exc)) from exc
 
 
 def read_scalar_volume(path) -> ScalarVolume:
-    """Read an intensity volume, applying scl_slope/scl_inter."""
-    header, voxels, orientation = _read_raw(path)
-    data = _apply_scaling(header, voxels)
-    if not np.all(np.isfinite(data)):
-        raise NiftiFormatError("volume contains non-finite values after scaling")
-    return ScalarVolume(header.shape, header.spacing, orientation, data)
+    """Read an intensity volume as float64, applying scl_slope/scl_inter."""
+    header, data = _read_voxels(path, np.float64)
+    return _volume(ScalarVolume, header, data)
 
 
 def read_label_volume(path) -> LabelVolume:
     """Read a tumor label map; values must be exact integers in {0..3}."""
-    header, voxels, orientation = _read_raw(path)
-    data = _apply_scaling(header, voxels)
-    rounded = np.rint(data)
-    if not np.array_equal(rounded, data):
+    header, data = _read_voxels(path)
+    if data.dtype.kind == "f" and not np.array_equal(np.rint(data), data):
         raise NiftiFormatError("label file contains non-integer values")
-    if data.min(initial=0) < 0 or data.max(initial=0) > 3:
-        raise NiftiFormatError(
-            f"label values outside {{0..3}}: range [{data.min()}, {data.max()}]"
-        )
-    return LabelVolume(header.shape, header.spacing, orientation, rounded.astype(np.uint8))
+    return _volume(LabelVolume, header, data)
 
 
-def _build_header(dims, spacing, orientation, datatype) -> bytes:
-    raw = bytearray(HEADER_SIZE)
+def _build_header(volume, datatype) -> bytearray:
+    """Little-endian header plus the four zero extension bytes."""
+    raw = bytearray(HEADER_SIZE + 4)
     struct.pack_into("<i", raw, 0, HEADER_SIZE)
-    nx, ny, nz = dims
+    nx, ny, nz = volume.dims
     struct.pack_into("<8h", raw, 40, 3, nx, ny, nz, 1, 1, 1, 1)
     struct.pack_into("<h", raw, 70, datatype)
     struct.pack_into("<h", raw, 72, _DTYPES[datatype][1])
-    struct.pack_into("<8f", raw, 76, 1.0, spacing[0], spacing[1], spacing[2], 0, 0, 0, 0)
-    struct.pack_into("<f", raw, 108, 352.0)  # voxels follow the 4 extension bytes
+    struct.pack_into("<8f", raw, 76, 1.0, *volume.spacing, 0, 0, 0, 0)
+    struct.pack_into("<f", raw, 108, len(raw))  # vox_offset
     struct.pack_into("<f", raw, 112, 1.0)  # scl_slope
-    struct.pack_into("<f", raw, 116, 0.0)  # scl_inter
     struct.pack_into("<b", raw, 123, 2)  # xyzt_units: millimeters
-    struct.pack_into("<h", raw, 252, 0)  # qform_code
-    struct.pack_into("<h", raw, 254, 1)  # sform_code
-    affine = np.asarray(orientation, dtype=np.float64)
-    struct.pack_into("<4f", raw, 280, *affine[0])
-    struct.pack_into("<4f", raw, 296, *affine[1])
-    struct.pack_into("<4f", raw, 312, *affine[2])
+    struct.pack_into("<h", raw, 254, 1)  # sform_code; qform_code stays 0
+    for offset, row in zip((280, 296, 312), volume.orientation):
+        struct.pack_into("<4f", raw, offset, *row)
     struct.pack_into("<4s", raw, 344, MAGIC_SINGLE)
-    return bytes(raw)
+    return raw
 
 
-def _write_file(path, dims, spacing, orientation, datatype, voxels: np.ndarray):
-    header = _build_header(dims, spacing, orientation, datatype)
-    # first-axis-fastest disk order
-    disk = np.ascontiguousarray(voxels.transpose(2, 1, 0))
-    payload = header + b"\x00\x00\x00\x00" + disk.tobytes()
-    path = str(path)
-    opener = gzip.open if path.endswith(".gz") else open
-    with opener(path, "wb") as fh:
+def _write_file(volume, path, datatype) -> None:
+    # first-axis-fastest disk order, cast in the same copy
+    disk = np.ascontiguousarray(
+        volume.data.transpose(2, 1, 0), dtype="<" + _DTYPES[datatype][0]
+    )
+    payload = b"".join((_build_header(volume, datatype), disk))
+    if str(path).endswith(".gz"):
+        # one member with no file name and mtime 0: the bytes depend only on the volume
+        payload = gzip.compress(payload, compresslevel=9, mtime=0)
+    with open(path, "wb") as fh:
         fh.write(payload)
 
 
 def write_label_volume(labels: LabelVolume, path) -> None:
     """Write labels as uint8, gzip-compressed when the path ends in .gz."""
-    _write_file(
-        path,
-        labels.dims,
-        labels.spacing,
-        labels.orientation,
-        DT_UINT8,
-        labels.data.astype("<u1"),
-    )
+    _write_file(labels, path, DT_UINT8)
 
 
 def write_scalar_volume(volume: ScalarVolume, path) -> None:
     """Write intensities as float32, gzip-compressed for .gz paths."""
-    _write_file(
-        path,
-        volume.dims,
-        volume.spacing,
-        volume.orientation,
-        DT_FLOAT32,
-        volume.data.astype("<f4"),
-    )
+    _write_file(volume, path, DT_FLOAT32)

@@ -48,15 +48,17 @@ class RescaleSpec:
             raise ValueError(f"need out_min < out_max, got ({self.out_min}, {self.out_max})")
 
 
-def _included_values(volume: ScalarVolume, policy: NormalizationPolicy):
+def _included_mask(volume: ScalarVolume, policy: NormalizationPolicy) -> np.ndarray:
     if policy.include_background:
-        mask = np.ones(volume.dims, dtype=bool)
-    else:
-        mask = volume.data != 0.0
+        return np.ones(volume.dims, dtype=bool)
+    return volume.data != 0.0
+
+
+def _included_values(volume: ScalarVolume, mask: np.ndarray) -> np.ndarray:
     values = volume.data[mask]
     if values.size == 0:
         raise ValueError("no voxels in the included set; volume is all background")
-    return mask, values
+    return values
 
 
 def zscore_normalize(
@@ -68,7 +70,8 @@ def zscore_normalize(
     the included set. Raises ValueError when the included set is smaller
     than two voxels or its spread is at or below policy.epsilon.
     """
-    mask, values = _included_values(volume, policy)
+    mask = _included_mask(volume, policy)
+    values = _included_values(volume, mask)
     if values.size < 2:
         raise ValueError(f"need at least 2 included voxels, got {values.size}")
     mean = float(values.mean())
@@ -86,6 +89,8 @@ def rescale_percentiles(
     volume: ScalarVolume,
     spec: RescaleSpec = RescaleSpec(),
     policy: NormalizationPolicy = NormalizationPolicy(),
+    *,
+    included: np.ndarray | None = None,
 ) -> ScalarVolume:
     """Stretch the lo..hi percentile window onto [out_min, out_max].
 
@@ -93,8 +98,12 @@ def rescale_percentiles(
     included set. Values outside the window clamp to the range ends;
     excluded voxels become out_min. Raises ValueError when the window is
     degenerate (P_lo == P_hi).
+
+    ``included`` is a bool mask over the grid that replaces the set the
+    policy would derive from ``volume`` itself.
     """
-    mask, values = _included_values(volume, policy)
+    mask = _included_mask(volume, policy) if included is None else included
+    values = _included_values(volume, mask)
     p_lo, p_hi = np.percentile(values, [spec.lo_percentile, spec.hi_percentile])
     if not p_lo < p_hi:
         raise ValueError(
@@ -112,5 +121,12 @@ def preprocess_volume(
     policy: NormalizationPolicy = NormalizationPolicy(),
     spec: RescaleSpec = RescaleSpec(),
 ) -> ScalarVolume:
-    """Full preprocessing for one modality: z-score, then percentile rescale."""
-    return rescale_percentiles(zscore_normalize(volume, policy), spec, policy)
+    """Full preprocessing for one modality: z-score, then percentile rescale.
+
+    Both steps use the input's included set, so a voxel at exactly the
+    mean (z-score 0) stays in the rescale window.
+    """
+    included = _included_mask(volume, policy)
+    return rescale_percentiles(
+        zscore_normalize(volume, policy), spec, policy, included=included
+    )

@@ -200,6 +200,21 @@ def test_postprocess_logs_cases_written_and_failed(tmp_path, caplog):
     assert "postprocess: 1 case(s) written, 1 failed" in caplog.text
 
 
+@pytest.mark.parametrize("parallel", ["1", "2"])
+def test_run_logs_one_stage_time_per_case(tmp_path, caplog, parallel):
+    labels, _ = et_island_labels(50)
+    src = tmp_path / "pred"
+    src.mkdir()
+    for case in ("caseA", "caseB"):
+        write_label_volume(labels, src / f"{case}{SEG}")
+    with caplog.at_level("INFO", logger="glioseg"):
+        assert main(["postprocess", str(src), str(tmp_path / "clean"), "--parallel", parallel]) == 0
+    per_case = [r.getMessage() for r in caplog.records if r.getMessage().startswith("case ")]
+    timed = [re.fullmatch(r"case (\w+): postprocess in \d+ ms", message) for message in per_case]
+    assert all(timed), per_case
+    assert sorted(m.group(1) for m in timed) == ["caseA", "caseB"]
+
+
 def test_postprocess_retains_island_above_threshold(tmp_path):
     labels, _ = et_island_labels(51)
     src = tmp_path / "pred"

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import gzip
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +35,10 @@ def build_nifti_bytes(
     scl_inter: float = 0.0,
     sform_code: int = 0,
     srows=None,
+    qform_code: int = 0,
+    quatern=(0.0, 0.0, 0.0),
+    qoffset=(0.0, 0.0, 0.0),
+    qfac: float = 1.0,
     magic: bytes = b"n+1\x00",
     dim0: int = 3,
     dim4: int = 1,
@@ -42,7 +47,7 @@ def build_nifti_bytes(
     """Hand-build a single-file NIfTI-1 byte string.
 
     voxels is the in-memory [i, j, k] array; it is serialized with the
-    first axis varying fastest as the format requires.
+    first axis varying fastest as the format requires. qfac is pixdim[0].
     """
     nx, ny, nz = voxels.shape
     hdr = bytearray(348)
@@ -50,11 +55,14 @@ def build_nifti_bytes(
     struct.pack_into(order + "8h", hdr, 40, dim0, nx, ny, nz, dim4, 1, 1, 1)
     struct.pack_into(order + "h", hdr, 70, datatype)
     struct.pack_into(order + "h", hdr, 72, bitpix)
-    struct.pack_into(order + "8f", hdr, 76, 1.0, *pixdim, 0.0, 0.0, 0.0, 0.0)
+    struct.pack_into(order + "8f", hdr, 76, qfac, *pixdim, 0.0, 0.0, 0.0, 0.0)
     struct.pack_into(order + "f", hdr, 108, float(vox_offset))
     struct.pack_into(order + "f", hdr, 112, scl_slope)
     struct.pack_into(order + "f", hdr, 116, scl_inter)
+    struct.pack_into(order + "h", hdr, 252, qform_code)
     struct.pack_into(order + "h", hdr, 254, sform_code)
+    struct.pack_into(order + "3f", hdr, 256, *quatern)
+    struct.pack_into(order + "3f", hdr, 268, *qoffset)
     if srows is not None:
         struct.pack_into(order + "4f", hdr, 280, *srows[0])
         struct.pack_into(order + "4f", hdr, 296, *srows[1])
@@ -127,6 +135,29 @@ def test_no_sform_falls_back_to_spacing_identity(tmp_path):
     expected = np.diag([2.0, 3.0, 4.0])
     assert np.array_equal(vol.orientation[:, :3], expected)
     assert np.array_equal(vol.orientation[:, 3], np.zeros(3))
+
+
+def test_qform_orientation_decoded_and_written_as_sform(tmp_path):
+    # 90 degrees about z: quaternion (a, b, c, d) = (cos 45, 0, 0, sin 45);
+    # qfac -1 flips the third column, pixdim scales the columns.
+    half = np.sqrt(0.5)
+    qform = dict(qform_code=1, quatern=(0.0, 0.0, half), qoffset=(10.0, -20.0, 30.5), qfac=-1.0)
+    expected = np.array([
+        [0.0, -2.0, 0.0, 10.0],
+        [0.5, 0.0, 0.0, -20.0],
+        [0.0, 0.0, -3.0, 30.5],
+    ])
+    values = np.arange(24, dtype=np.float32).reshape(2, 3, 4)
+    blob = build_nifti_bytes(values, 16, 32, pixdim=(0.5, 2.0, 3.0), **qform)
+    vol = read_scalar_volume(write_fixture(tmp_path, "qform.nii.gz", blob))
+    assert np.allclose(vol.orientation, expected, rtol=0.0, atol=1e-6)
+    write_scalar_volume(vol, tmp_path / "out.nii.gz")
+    back = read_scalar_volume(tmp_path / "out.nii.gz")
+    assert np.allclose(back.orientation, expected, rtol=0.0, atol=1e-6)
+    # a coded sform still wins over the qform
+    srows = [(1.0, 0.0, 0.0, 1.0), (0.0, 1.0, 0.0, 2.0), (0.0, 0.0, 1.0, 3.0)]
+    both = build_nifti_bytes(values, 16, 32, sform_code=1, srows=srows, **qform)
+    assert np.array_equal(read_scalar_volume(write_fixture(tmp_path, "both.nii", both)).orientation, srows)
 
 
 def test_label_read_uint8(tmp_path):
@@ -338,3 +369,46 @@ def test_write_preserves_orientation(tmp_path):
     write_scalar_volume(vol, path)
     back = read_scalar_volume(path)
     assert np.array_equal(back.orientation, srows)
+
+
+def test_gzip_bytes_depend_only_on_the_volume(tmp_path):
+    labels = LabelVolume.from_array(np.random.default_rng(13).integers(0, 4, (5, 6, 7)).astype(np.uint8))
+    scalars = ScalarVolume.from_array(np.random.default_rng(14).normal(size=(5, 6, 7)))
+    (tmp_path / "sub").mkdir()
+    for write, volume in [(write_label_volume, labels), (write_scalar_volume, scalars)]:
+        first, second = tmp_path / "a.nii.gz", tmp_path / "sub" / ".tmp-123-other-name.nii.gz"
+        write(volume, first)
+        write(volume, second)
+        assert first.read_bytes() == second.read_bytes()
+
+
+def test_label_read_allocates_no_wide_copy(tmp_path):
+    labels = np.random.default_rng(15).integers(0, 4, (128, 128, 64)).astype(np.uint8)
+    path = write_fixture(tmp_path, "big.nii.gz", build_nifti_bytes(labels, 2, 8))
+    tracemalloc.start()
+    try:
+        vol = read_label_volume(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(vol.data, labels)
+    assert peak < 5 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_reads_of_line_shaped_grids_own_writable_data(tmp_path):
+    for shape in [(1, 1, 5), (5, 1, 1)]:
+        labels = np.arange(5, dtype=np.uint8).reshape(shape) % 4
+        blob = build_nifti_bytes(labels, 2, 8)
+        for read in (read_label_volume, read_scalar_volume):
+            vol = read(write_fixture(tmp_path, "line.nii", blob))
+            assert vol.data.flags.owndata and vol.data.flags.writeable
+            assert vol.data.flags.c_contiguous
+            assert np.array_equal(vol.data, labels)
+
+
+def test_scalar_rejects_non_finite_values(tmp_path):
+    values = np.zeros((2, 2, 2), dtype=np.float32)
+    values[1, 0, 1] = np.nan
+    blob = build_nifti_bytes(values, 16, 32)
+    with pytest.raises(NiftiFormatError, match="non-finite"):
+        read_scalar_volume(write_fixture(tmp_path, "nan.nii", blob))

@@ -189,3 +189,20 @@ def test_preprocess_volume_composes_both_steps():
     staged = rescale_percentiles(zscore_normalize(v, ALL), RescaleSpec(), ALL)
     assert np.array_equal(combined.data, staged.data)
     assert combined.data.min() >= 0.0 and combined.data.max() <= 1.0
+
+
+def test_preprocess_keeps_brain_voxels_at_the_mean_in_the_window():
+    # Brain values {1, 2, 3} in equal numbers: the 2s z-score to exactly 0
+    # but are still brain, so they rescale to about 0.5, not to out_min.
+    data = np.zeros((6, 4, 4))
+    data[0], data[1], data[2] = 1.0, 2.0, 3.0
+    out = preprocess_volume(vol(data))
+    normalized = zscore_normalize(vol(data)).data
+    assert np.count_nonzero(normalized[data == 2.0]) == 0
+    values = normalized[data != 0.0]
+    lo = percentile_linear(values, 2.0)
+    hi = percentile_linear(values, 98.0)
+    expected = np.clip((normalized - lo) / (hi - lo), 0.0, 1.0)
+    expected[data == 0.0] = 0.0
+    assert np.max(np.abs(out.data - expected)) < 1e-6
+    assert abs(out.data[1, 0, 0] - 0.5) < 1e-6
