@@ -62,15 +62,21 @@ def _included_values(volume: ScalarVolume, mask: np.ndarray) -> np.ndarray:
 
 
 def zscore_normalize(
-    volume: ScalarVolume, policy: NormalizationPolicy = NormalizationPolicy()
+    volume: ScalarVolume,
+    policy: NormalizationPolicy = NormalizationPolicy(),
+    *,
+    included: np.ndarray | None = None,
 ) -> ScalarVolume:
     """Map included voxels to (x - mean) / std; excluded voxels become 0.
 
     Mean and standard deviation are the population form (divisor N) over
     the included set. Raises ValueError when the included set is smaller
     than two voxels or its spread is at or below policy.epsilon.
+
+    ``included`` is a bool mask over the grid that replaces the set the
+    policy would derive from ``volume`` itself.
     """
-    mask = _included_mask(volume, policy)
+    mask = _included_mask(volume, policy) if included is None else included
     values = _included_values(volume, mask)
     if values.size < 2:
         raise ValueError(f"need at least 2 included voxels, got {values.size}")
@@ -123,10 +129,9 @@ def preprocess_volume(
 ) -> ScalarVolume:
     """Full preprocessing for one modality: z-score, then percentile rescale.
 
-    Both steps use the input's included set, so a voxel at exactly the
-    mean (z-score 0) stays in the rescale window.
+    Both steps use the input's included set, built once, so a voxel at
+    exactly the mean (z-score 0) stays in the rescale window.
     """
     included = _included_mask(volume, policy)
-    return rescale_percentiles(
-        zscore_normalize(volume, policy), spec, policy, included=included
-    )
+    normalized = zscore_normalize(volume, policy, included=included)
+    return rescale_percentiles(normalized, spec, policy, included=included)

@@ -16,8 +16,10 @@ from a high-confidence (0.99999) performance guess:
 W_i depends on voxel i only through its vote column D_:i, so EM runs on
 the K <= min(2^J, N) distinct columns (vote patterns) and their voxel
 counts: every sum over voxels above is a count-weighted sum over patterns,
-an iteration costs O(J*K), and the K weights are scattered back to the
-voxels once at the end.
+an iteration costs O(J*K), and the K weights are scattered back once at
+the end. The votes themselves may arrive as columns that each stand for
+a count of voxels (RaterDecisions.counts, one voxel per column by
+default); the pattern counts then sum those counts.
 
 The scalar prior f defaults to the mean rater foreground fraction.
 Products run in log space with a per-pattern max subtraction so dozens of
@@ -28,11 +30,15 @@ W >= threshold (ties to foreground).
 
 Label maps are fused per region: ET, TC, and WT are each fused as an
 independent binary problem and the results recombined with nesting
-repair, so the output always satisfies ET within TC within WT. Each
-region's EM outcome is logged on the glioseg.staple logger, at INFO when
-it converged and at WARNING when it stopped at max_iterations, with the
-iterations, the tolerance and each member's estimated sensitivity and
-specificity.
+repair, so the output always satisfies ET within TC within WT. A voxel's
+fused label depends only on the tuple of member labels there, so
+fuse_labels folds the members once into their T distinct label tuples,
+fuses each region on those T columns weighted by their voxel counts, and
+writes the output as one gather of the T fused labels. Majority vote
+takes the same path. Each region's EM outcome is logged on the
+glioseg.staple logger, at INFO when it converged and at WARNING when it
+stopped at max_iterations, with the iterations, the tolerance and each
+member's estimated sensitivity and specificity.
 """
 
 from __future__ import annotations
@@ -89,17 +95,24 @@ class StapleConfig:
 
 @dataclass(frozen=True)
 class RaterDecisions:
-    """Complete binary votes of J raters over the voxels of one grid."""
+    """Complete binary votes of J raters over the C columns of one grid.
 
-    decisions: np.ndarray  # bool [J, N], one row per rater
+    Column c stands for counts[c] voxels that share its votes; by default
+    every column is one voxel. fuse_labels passes one column per distinct
+    member label tuple with its voxel count, which is all EM needs, on a
+    (C, 1, 1) grid.
+    """
+
+    decisions: np.ndarray  # bool [J, C], one row per rater
     dims: tuple[int, int, int]
     spacing: tuple[float, float, float]
     region: Region
+    counts: np.ndarray | None = None  # integer [C] >= 1, voxels per column
 
     def __post_init__(self):
         decisions = np.ascontiguousarray(self.decisions, dtype=bool)
         if decisions.ndim != 2:
-            raise ValueError(f"decisions must be 2-D (raters, voxels), got {decisions.shape}")
+            raise ValueError(f"decisions must be 2-D (raters, columns), got {decisions.shape}")
         if decisions.shape[0] < 1:
             raise ValueError("need at least one rater")
         expected = int(np.prod(self.dims))
@@ -107,7 +120,18 @@ class RaterDecisions:
             raise ValueError(
                 f"decision columns {decisions.shape[1]} do not match grid size {expected}"
             )
+        if self.counts is None:
+            counts = np.broadcast_to(np.int64(1), decisions.shape[1:])
+        else:
+            counts = np.asarray(self.counts)
+            if counts.shape != decisions.shape[1:]:
+                raise ValueError(
+                    f"counts shape {counts.shape} does not match {expected} decision columns"
+                )
+            if counts.dtype.kind not in "iu" or not np.all(counts >= 1):
+                raise ValueError("counts must be positive integers")
         object.__setattr__(self, "decisions", decisions)
+        object.__setattr__(self, "counts", counts)
 
     @property
     def num_raters(self) -> int:
@@ -115,10 +139,12 @@ class RaterDecisions:
 
     @property
     def num_voxels(self) -> int:
-        return self.decisions.shape[1]
+        return int(self.counts.sum())
 
     @classmethod
-    def from_masks(cls, masks: list[RegionMask]) -> "RaterDecisions":
+    def from_masks(
+        cls, masks: list[RegionMask], counts: np.ndarray | None = None
+    ) -> "RaterDecisions":
         if not masks:
             raise ValueError("need at least one rater mask")
         first = masks[0]
@@ -129,7 +155,7 @@ class RaterDecisions:
                     f"rater masks mix regions {first.region} and {other.region}"
                 )
         rows = np.stack([m.data.ravel() for m in masks])
-        return cls(rows, first.dims, first.spacing, first.region)
+        return cls(rows, first.dims, first.spacing, first.region, counts)
 
     def to_mask(self, flat_foreground: np.ndarray) -> RegionMask:
         data = np.asarray(flat_foreground, dtype=bool).reshape(self.dims)
@@ -155,7 +181,7 @@ class RaterPerformance:
 
 @dataclass(frozen=True)
 class ConsensusWeights:
-    values: np.ndarray  # float64 [N], per-voxel foreground posterior
+    values: np.ndarray  # float64 [C], foreground posterior per decision column
 
     def __post_init__(self):
         values = np.ascontiguousarray(self.values, dtype=np.float64)
@@ -183,7 +209,7 @@ def _clamp(values: np.ndarray) -> np.ndarray:
 def _degenerate_result(
     decisions: RaterDecisions, config: StapleConfig, foreground: bool
 ) -> StapleResult:
-    n = decisions.num_voxels
+    n = decisions.decisions.shape[1]  # columns, not voxels
     flat = np.full(n, foreground, dtype=bool)
     return StapleResult(
         mask=decisions.to_mask(flat),
@@ -198,31 +224,34 @@ def _degenerate_result(
     )
 
 
-def _vote_patterns(votes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Distinct columns of a bool [J, N] matrix: (patterns [J, K], counts [K], ids [N]).
+def _distinct_columns(rows, base: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct columns of J equal-length rows of digits in [0, base).
 
-    Folds in one rater at a time (id = 2 * id + vote). After the last rater,
+    Returns (columns uint8 [J, K], counts [K], ids intp [N]): input column i
+    is columns[:, ids[i]], and the columns are in lexicographic order.
+    Folds in one row at a time (id = base * id + digit). After the last row,
     and whenever the next fold could take the ids past N, the ids that occur
-    are renumbered to 0..K-1, so they stay below max(N, 2) for any J and no
-    sort over N is needed. Voxel i has column patterns[:, ids[i]].
+    are renumbered to 0..K-1 in place, so they stay below max(N, base) for
+    any J, and no sort and no second id array over N is needed.
     """
-    num_raters, num_voxels = votes.shape
-    ids = np.zeros(num_voxels, dtype=np.intp)
-    patterns = np.zeros((0, 1), dtype=bool)  # column of each renumbered id
-    fresh = 0  # raters folded in since the last renumbering
-    for j, row in enumerate(votes):
-        ids *= 2
+    num_rows, num_columns = len(rows), len(rows[0])
+    ids = np.zeros(num_columns, dtype=np.intp)
+    columns = np.zeros((0, 1), dtype=np.uint8)  # column of each renumbered id
+    fresh = 0  # rows folded in since the last renumbering
+    for j, row in enumerate(rows):
+        ids *= base
         ids += row
         fresh += 1
-        if j + 1 < num_raters and patterns.shape[1] << (fresh + 1) <= num_voxels:
+        if j + 1 < num_rows and columns.shape[1] * base ** (fresh + 1) <= num_columns:
             continue
         hits = np.bincount(ids)
         present = np.flatnonzero(hits)
-        ids = (np.cumsum(hits > 0) - 1)[ids]
-        bits = (present >> np.arange(fresh - 1, -1, -1)[:, None]) & 1 == 1
-        patterns = np.vstack([patterns[:, present >> fresh], bits])
+        np.take(np.cumsum(hits > 0) - 1, ids, out=ids, mode="clip")
+        digits = present // base ** np.arange(fresh - 1, -1, -1)[:, None] % base
+        columns = np.vstack([columns[:, present // base**fresh], digits.astype(np.uint8)])
         fresh = 0
-    return patterns, hits[present], ids
+    # C order, so EM's sums do not depend on when the fold renumbered
+    return np.ascontiguousarray(columns), hits[present], ids
 
 
 def staple_binary(decisions: RaterDecisions, config: StapleConfig = StapleConfig()) -> StapleResult:
@@ -231,9 +260,9 @@ def staple_binary(decisions: RaterDecisions, config: StapleConfig = StapleConfig
     An auto prior of exactly 0 (all raters empty) or 1 (all raters full)
     short-circuits to the unanimous answer with the degenerate flag set.
     """
-    patterns, counts, ids = _vote_patterns(decisions.decisions)
+    patterns, _, ids = _distinct_columns(decisions.decisions, 2)
     d = patterns.astype(np.float64)  # [J, K]
-    n = counts.astype(np.float64)  # voxels per pattern
+    n = np.bincount(ids, weights=decisions.counts)  # voxels per pattern
     num_raters, num_voxels = decisions.num_raters, decisions.num_voxels
     votes_per_rater = d @ n  # reused by every M-step
     if isinstance(config.prior, str):
@@ -299,11 +328,7 @@ def majority_vote(decisions: RaterDecisions) -> RegionMask:
 
 def _staple_mask(decisions: RaterDecisions, config: StapleConfig) -> RegionMask:
     """staple_binary's mask, with the region's EM outcome logged (INFO, or
-    WARNING if EM stopped before converging).
-
-    The result, with its float64 weights over the whole grid, is freed on
-    return rather than kept alive through the next region's EM.
-    """
+    WARNING if EM stopped before converging)."""
     result = staple_binary(decisions, config)
     logger.log(
         logging.INFO if result.converged else logging.WARNING,
@@ -323,21 +348,30 @@ def fuse_labels(
     config: StapleConfig = StapleConfig(),
     method: str = "staple",
 ) -> LabelVolume:
-    """Fuse label maps region by region into one consensus label map."""
+    """Fuse label maps region by region into one consensus label map.
+
+    The members are folded once into their T distinct label tuples. Each
+    region is fused on the (T, 1, 1) tables of those tuples, weighted by
+    their voxel counts, and the output is one gather of the fused labels
+    of the T tuples, on the grid and orientation of the first member.
+    """
     if not predictions:
         raise ValueError("need at least one prediction to fuse")
     if method not in FUSION_METHODS:
         raise ValueError(f"method must be one of {FUSION_METHODS}, got {method!r}")
     first = predictions[0]
+    for other in predictions[1:]:
+        require_same_grid(first, other, "predictions")
+    tuples, counts, ids = _distinct_columns([p.data.ravel() for p in predictions], 4)
+    tables = [LabelVolume.from_array(row[:, None, None], first.spacing) for row in tuples]
     fused = {}
     for region in Region:
         decisions = RaterDecisions.from_masks(
-            [extract_region(p, region) for p in predictions]
+            [extract_region(t, region) for t in tables], counts
         )
         if method == "majority":
             fused[region] = majority_vote(decisions)
         else:
             fused[region] = _staple_mask(decisions, config)
-    return reconstruct_labels(
-        fused[Region.ET], fused[Region.TC], fused[Region.WT], orientation=first.orientation
-    )
+    lut = reconstruct_labels(fused[Region.ET], fused[Region.TC], fused[Region.WT])
+    return first.with_data(lut.data.ravel()[ids].reshape(first.dims))

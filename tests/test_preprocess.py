@@ -191,6 +191,19 @@ def test_preprocess_volume_composes_both_steps():
     assert combined.data.min() >= 0.0 and combined.data.max() <= 1.0
 
 
+def test_zscore_takes_statistics_over_the_given_mask():
+    rng = np.random.default_rng(108)
+    data = rng.normal(10.0, 3.0, size=(6, 5, 4))
+    data[rng.random(data.shape) < 0.3] = 0.0
+    mask = rng.random(data.shape) < 0.5
+    # the mask is not the policy's set: it takes some zeros, drops some brain
+    assert (mask & (data == 0.0)).any() and (~mask & (data != 0.0)).any()
+    out = zscore_normalize(vol(data), FG, included=mask)
+    mean, std = two_pass_mean_std(data[mask])
+    assert np.max(np.abs(out.data[mask] - (data[mask] - mean) / std)) < 1e-12
+    assert np.all(out.data[~mask] == 0.0)
+
+
 def test_preprocess_keeps_brain_voxels_at_the_mean_in_the_window():
     # Brain values {1, 2, 3} in equal numbers: the 2s z-score to exactly 0
     # but are still brain, so they rescale to about 0.5, not to out_min.

@@ -11,11 +11,19 @@ from glioseg.staple import (
     RaterDecisions,
     RaterPerformance,
     StapleConfig,
+    _distinct_columns,
+    _staple_mask,
     fuse_labels,
     majority_vote,
     staple_binary,
 )
-from glioseg.volume import LabelVolume, Region, RegionMask, extract_region
+from glioseg.volume import (
+    LabelVolume,
+    Region,
+    RegionMask,
+    extract_region,
+    reconstruct_labels,
+)
 
 from oracles import em_consensus_oracle
 
@@ -107,6 +115,60 @@ def test_memory_is_bounded_by_vote_patterns():
         tracemalloc.stop()
     assert result.weights.values.shape == (1 << 20,)
     assert peak < 48 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_distinct_columns_match_numpy_unique():
+    rng = np.random.default_rng(417)
+    for base in (2, 4):
+        for num_rows in range(1, 41):
+            for num_columns in (1, 2, int(rng.integers(3, 400))):
+                rows = rng.integers(0, base, size=(num_rows, num_columns))
+                if num_rows % 3 == 0:  # few distinct columns, many repeats
+                    rows = rows[:, rng.integers(0, min(num_columns, 5), size=num_columns)]
+                if base == 2:
+                    rows = rows.astype(bool)
+                columns, counts, ids = _distinct_columns(rows, base)
+                want, inverse, want_counts = np.unique(
+                    rows, axis=1, return_inverse=True, return_counts=True
+                )
+                where = f"base {base}, J={num_rows}, N={num_columns}"
+                assert np.array_equal(columns, want), where
+                assert np.array_equal(counts, want_counts), where
+                assert np.array_equal(ids, inverse.ravel()), where
+
+
+def test_staple_on_column_counts_equals_expanded_voxels():
+    rng = np.random.default_rng(418)
+    instances = []
+    for _ in range(40):
+        num_raters = int(rng.integers(1, 8))
+        num_columns = int(rng.integers(1, 40))
+        # columns may repeat, so a vote pattern can gather several columns
+        columns = rng.random((num_raters, num_columns)) < rng.uniform(0.1, 0.9)
+        instances.append((columns, rng.integers(1, 60, size=num_columns)))
+    instances.append((np.zeros((3, 4), dtype=bool), np.array([5, 1, 2, 9])))  # prior 0
+    instances.append((np.ones((2, 3), dtype=bool), np.array([7, 3, 1])))  # prior 1
+    configs = (StapleConfig(), StapleConfig(prior=0.3, max_iterations=7), TIGHT)
+    for trial, (columns, counts) in enumerate(instances):
+        config = configs[trial % len(configs)]
+        folded = staple_binary(
+            RaterDecisions(columns, (columns.shape[1], 1, 1), (1, 1, 1), Region.WT, counts),
+            config,
+        )
+        voxels = np.repeat(columns, counts, axis=1)
+        expanded = staple_binary(decisions_from_rows(voxels), config)
+        first_voxel = np.cumsum(counts) - counts
+        assert folded.iterations == expanded.iterations, trial
+        assert folded.converged == expanded.converged, trial
+        assert folded.degenerate == expanded.degenerate, trial
+        for name in ("sensitivity", "specificity"):
+            assert np.array_equal(
+                getattr(folded.performance, name), getattr(expanded.performance, name)
+            ), trial
+        assert np.array_equal(folded.weights.values, expanded.weights.values[first_voxel])
+        assert np.array_equal(
+            np.repeat(folded.mask.data.ravel(), counts), expanded.mask.data.ravel()
+        )
 
 
 def test_structured_instances_reach_oracle_fixed_point():
@@ -350,6 +412,83 @@ def test_fuse_logs_each_region_and_member_performance(caplog):
             assert all(re.fullmatch(r"[01]\.\d{4}", v) for v in values), message
 
 
+def fuse_reference(predictions, config, method):
+    """Region-wise fusion over every voxel: one vote column per voxel."""
+    fused = {}
+    for region in Region:
+        decisions = RaterDecisions.from_masks([extract_region(p, region) for p in predictions])
+        if method == "majority":
+            fused[region] = majority_vote(decisions)
+        else:
+            fused[region] = _staple_mask(decisions, config)
+    return reconstruct_labels(
+        fused[Region.ET], fused[Region.TC], fused[Region.WT],
+        orientation=predictions[0].orientation,
+    )
+
+
+def test_fuse_matches_region_wise_voxel_reference(caplog):
+    rng = np.random.default_rng(419)
+    spacing = (0.7, 1.3, 2.5)
+    orientation = np.array(
+        [[0.0, -1.3, 0.0, 12.5], [0.7, 0.0, 0.0, -40.0], [0.0, 0.0, -2.5, 7.25]]
+    )
+
+    def members(num, dims, labels=(0, 1, 2, 3), noise=0.15):
+        truth = rng.choice(labels, size=dims)
+        out = []
+        for _ in range(num):
+            relabel = rng.random(dims) < noise
+            data = np.where(relabel, rng.choice(labels, size=dims), truth)
+            out.append(LabelVolume.from_array(data.astype(np.uint8), spacing, orientation))
+        return out
+
+    cases = [members(num, (6, 5, 7)) for num in (1, 2, 3, 5)]
+    cases.append(members(9, (8, 8, 8), noise=1.0))  # 512 voxels: the fold renumbers mid-way
+    cases.append(members(3, (5, 6, 4), labels=(0, 2)))  # ET and TC empty in every member
+    cases.append(members(4, (5, 6, 4), labels=(1, 2, 3)))  # WT full in every member
+    configs = (StapleConfig(), StapleConfig(max_iterations=2), TIGHT)
+    for index, predictions in enumerate(cases):
+        for config in configs:
+            for method in ("staple", "majority"):
+                caplog.clear()
+                with caplog.at_level("INFO", logger="glioseg.staple"):
+                    fused = fuse_labels(predictions, config, method)
+                got = [(r.levelname, r.getMessage()) for r in caplog.records]
+                caplog.clear()
+                with caplog.at_level("INFO", logger="glioseg.staple"):
+                    want = fuse_reference(predictions, config, method)
+                where = f"case {index}, {config}, {method}"
+                assert got == [(r.levelname, r.getMessage()) for r in caplog.records], where
+                assert np.array_equal(fused.data, want.data), where
+                assert fused.dims == want.dims and fused.spacing == want.spacing
+                assert np.array_equal(fused.orientation, orientation)
+
+
+def test_fuse_memory_is_bounded_by_label_tuples():
+    # five 128x128x64 members: a [J, N] vote stack per region would be
+    # 5 MiB and a float64 weight map 8 MiB each
+    rng = np.random.default_rng(420)
+    dims = (128, 128, 64)
+    grid = np.indices(dims).astype(np.float32)
+    radius = np.sqrt(sum((g - d / 2) ** 2 for g, d in zip(grid, dims)))
+    del grid
+    truth = np.digitize(-radius, [-30.0, -20.0, -10.0]).astype(np.uint8)  # nested shells
+    vols = []
+    for _ in range(5):
+        noisy = np.where(rng.random(dims) < 0.02, rng.integers(0, 4, dims), truth)
+        vols.append(LabelVolume.from_array(noisy.astype(np.uint8)))
+    for method in ("staple", "majority"):
+        tracemalloc.start()
+        try:
+            fused = fuse_labels(vols, method=method)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fused.dims == dims
+        assert peak < 16 * 2**20, f"{method}: peak {peak / 2**20:.1f} MiB"
+
+
 def test_fuse_validation():
     with pytest.raises(ValueError, match="at least one"):
         fuse_labels([])
@@ -358,6 +497,9 @@ def test_fuse_validation():
     b = random_label_volume(rng, (4, 4, 5))
     with pytest.raises(ValueError):
         fuse_labels([a, b])
+    c = LabelVolume.from_array(a.data, spacing=(1.0, 1.0, 2.0))
+    with pytest.raises(ValueError, match="grid"):
+        fuse_labels([a, c])
     with pytest.raises(ValueError, match="method"):
         fuse_labels([a], method="average")
 
@@ -390,6 +532,10 @@ def test_decisions_validation():
     m2 = RegionMask(Region.TC, (2, 2, 2), (1, 1, 1), np.zeros((2, 2, 2), dtype=bool))
     with pytest.raises(ValueError, match="regions"):
         RaterDecisions.from_masks([m1, m2])
+    rows = np.zeros((2, 3), dtype=bool)
+    for bad in ([1, 2], [[1, 2, 3]], [1, 0, 2], [1, -2, 2], [1.0, 2.5, 1.0], [1.0, 2.0, 1.0]):
+        with pytest.raises(ValueError, match="counts"):
+            RaterDecisions(rows, (3, 1, 1), (1, 1, 1), Region.WT, np.array(bad))
 
 
 def test_result_type_validation():
