@@ -1,9 +1,10 @@
 """Command-line pipeline: normalize, fuse, postprocess, evaluate, demo-net.
 
 Cases are processed independently (optionally in parallel); every output
-file is written atomically via a temp name in the target directory. Logs
-go to standard error, reports and volumes to files. Exit codes: 0 clean,
-1 any case-level failure, 2 configuration or usage errors.
+file is written atomically via a temp name in the target directory, and
+normalize moves a case's modalities into place only once all of them are
+written. Logs go to standard error, reports and volumes to files. Exit
+codes: 0 clean, 1 any case-level failure, 2 configuration or usage errors.
 """
 
 from __future__ import annotations
@@ -72,10 +73,12 @@ def _cases_by_suffix(directory: Path, suffix: str) -> dict[str, Path]:
     return cases
 
 
-def _run_cases(stage: str, case_tasks, parallel: int) -> dict[str, Exception]:
+def _run_cases(stage: str, case_tasks, parallel: int) -> dict[str, str]:
     """Run (case, thunk) pairs, isolating failures per case.
 
-    Each case that succeeds logs its wall time once at INFO.
+    Each case that succeeds logs its wall time once at INFO. A failure is
+    kept as its message: the exception's traceback would keep the failed
+    case's volumes alive until the stage ends.
     """
 
     def timed(case, task):
@@ -83,22 +86,22 @@ def _run_cases(stage: str, case_tasks, parallel: int) -> dict[str, Exception]:
         task()
         logger.info("case %s: %s in %d ms", case, stage, round(1000 * (perf_counter() - started)))
 
-    failures: dict[str, Exception] = {}
+    failures: dict[str, str] = {}
     if parallel <= 1 or len(case_tasks) <= 1:
         for case, task in case_tasks:
             try:
                 timed(case, task)
             except Exception as exc:  # noqa: BLE001 - case isolation contract
-                failures[case] = exc
+                failures[case] = str(exc)
     else:
         with ThreadPoolExecutor(max_workers=parallel) as pool:
             pending = {pool.submit(timed, case, task): case for case, task in case_tasks}
             for future in as_completed(pending):
-                case = pending[future]
+                case = pending.pop(future)
                 try:
                     future.result()
                 except Exception as exc:  # noqa: BLE001
-                    failures[case] = exc
+                    failures[case] = str(exc)
     for case in sorted(failures):
         logger.error("case %s failed: %s", case, failures[case])
     return failures
@@ -122,11 +125,27 @@ def cmd_normalize(config: PipelineConfig, input_dir, output_dir) -> int:
         return EXIT_OK
 
     def normalize_case(case: str):
-        for modality in MODALITIES:
-            name = case + config.modality_suffixes[modality]
-            volume = read_scalar_volume(input_dir / case / name)
-            result = preprocess_volume(volume, config.normalization, config.rescale)
-            _write_atomic(write_scalar_volume, result, output_dir / case / name)
+        # Modalities go to temp names beside the case directory and are
+        # renamed in only once all of them succeeded, so a failed case leaves
+        # no partial set behind. One modality's volumes are alive at a time.
+        names = [case + config.modality_suffixes[m] for m in MODALITIES]
+        staged = [output_dir / f".tmp-{os.getpid()}-{name}" for name in names]
+        output_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            for name, tmp in zip(names, staged):
+                write_scalar_volume(
+                    preprocess_volume(
+                        read_scalar_volume(input_dir / case / name),
+                        config.normalization, config.rescale,
+                    ),
+                    tmp,
+                )
+            (output_dir / case).mkdir(exist_ok=True)
+            for name, tmp in zip(names, staged):
+                os.replace(tmp, output_dir / case / name)
+        finally:
+            for tmp in staged:
+                tmp.unlink(missing_ok=True)
 
     failures = _run_cases(
         "normalize", [(c, lambda c=c: normalize_case(c)) for c in cases], config.parallel_cases
@@ -249,7 +268,7 @@ def cmd_evaluate(config: PipelineConfig, pred_dir, truth_dir, report_path) -> in
         "evaluate", [(c, lambda c=c: evaluate_one(c)) for c in shared], config.parallel_cases
     )
 
-    failed = {case: str(failures[case]) for case in sorted(failures)}
+    failed = dict(sorted(failures.items()))
     payload = _report_payload(list(reports.values()), missing, failed, config)
     report_path = Path(report_path)
     _write_atomic(

@@ -20,7 +20,9 @@ checks (label range, finiteness) belong to LabelVolume and ScalarVolume;
 the reader reports their failures as NiftiFormatError. Labels are written
 as uint8 and scalars as float32, with the orientation as the sform; a
 ``.gz`` path gets one gzip member with no file name and mtime 0, so the
-bytes depend only on the volume.
+bytes depend only on the volume. Labels are compressed at gzip level 9,
+scalars at level 1: a float32 intensity volume comes out ~5 % larger than
+at level 9 and compresses several times faster.
 """
 
 from __future__ import annotations
@@ -57,6 +59,11 @@ _DTYPES = {
     DT_UINT32: ("u4", 32),
     DT_INT64: ("i8", 64),
 }
+
+# gzip level per written datatype. Labels compress 3.4x better at level 9
+# for little time; float32 intensities are only ~5 % smaller at level 9 than
+# at level 1 and take several times as long to compress.
+_GZIP_LEVEL = {DT_UINT8: 9, DT_FLOAT32: 1}
 
 # (name, offset, struct format) for the header fields this reader uses;
 # formats are given without the byte-order prefix.
@@ -292,7 +299,7 @@ def _write_file(volume, path, datatype) -> None:
     payload = b"".join((_build_header(volume, datatype), disk))
     if str(path).endswith(".gz"):
         # one member with no file name and mtime 0: the bytes depend only on the volume
-        payload = gzip.compress(payload, compresslevel=9, mtime=0)
+        payload = gzip.compress(payload, compresslevel=_GZIP_LEVEL[datatype], mtime=0)
     with open(path, "wb") as fh:
         fh.write(payload)
 

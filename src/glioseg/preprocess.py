@@ -7,6 +7,10 @@ are computed over the included voxel set; by default exact-zero voxels
 are excluded, since skull-stripped volumes are dominated by zero
 background. Excluded voxels do not enter the statistics and are written
 as 0 (z-score) or out_min (rescale) in the output.
+
+Each step allocates one grid-sized output and works on a copy of the
+included values in place; the input volume and a passed ``included`` mask
+are never modified.
 """
 
 from __future__ import annotations
@@ -55,6 +59,7 @@ def _included_mask(volume: ScalarVolume, policy: NormalizationPolicy) -> np.ndar
 
 
 def _included_values(volume: ScalarVolume, mask: np.ndarray) -> np.ndarray:
+    """A copy of the included voxels' values, free to be changed in place."""
     values = volume.data[mask]
     if values.size == 0:
         raise ValueError("no voxels in the included set; volume is all background")
@@ -86,8 +91,10 @@ def zscore_normalize(
         raise ValueError(
             f"intensity spread {std:.3g} is at or below epsilon {policy.epsilon:.3g}"
         )
+    values -= mean
+    values /= std
     out = np.zeros(volume.dims, dtype=np.float64)
-    out[mask] = (values - mean) / std
+    out[mask] = values
     return volume.with_data(out)
 
 
@@ -110,15 +117,23 @@ def rescale_percentiles(
     """
     mask = _included_mask(volume, policy) if included is None else included
     values = _included_values(volume, mask)
-    p_lo, p_hi = np.percentile(values, [spec.lo_percentile, spec.hi_percentile])
+    # values is this call's own copy: the partial sort may reorder it, and it
+    # is freed before the output is allocated
+    p_lo, p_hi = np.percentile(
+        values, [spec.lo_percentile, spec.hi_percentile], overwrite_input=True
+    )
+    del values
     if not p_lo < p_hi:
         raise ValueError(
             f"degenerate percentile window: P{spec.lo_percentile:g} == P{spec.hi_percentile:g}"
             f" == {p_lo:.6g}"
         )
-    unit = np.clip((volume.data - p_lo) / (p_hi - p_lo), 0.0, 1.0)
-    out = unit * (spec.out_max - spec.out_min) + spec.out_min
-    out[~mask] = spec.out_min
+    out = np.subtract(volume.data, p_lo)
+    out /= p_hi - p_lo
+    np.clip(out, 0.0, 1.0, out=out)
+    out *= spec.out_max - spec.out_min
+    out += spec.out_min
+    np.copyto(out, spec.out_min, where=~mask)
     return volume.with_data(out)
 
 

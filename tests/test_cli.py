@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import re
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -90,6 +91,53 @@ def test_normalize_missing_modality_file_fails(tmp_path):
     write_case_modalities(tmp_path / "raw", "caseA", rng)
     (tmp_path / "raw" / "caseA" / f"caseA{MOD_SUFFIXES[2]}").unlink()
     assert main(["normalize", str(tmp_path / "raw"), str(tmp_path / "out")]) == 1
+
+
+@pytest.mark.parametrize("fault", ["missing", "constant"])
+def test_normalize_failed_case_leaves_no_outputs(tmp_path, fault):
+    rng = np.random.default_rng(503)
+    write_case_modalities(tmp_path / "raw", "bad", rng)
+    write_case_modalities(tmp_path / "raw", "good", rng)
+    last = tmp_path / "raw" / "bad" / f"bad{MOD_SUFFIXES[-1]}"  # the modality read last
+    if fault == "missing":
+        last.unlink()
+    else:
+        write_scalar_volume(ScalarVolume.from_array(np.full((6, 5, 4), 3.0)), last)
+    out = tmp_path / "norm"
+    assert main(["normalize", str(tmp_path / "raw"), str(out)]) == 1
+    written = sorted(str(p.relative_to(out)) for p in out.rglob("*"))
+    assert written == ["good", *sorted(f"good/good{suffix}" for suffix in MOD_SUFFIXES)]
+
+
+def test_normalize_keeps_one_modality_alive_at_a_time(tmp_path, monkeypatch):
+    rng = np.random.default_rng(504)
+    for case in ("caseA", "caseB"):
+        write_case_modalities(tmp_path / "raw", case, rng)
+    # caseA fails on its last modality; that volume must not outlive the case
+    write_scalar_volume(
+        ScalarVolume.from_array(np.full((6, 5, 4), 3.0)),
+        tmp_path / "raw" / "caseA" / f"caseA{MOD_SUFFIXES[-1]}",
+    )
+    volumes = []  # weak references to every volume read or normalized
+    alive_at_read = []
+
+    def tracking(function):
+        def call(*args):
+            result = function(*args)
+            volumes.extend([weakref.ref(result), weakref.ref(result.data)])
+            return result
+
+        return call
+
+    def read(path):
+        alive_at_read.append(sum(ref() is not None for ref in volumes))
+        return tracking(read_scalar_volume)(path)
+
+    monkeypatch.setattr("glioseg.cli.read_scalar_volume", read)
+    monkeypatch.setattr("glioseg.cli.preprocess_volume", tracking(preprocess_volume))
+    assert main(["normalize", str(tmp_path / "raw"), str(tmp_path / "norm")]) == 1
+    assert len(volumes) == 2 * (8 + 7)  # the failed modality has no result
+    assert alive_at_read == [0] * 8
 
 
 def test_normalize_rejects_missing_input_dir(tmp_path):

@@ -321,11 +321,12 @@ def test_label_round_trip_bit_exact(tmp_path):
 def test_scalar_round_trip_float32_values(tmp_path):
     rng = np.random.default_rng(12)
     vol = ScalarVolume.from_array(rng.normal(size=(5, 6, 7)), spacing=(1.0, 1.0, 2.5))
-    path = tmp_path / "vol.nii"
-    write_scalar_volume(vol, path)
-    back = read_scalar_volume(path)
-    # Written as float32, so only float32 precision survives.
-    assert np.array_equal(back.data, vol.data.astype(np.float32).astype(np.float64))
+    for name in ("vol.nii", "vol.nii.gz"):
+        path = tmp_path / name
+        write_scalar_volume(vol, path)
+        back = read_scalar_volume(path)
+        # Written as float32, so only float32 precision survives.
+        assert np.array_equal(back.data, vol.data.astype(np.float32).astype(np.float64))
 
 
 def test_written_header_bytes(tmp_path):
@@ -380,6 +381,16 @@ def test_gzip_bytes_depend_only_on_the_volume(tmp_path):
         write(volume, first)
         write(volume, second)
         assert first.read_bytes() == second.read_bytes()
+
+
+def test_gzip_level_is_fixed_per_datatype(tmp_path):
+    # XFL, byte 8 of the gzip header: 2 marks level 9, 4 marks level 1
+    labels = LabelVolume.from_array(np.random.default_rng(16).integers(0, 4, (5, 6, 7)).astype(np.uint8))
+    scalars = ScalarVolume.from_array(np.random.default_rng(17).normal(size=(5, 6, 7)))
+    write_label_volume(labels, tmp_path / "seg.nii.gz")
+    write_scalar_volume(scalars, tmp_path / "t1.nii.gz")
+    assert (tmp_path / "seg.nii.gz").read_bytes()[8] == 0x02
+    assert (tmp_path / "t1.nii.gz").read_bytes()[8] == 0x04
 
 
 def test_label_read_allocates_no_wide_copy(tmp_path):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -219,3 +221,67 @@ def test_preprocess_keeps_brain_voxels_at_the_mean_in_the_window():
     expected[data == 0.0] = 0.0
     assert np.max(np.abs(out.data - expected)) < 1e-6
     assert abs(out.data[1, 0, 0] - 0.5) < 1e-6
+
+
+def test_steps_leave_the_input_and_the_mask_unchanged():
+    rng = np.random.default_rng(109)
+    data = rng.normal(10.0, 3.0, size=(7, 6, 5))
+    data[rng.random(data.shape) < 0.3] = 0.0
+    mask = rng.random(data.shape) < 0.6
+    for policy in (ALL, FG):
+        v = vol(data)
+        steps = [
+            lambda: zscore_normalize(v, policy),
+            lambda: zscore_normalize(v, policy, included=mask),
+            lambda: rescale_percentiles(v, RescaleSpec(), policy),
+            lambda: rescale_percentiles(v, RescaleSpec(), policy, included=mask),
+            lambda: preprocess_volume(v, policy),
+        ]
+        for step in steps:
+            before, mask_before = v.data.copy(), mask.copy()
+            out = step()
+            assert out.data is not v.data
+            assert np.array_equal(v.data, before)
+            assert np.array_equal(mask, mask_before)
+
+
+def test_steps_match_the_out_of_place_formulas_bit_for_bit():
+    # The steps work in place on copies; the arithmetic must stay the same
+    # element by element as these expressions, which allocate every temporary.
+    rng = np.random.default_rng(110)
+    spec = RescaleSpec(3.0, 97.0, -0.5, 2.0)
+    for _ in range(5):
+        data = rng.normal(rng.uniform(-20, 20), rng.uniform(0.5, 9.0), size=(9, 8, 7))
+        data[rng.random(data.shape) < 0.25] = 0.0
+        for policy in (ALL, FG):
+            mask = np.ones(data.shape, dtype=bool) if policy is ALL else data != 0.0
+            values = data[mask]
+            zscored = np.zeros(data.shape)
+            zscored[mask] = (values - float(values.mean())) / float(values.std())
+            assert np.array_equal(zscore_normalize(vol(data), policy).data, zscored)
+
+            p_lo, p_hi = np.percentile(zscored[mask], [spec.lo_percentile, spec.hi_percentile])
+            unit = np.clip((zscored - p_lo) / (p_hi - p_lo), 0.0, 1.0)
+            rescaled = unit * (spec.out_max - spec.out_min) + spec.out_min
+            rescaled[~mask] = spec.out_min
+            assert np.array_equal(preprocess_volume(vol(data), policy, spec).data, rescaled)
+
+
+def test_preprocess_memory_is_one_output_per_step():
+    # 128x128x64 float64 is 8 MiB. Each step makes one grid-sized output, so
+    # the peak is the z-scored grid, the rescaled grid and two bool masks
+    # (2.25 grids); a step that builds out-of-place temporaries adds grids.
+    rng = np.random.default_rng(111)
+    dims = (128, 128, 64)
+    data = rng.uniform(100.0, 900.0, size=dims)
+    data[rng.random(dims) < 0.1] = 0.0
+    v = vol(data)
+    del data
+    tracemalloc.start()
+    try:
+        out = preprocess_volume(v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.dims == dims
+    assert peak < 22 * 2**20, f"peak {peak / 2**20:.1f} MiB"
