@@ -1,9 +1,12 @@
 """Forward-only network layers on (batch, channels, depth, height, width).
 
 Tensors are plain float64 ndarrays in that fixed axis order. "Convolution"
-is cross-correlation (no kernel flip). Convolutions accumulate one kernel
-offset at a time, so memory stays proportional to the output rather than
-to an unrolled window view.
+is cross-correlation (no kernel flip). conv3d lowers each (sample,
+output-depth plane) to one matrix product: that plane's windows are copied
+into an im2col column buffer of in*kd*kh*kw rows by oh*ow columns, reused
+for every plane, so the extra memory is one plane of columns rather than
+the whole unrolled window view. transposed_conv3d scatters one channel
+matmul per kernel offset into the full output.
 
 Weight layouts follow the usual deep-learning conventions:
 conv3d (out_channels, in_channels, kd, kh, kw) and transposed_conv3d
@@ -17,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import expit
 
 LAYER_KINDS = (
@@ -179,28 +183,20 @@ def conv3d_forward(x: np.ndarray, layer: LayerSpec) -> np.ndarray:
     od = (pd - kd) // sd + 1
     oh = (ph - kh) // sh + 1
     ow = (pw - kw) // sw + 1
-    batch, o_ch, i_ch = x.shape[0], layer.out_channels, layer.in_channels
-    n_out = od * oh * ow
-    # per-offset weight matrices, contiguous so matmul stays on the BLAS path
-    w_flat = np.ascontiguousarray(layer.weights.reshape(o_ch, i_ch, -1).transpose(2, 0, 1))
-    out = np.zeros((batch, o_ch, n_out))
-    tmp = np.empty((o_ch, n_out))
-    # accumulate per kernel offset: a strided slice and a channel matmul
-    offset = 0
-    for a in range(kd):
-        for b in range(kh):
-            for c in range(kw):
-                window = padded[
-                    :, :,
-                    a : a + (od - 1) * sd + 1 : sd,
-                    b : b + (oh - 1) * sh + 1 : sh,
-                    c : c + (ow - 1) * sw + 1 : sw,
-                ]
-                for i in range(batch):
-                    flat = np.ascontiguousarray(window[i]).reshape(i_ch, n_out)
-                    np.matmul(w_flat[offset], flat, out=tmp)
-                    out[i] += tmp
-                offset += 1
+    batch, o_ch = x.shape[0], layer.out_channels
+    # (batch, od, in, kd, kh, kw, oh, ow): every output voxel's window, a view
+    windows = sliding_window_view(padded, layer.kernel, axis=(2, 3, 4))[
+        :, :, ::sd, ::sh, ::sw
+    ].transpose(0, 2, 1, 5, 6, 7, 3, 4)
+    w_flat = layer.weights.reshape(o_ch, -1)
+    # one plane of im2col columns, K = in*kd*kh*kw rows by oh*ow
+    cols = np.empty(windows.shape[2:])
+    cols_flat = cols.reshape(w_flat.shape[1], oh * ow)
+    out = np.empty((batch, o_ch, od, oh * ow))
+    for i in range(batch):
+        for z in range(od):
+            np.copyto(cols, windows[i, z])
+            np.matmul(w_flat, cols_flat, out=out[i, :, z])
     out = out.reshape(batch, o_ch, od, oh, ow)
     if layer.bias is not None:
         out += layer.bias[None, :, None, None, None]
@@ -215,9 +211,10 @@ def transposed_conv3d_forward(x: np.ndarray, layer: LayerSpec) -> np.ndarray:
     pd, ph, pw = layer.padding
     _, _, d, h, w = x.shape
     batch, o_ch, i_ch = x.shape[0], layer.out_channels, layer.in_channels
-    full = np.zeros(
-        (batch, o_ch, (d - 1) * sd + kd, (h - 1) * sh + kh, (w - 1) * sw + kw)
-    )
+    full_shape = ((d - 1) * sd + kd, (h - 1) * sh + kh, (w - 1) * sw + kw)
+    if any(n - 2 * p < 1 for n, p in zip(full_shape, layer.padding)):
+        raise ValueError(f"padding {layer.padding} consumes the whole output")
+    full = np.zeros((batch, o_ch, *full_shape))
     # w_flat[k] is weights[:, :, a, b, c].T, contiguous for the BLAS path
     w_flat = np.ascontiguousarray(layer.weights.reshape(i_ch, o_ch, -1).transpose(2, 1, 0))
     x_flat = np.ascontiguousarray(x).reshape(batch, i_ch, -1)
@@ -242,8 +239,6 @@ def transposed_conv3d_forward(x: np.ndarray, layer: LayerSpec) -> np.ndarray:
         ph : full.shape[3] - ph,
         pw : full.shape[4] - pw,
     ]
-    if out.shape[2] < 1 or out.shape[3] < 1 or out.shape[4] < 1:
-        raise ValueError(f"padding {layer.padding} consumes the whole output")
     if layer.bias is not None:
         out = out + layer.bias[None, :, None, None, None]
     return np.ascontiguousarray(out)

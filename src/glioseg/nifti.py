@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import gzip
 import struct
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -296,12 +297,18 @@ def _write_file(volume, path, datatype) -> None:
     disk = np.ascontiguousarray(
         volume.data.transpose(2, 1, 0), dtype="<" + _DTYPES[datatype][0]
     )
-    payload = b"".join((_build_header(volume, datatype), disk))
-    if str(path).endswith(".gz"):
-        # one member with no file name and mtime 0: the bytes depend only on the volume
-        payload = gzip.compress(payload, compresslevel=_GZIP_LEVEL[datatype], mtime=0)
+    header = _build_header(volume, datatype)
     with open(path, "wb") as fh:
-        fh.write(payload)
+        if not str(path).endswith(".gz"):
+            fh.write(header)
+            fh.write(disk)
+            return
+        # wbits 31: one gzip member with no file name and mtime 0, byte-equal to
+        # gzip.compress(header + disk, level, mtime=0) but with no joined copy
+        stream = zlib.compressobj(_GZIP_LEVEL[datatype], zlib.DEFLATED, 31)
+        fh.write(stream.compress(header))
+        fh.write(stream.compress(disk))
+        fh.write(stream.flush())
 
 
 def write_label_volume(labels: LabelVolume, path) -> None:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -91,6 +92,44 @@ def test_conv_matches_oracle_with_stride_and_padding():
         want = conv3d_oracle(x, layer.weights, layer.bias, layer.stride, layer.padding)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) < 1e-6
+
+
+def test_conv_matches_oracle_on_anisotropic_geometry():
+    rng = np.random.default_rng(80)
+    # (batch, in, out, input spatial shape, kernel, stride, padding)
+    cases = [
+        (2, 3, 2, (4, 5, 6), (1, 3, 2), 1, 0),
+        (1, 2, 3, (5, 3, 6), (2, 1, 3), 1, 1),
+        (2, 2, 2, (6, 5, 3), (3, 2, 1), 1, (1, 0, 2)),
+        (2, 2, 3, (7, 4, 9), (3, 2, 2), (2, 1, 3), (0, 2, 1)),
+        (3, 1, 2, (4, 6, 5), (2, 3, 2), (1, 2, 1), 1),
+        (2, 3, 1, (5, 4, 6), (3, 3, 2), 2, (1, 1, 0)),
+        # the kernel covers the whole padded input: one output voxel
+        (2, 2, 3, (3, 4, 2), (5, 4, 4), 1, (1, 0, 1)),
+    ]
+    for batch, in_ch, out_ch, size, kernel, stride, padding in cases:
+        x = rng.standard_normal((batch, in_ch, *size))
+        layer = conv_layer(rng, in_ch, out_ch, kernel, stride=stride, padding=padding)
+        got = conv3d_forward(x, layer)
+        want = conv3d_oracle(x, layer.weights, layer.bias, layer.stride, layer.padding)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) < 1e-6
+
+
+def test_conv_memory_is_output_padded_input_and_one_plane_of_columns():
+    rng = np.random.default_rng(81)
+    layer = conv_layer(rng, 4, 32, 3, padding=1)
+    x = rng.standard_normal((1, 4, 16, 16, 16))
+    tracemalloc.start()
+    try:
+        out = conv3d_forward(x, layer)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    padded_bytes = 4 * 18**3 * 8
+    columns_bytes = 4 * 27 * 16 * 16 * 8  # in*kd*kh*kw rows by oh*ow, float64
+    bound = out.nbytes + padded_bytes + columns_bytes + 128 * 2**10
+    assert peak < bound, f"peak {peak} bytes, bound {bound}"
 
 
 def test_conv_unit_kernel_doubles_values():
@@ -189,6 +228,21 @@ def test_transposed_conv_rejects_channel_mismatch():
     layer = tconv_layer(rng, 3, 2, 2, 2)
     with pytest.raises(ValueError, match="channel"):
         transposed_conv3d_forward(rng.standard_normal((1, 2, 4, 4, 4)), layer)
+
+
+def test_transposed_conv_rejects_padding_that_consumes_the_output_before_work():
+    rng = np.random.default_rng(82)
+    layer = tconv_layer(rng, 3, 2, 2, 2, padding=(0, 0, 32))
+    x = rng.standard_normal((1, 3, 32, 32, 32))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="consumes the whole output"):
+            transposed_conv3d_forward(x, layer)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the 2x64^3 float64 output (4 MiB) is never allocated
+    assert peak < 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 # ------------------------------------------- pooling, resize, pointwise

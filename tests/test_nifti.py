@@ -10,6 +10,7 @@ from __future__ import annotations
 import gzip
 import struct
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -391,6 +392,38 @@ def test_gzip_level_is_fixed_per_datatype(tmp_path):
     write_scalar_volume(scalars, tmp_path / "t1.nii.gz")
     assert (tmp_path / "seg.nii.gz").read_bytes()[8] == 0x02
     assert (tmp_path / "t1.nii.gz").read_bytes()[8] == 0x04
+
+
+def test_written_bytes_are_header_voxels_and_one_gzip_member(tmp_path):
+    labels = LabelVolume.from_array(np.random.default_rng(18).integers(0, 4, (5, 6, 7)).astype(np.uint8))
+    scalars = ScalarVolume.from_array(np.random.default_rng(19).normal(size=(5, 6, 7)))
+    for write, volume, dtype, level in [
+        (write_label_volume, labels, "<u1", 9),
+        (write_scalar_volume, scalars, "<f4", 1),
+    ]:
+        write(volume, tmp_path / "plain.nii")
+        write(volume, tmp_path / "packed.nii.gz")
+        plain = (tmp_path / "plain.nii").read_bytes()
+        voxels = np.ascontiguousarray(volume.data.transpose(2, 1, 0), dtype=dtype).tobytes()
+        assert len(plain) == 352 + len(voxels)
+        assert plain[352:] == voxels
+        packed = (tmp_path / "packed.nii.gz").read_bytes()
+        assert packed == zlib.compress(plain, level, wbits=31)
+
+
+def test_scalar_write_holds_one_image(tmp_path):
+    data = np.zeros((128, 128, 64))
+    data[40:72, 40:72, 16:48] = np.random.default_rng(20).normal(size=(32, 32, 32))
+    volume = ScalarVolume.from_array(data)
+    image = data.size * 4  # the float32 disk-order copy
+    for name in ("big.nii", "big.nii.gz"):
+        tracemalloc.start()
+        try:
+            write_scalar_volume(volume, tmp_path / name)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < image + 2**20, f"{name}: peak {peak / 2**20:.1f} MiB"
 
 
 def test_label_read_allocates_no_wide_copy(tmp_path):
