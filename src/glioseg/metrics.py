@@ -14,6 +14,10 @@ Directed distances are Euclidean in millimeters under the grid spacing,
 each surface voxel of one mask to the nearest surface voxel of the
 other. hd95 is the maximum of the two directed 95th percentiles (linear
 interpolation), not the percentile of the pooled distances.
+
+Each directed distance comes from one feature transform of the other
+mask's surface (scipy's exact EDT, nearest-voxel indices only), read at
+the surface voxels alone; no dense distance map is built.
 """
 
 from __future__ import annotations
@@ -23,7 +27,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from glioseg.volume import LabelVolume, Region, RegionMask, extract_region, require_same_grid
+from glioseg.volume import (
+    LabelVolume,
+    Region,
+    RegionMask,
+    _validate_grid,
+    extract_region,
+    require_same_grid,
+)
 
 _FACE_STRUCTURE = ndimage.generate_binary_structure(3, 1)
 
@@ -106,8 +117,21 @@ def surface_mask(mask: np.ndarray) -> np.ndarray:
     return mask & ~eroded
 
 
-def _directed_p95(from_surface: np.ndarray, to_distance: np.ndarray) -> float:
-    return float(np.percentile(to_distance[from_surface], 95.0))
+def _directed_p95(from_surface: np.ndarray, to_surface: np.ndarray, spacing) -> float:
+    """95th percentile of each from-surface voxel's distance to to_surface."""
+    nearest = ndimage.distance_transform_edt(
+        ~to_surface, sampling=spacing, return_distances=False, return_indices=True
+    )
+    at = np.nonzero(from_surface)
+    # scipy's own distance formula, so the floats are bit-identical to its
+    # dense map: the integer offset as float64 times the spacing, squared,
+    # summed over axes 0, 1, 2 in that order, then sqrt
+    squared = [
+        np.square((nearest[axis][at] - at[axis]).astype(np.float64) * step)
+        for axis, step in enumerate(spacing)
+    ]
+    distances = np.sqrt(squared[0] + squared[1] + squared[2])
+    return float(np.percentile(distances, 95.0))
 
 
 def hd95(
@@ -119,15 +143,19 @@ def hd95(
     """95th-percentile symmetric surface distance in millimeters.
 
     spacing defaults to the masks' common grid spacing; passing it
-    explicitly overrides. Empty-mask conventions come from config.
+    explicitly overrides and must be three positive finite reals.
+    Empty-mask conventions come from config.
 
-    Surfaces and both distance transforms cover only the bounding box of
-    a|b, which is exact: every surface voxel lies in the box, and the
+    Surfaces and the two feature transforms (one per direction, each read
+    only at the other mask's surface voxels) cover only the bounding box
+    of a|b, which is exact: every surface voxel lies in the box, and the
     voxels just outside it are background, as the erosion assumes.
     """
     require_same_grid(a, b, "masks")
     if spacing is None:
         spacing = a.spacing
+    else:
+        _, spacing = _validate_grid(a.dims, spacing)
     a_empty = not a.data.any()
     b_empty = not b.data.any()
     if a_empty and b_empty:
@@ -137,10 +165,7 @@ def hd95(
     box = ndimage.find_objects((a.data | b.data).view(np.uint8))[0]
     surf_a = surface_mask(a.data[box])
     surf_b = surface_mask(b.data[box])
-    # distance from every box voxel to the nearest surface voxel, in mm
-    dist_to_b = ndimage.distance_transform_edt(~surf_b, sampling=spacing)
-    dist_to_a = ndimage.distance_transform_edt(~surf_a, sampling=spacing)
-    return max(_directed_p95(surf_a, dist_to_b), _directed_p95(surf_b, dist_to_a))
+    return max(_directed_p95(surf_a, surf_b, spacing), _directed_p95(surf_b, surf_a, spacing))
 
 
 def evaluate_case(

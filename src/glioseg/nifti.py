@@ -66,6 +66,10 @@ _DTYPES = {
 # at level 1 and take several times as long to compress.
 _GZIP_LEVEL = {DT_UINT8: 9, DT_FLOAT32: 1}
 
+# voxel bytes fed to the compressor per call, so the compressed stream is
+# written piece by piece instead of held whole
+_GZIP_SLICE = 2**20
+
 # (name, offset, struct format) for the header fields this reader uses;
 # formats are given without the byte-order prefix.
 _FIELDS = [
@@ -307,7 +311,9 @@ def _write_file(volume, path, datatype) -> None:
         # gzip.compress(header + disk, level, mtime=0) but with no joined copy
         stream = zlib.compressobj(_GZIP_LEVEL[datatype], zlib.DEFLATED, 31)
         fh.write(stream.compress(header))
-        fh.write(stream.compress(disk))
+        voxels = memoryview(disk).cast("B")
+        for start in range(0, len(voxels), _GZIP_SLICE):
+            fh.write(stream.compress(voxels[start : start + _GZIP_SLICE]))
         fh.write(stream.flush())
 
 

@@ -56,11 +56,11 @@ def default_orientation(spacing) -> np.ndarray:
 
 def _validate_grid(dims, spacing):
     dims = tuple(int(d) for d in dims)
-    spacing = tuple(float(s) for s in spacing)
+    spacing = tuple(float(s) for s in np.atleast_1d(spacing))
     if len(dims) != 3 or any(d <= 0 for d in dims):
         raise ValueError(f"dims must be 3 positive integers, got {dims}")
     if len(spacing) != 3 or any(not np.isfinite(s) or s <= 0 for s in spacing):
-        raise ValueError(f"spacing must be 3 positive reals, got {spacing}")
+        raise ValueError(f"spacing must be 3 positive finite reals, got {spacing}")
     return dims, spacing
 
 

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from glioseg.metrics import (
     CaseReport,
@@ -200,6 +203,100 @@ def test_hd95_bounded_by_max_hausdorff():
         d_ba = _directed_distances(surf_b, surf_a, (1.0, 1.0, 1.0))
         full = max(d_ab.max(), d_ba.max())
         assert hd95(mask_of(a), mask_of(b)) <= full + 1e-12
+
+
+def dense_edt_hd95(a, b, spacing):
+    """hd95 of two non-empty masks from two dense EDT maps over their joint box."""
+    box = ndimage.find_objects((a | b).view(np.uint8))[0]
+    surf_a = surface_mask(a[box])
+    surf_b = surface_mask(b[box])
+    dist_to_b = ndimage.distance_transform_edt(~surf_b, sampling=spacing)
+    dist_to_a = ndimage.distance_transform_edt(~surf_a, sampling=spacing)
+    return max(
+        float(np.percentile(dist_to_b[surf_a], 95.0)),
+        float(np.percentile(dist_to_a[surf_b], 95.0)),
+    )
+
+
+def ball(dims, centre, radius):
+    grid = np.ogrid[tuple(slice(0, n) for n in dims)]
+    return sum((g - c) ** 2 for g, c in zip(grid, centre)) <= radius**2
+
+
+def test_hd95_is_bit_identical_to_dense_edt_maps():
+    rng = np.random.default_rng(304)
+    # inexact squares, so a different summation order would show in some floats
+    spacings = [(1.0, 1.0, 2.5), (0.9, 1.1, 3.0), (0.3, 0.7, 1.1)]
+    pairs = []
+    # random masks, anisotropic
+    for trial in range(30):
+        a = rng.random((18, 20, 16)) < rng.uniform(0.05, 0.5)
+        b = rng.random((18, 20, 16)) < rng.uniform(0.05, 0.5)
+        pairs.append((a, b))
+    # blobs cut off by the array border: one around a grid corner, one
+    # around the middle of a face
+    dims = np.array((24, 22, 20))
+    for trial in range(12):
+        corner = (dims - 1) * [(trial >> bit) & 1 for bit in range(3)]
+        a = ball(dims, corner + rng.integers(-3, 4, size=3), rng.uniform(6, 11))
+        face = (dims - 1) / 2
+        face[trial % 3] = (dims[trial % 3] - 1) * (trial % 2)
+        b = ball(dims, face, rng.uniform(4, 10))
+        pairs.append((a | (rng.random(tuple(dims)) < 0.01), b))
+    # many small components against one compact blob
+    dims = (40, 36, 30)
+    for trial in range(6):
+        specks = np.zeros(dims, dtype=bool)
+        for corner in rng.integers(0, np.array(dims) - 2, size=(rng.integers(20, 120), 3)):
+            size = rng.integers(1, 3, size=3)
+            specks[tuple(slice(c, c + n) for c, n in zip(corner, size))] = True
+        pairs.append((specks, ball(dims, (20, 18, 15), rng.uniform(4, 9))))
+    for index, (a, b) in enumerate(pairs):
+        assert a.any() and b.any()
+        sp = spacings[index % len(spacings)]
+        want = dense_edt_hd95(a, b, sp)
+        assert hd95(mask_of(a, sp), mask_of(b, sp)) == want, f"pair {index}"
+        assert hd95(mask_of(b, sp), mask_of(a, sp)) == want, f"pair {index} swapped"
+
+
+def test_hd95_memory_is_a_feature_transform_of_the_box():
+    # a ball touching every face of a 96^3 grid, and a smaller one inside it
+    dims = (96, 96, 96)
+    a = mask_of(ball(dims, (47.5, 47.5, 47.5), 48), (0.9, 1.1, 3.0))
+    b = mask_of(ball(dims, (52, 44, 50), 36), (0.9, 1.1, 3.0))
+    box = ndimage.find_objects((a.data | b.data).view(np.uint8))[0]
+    box_voxels = int(np.prod([s.stop - s.start for s in box]))
+    assert box_voxels == 96**3
+    tracemalloc.start()
+    try:
+        got = hd95(a, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the int32 nearest-voxel indices are 12 bytes per voxel; dense float64
+    # distance maps and their temporaries would take ~59
+    assert peak < 20 * box_voxels, f"peak {peak / box_voxels:.1f} bytes per box voxel"
+    assert got == dense_edt_hd95(a.data, b.data, (0.9, 1.1, 3.0))
+
+
+def test_hd95_rejects_explicit_spacing_that_is_not_three_positive_finite_reals():
+    a = box((8, 8, 8), (1, 1, 1), (4, 4, 4))
+    b = box((8, 8, 8), (3, 4, 2), (7, 7, 6))
+    empty = mask_of(np.zeros((8, 8, 8), dtype=bool))
+    for bad in [
+        (np.nan, 1.0, 1.0),
+        (0.0, 1.0, 1.0),
+        (-1.0, 1.0, 1.0),
+        (1.0, 1.0, np.inf),
+        (1.0, 1.0),
+        (1.0, 1.0, 1.0, 1.0),
+        2.0,
+    ]:
+        for x, y in [(a, b), (empty, b), (empty, empty)]:
+            with pytest.raises(ValueError, match="spacing"):
+                hd95(x, y, spacing=bad)
+    assert hd95(a, b, spacing=(1, 1, 1)) == hd95(a, b)
+    assert hd95(a, b, spacing=[2.0, 2.0, 2.0]) == 2.0 * hd95(a, b)
 
 
 def labels_of(data, spacing=(1.0, 1.0, 1.0)):

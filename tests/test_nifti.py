@@ -426,6 +426,21 @@ def test_scalar_write_holds_one_image(tmp_path):
         assert peak < image + 2**20, f"{name}: peak {peak / 2**20:.1f} MiB"
 
 
+def test_incompressible_gzip_write_holds_one_image(tmp_path):
+    # random-normal float32 barely compresses, so a compressed stream held
+    # whole would cost about one more image; streamed, the extra is one
+    # slice of output (held twice while zlib joins its blocks) and zlib's state
+    volume = ScalarVolume.from_array(np.random.default_rng(21).normal(size=(128, 128, 128)))
+    image = volume.data.size * 4
+    tracemalloc.start()
+    try:
+        write_scalar_volume(volume, tmp_path / "noise.nii.gz")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < image + 3 * 2**20, f"peak {peak / 2**20:.1f} MiB for a {image / 2**20:.0f} MiB image"
+
+
 def test_label_read_allocates_no_wide_copy(tmp_path):
     labels = np.random.default_rng(15).integers(0, 4, (128, 128, 64)).astype(np.uint8)
     path = write_fixture(tmp_path, "big.nii.gz", build_nifti_bytes(labels, 2, 8))
