@@ -2,11 +2,15 @@
 
 Tensors are plain float64 ndarrays in that fixed axis order. "Convolution"
 is cross-correlation (no kernel flip). conv3d lowers each (sample,
-output-depth plane) to one matrix product: that plane's windows are copied
-into an im2col column buffer of in*kd*kh*kw rows by oh*ow columns, reused
-for every plane, so the extra memory is one plane of columns rather than
-the whole unrolled window view. transposed_conv3d scatters one channel
-matmul per kernel offset into the full output.
+input-depth plane) to a stacked-offset matrix product: the plane's 2-D
+windows are copied into a column buffer of in*kh*kw rows by oh*ow columns,
+multiplied by several kernel depth offsets' weights stacked as rows, and
+each offset's partial plane is added into the output plane it belongs to.
+The extra memory is the input padded in height and width plus the
+columns, the stacked weights and the partial sums: three column planes at
+most whenever a single depth offset's weights and partial plane fit in one.
+transposed_conv3d scatters one channel matmul per kernel offset into the
+full output and adds the bias in place.
 
 Weight layouts follow the usual deep-learning conventions:
 conv3d (out_channels, in_channels, kd, kh, kw) and transposed_conv3d
@@ -170,37 +174,72 @@ def _pad_spatial(x: np.ndarray, padding) -> np.ndarray:
 
 
 def conv3d_forward(x: np.ndarray, layer: LayerSpec) -> np.ndarray:
-    """Strided cross-correlation; out axis = floor((in + 2p - k)/s) + 1."""
+    """Strided cross-correlation; out axis = floor((in + 2p - k)/s) + 1.
+
+    Lowered per input depth plane q (MEC, Cho & Brand 2017; kn2row,
+    Vasudevan et al. 2017): q's 2-D windows, padded in height and width
+    only, are copied into one column buffer of in*kh*kw rows by oh*ow, and
+    one matmul multiplies it by several depth offsets' weights stacked
+    offset-major as rows. Offset a adds its partial plane into output plane
+    (q + pad_d - a) / sd wherever that is an integer in range. The output
+    starts as the bias; depth-padding planes are zeros and are never
+    visited. The offsets stacked together share a residue mod sd, and at
+    most ``group`` = max(1, min(kd, oh*ow // out, in*kh*kw // out)) are
+    stacked, so the stacked weights and the partial sums stay within one
+    column plane whenever a single offset's do. A plane is copied once per
+    group of offsets, so once when all kd offsets fit in one group.
+    """
     x = require_tensor5(x, layer.in_channels)
     kd, kh, kw = layer.kernel
     sd, sh, sw = layer.stride
-    padded = _pad_spatial(x, layer.padding)
-    _, _, pd, ph, pw = padded.shape
-    if pd < kd or ph < kh or pw < kw:
+    pd, ph, pw = layer.padding
+    padded = _pad_spatial(x, (0, ph, pw))
+    batch, i_ch, depth, hp, wp = padded.shape
+    if depth + 2 * pd < kd or hp < kh or wp < kw:
         raise ValueError(
-            f"kernel {layer.kernel} exceeds padded input {(pd, ph, pw)}"
+            f"kernel {layer.kernel} exceeds padded input {(depth + 2 * pd, hp, wp)}"
         )
-    od = (pd - kd) // sd + 1
-    oh = (ph - kh) // sh + 1
-    ow = (pw - kw) // sw + 1
-    batch, o_ch = x.shape[0], layer.out_channels
-    # (batch, od, in, kd, kh, kw, oh, ow): every output voxel's window, a view
-    windows = sliding_window_view(padded, layer.kernel, axis=(2, 3, 4))[
-        :, :, ::sd, ::sh, ::sw
-    ].transpose(0, 2, 1, 5, 6, 7, 3, 4)
-    w_flat = layer.weights.reshape(o_ch, -1)
-    # one plane of im2col columns, K = in*kd*kh*kw rows by oh*ow
+    od = (depth + 2 * pd - kd) // sd + 1
+    oh = (hp - kh) // sh + 1
+    ow = (wp - kw) // sw + 1
+    o_ch, rows, plane = layer.out_channels, i_ch * kh * kw, oh * ow
+    # (batch, depth, in, kh, kw, oh, ow): every input plane's 2-D windows, a view
+    windows = sliding_window_view(padded, (kh, kw), axis=(3, 4))[
+        :, :, :, ::sh, ::sw
+    ].transpose(0, 2, 1, 5, 6, 3, 4)
     cols = np.empty(windows.shape[2:])
-    cols_flat = cols.reshape(w_flat.shape[1], oh * ow)
-    out = np.empty((batch, o_ch, od, oh * ow))
-    for i in range(batch):
-        for z in range(od):
-            np.copyto(cols, windows[i, z])
-            np.matmul(w_flat, cols_flat, out=out[i, :, z])
-    out = out.reshape(batch, o_ch, od, oh, ow)
-    if layer.bias is not None:
-        out += layer.bias[None, :, None, None, None]
-    return out
+    cols_flat = cols.reshape(rows, plane)
+    out = np.empty((batch, o_ch, od, plane))
+    out[...] = 0.0 if layer.bias is None else layer.bias[:, None, None]
+    group = max(1, min(kd, plane // o_ch, rows // o_ch))
+    stack = np.empty((group, o_ch, i_ch, kh, kw))
+    stack_flat = stack.reshape(group * o_ch, rows)
+    part = np.empty((group * o_ch, plane))
+    for residue in range(min(sd, kd)):
+        offsets = range(residue, kd, sd)
+        for c in range(0, len(offsets), group):
+            first, n = offsets[c], min(group, len(offsets) - c)
+            # row block j holds depth offset first + j*sd, which meets input
+            # plane q in output plane top - j
+            np.copyto(
+                stack[:n],
+                layer.weights[:, :, first : first + n * sd : sd].transpose(2, 0, 1, 3, 4),
+            )
+            for q in range((first - pd) % sd, depth, sd):
+                top = (q + pd - first) // sd
+                lo, hi = max(0, top - od + 1), min(n, top + 1)
+                if lo >= hi:
+                    continue
+                sums = part[: (hi - lo) * o_ch]
+                for i in range(batch):
+                    np.copyto(cols, windows[i, q])
+                    np.matmul(stack_flat[lo * o_ch : hi * o_ch], cols_flat, out=sums)
+                    # row by row: a strided 2-D add would go through numpy's buffers
+                    planes = range(top - lo, top - hi, -1)
+                    for z, terms in zip(planes, sums.reshape(-1, o_ch, plane)):
+                        for acc, term in zip(out[i, :, z], terms):
+                            acc += term
+    return out.reshape(batch, o_ch, od, oh, ow)
 
 
 def transposed_conv3d_forward(x: np.ndarray, layer: LayerSpec) -> np.ndarray:
@@ -233,15 +272,16 @@ def transposed_conv3d_forward(x: np.ndarray, layer: LayerSpec) -> np.ndarray:
                     np.matmul(w_flat[offset], x_flat[i], out=tmp)
                     target[i] += tmp.reshape(o_ch, d, h, w)
                 offset += 1
-    out = full[
-        :, :,
-        pd : full.shape[2] - pd,
-        ph : full.shape[3] - ph,
-        pw : full.shape[4] - pw,
-    ]
+    if layer.padding != (0, 0, 0):
+        full = np.ascontiguousarray(full[
+            :, :,
+            pd : full.shape[2] - pd,
+            ph : full.shape[3] - ph,
+            pw : full.shape[4] - pw,
+        ])
     if layer.bias is not None:
-        out = out + layer.bias[None, :, None, None, None]
-    return np.ascontiguousarray(out)
+        full += layer.bias[None, :, None, None, None]
+    return full
 
 
 def downsample_forward(x: np.ndarray, layer: LayerSpec) -> np.ndarray:

@@ -106,6 +106,15 @@ def test_conv_matches_oracle_on_anisotropic_geometry():
         (2, 3, 1, (5, 4, 6), (3, 3, 2), 2, (1, 1, 0)),
         # the kernel covers the whole padded input: one output voxel
         (2, 2, 3, (3, 4, 2), (5, 4, 4), 1, (1, 0, 1)),
+        # kd < sd: input planes between the strides feed no output
+        (2, 2, 3, (8, 5, 4), (2, 2, 1), (3, 1, 2), (0, 1, 0)),
+        # kd > sd > 1 with depth padding: the offsets meeting one input
+        # plane are every other one, not a contiguous run
+        (2, 2, 2, (9, 4, 5), (5, 2, 3), (2, 1, 2), (2, 1, 1)),
+        # depth padding >= kd: the first and last output planes are bias only
+        (2, 2, 3, (3, 5, 4), (2, 3, 2), 1, (3, 1, 0)),
+        # out_channels > in*kh*kw: one depth offset per matmul
+        (2, 1, 5, (6, 4, 5), (3, 1, 2), 1, (1, 0, 1)),
     ]
     for batch, in_ch, out_ch, size, kernel, stride, padding in cases:
         x = rng.standard_normal((batch, in_ch, *size))
@@ -129,6 +138,23 @@ def test_conv_memory_is_output_padded_input_and_one_plane_of_columns():
     padded_bytes = 4 * 18**3 * 8
     columns_bytes = 4 * 27 * 16 * 16 * 8  # in*kd*kh*kw rows by oh*ow, float64
     bound = out.nbytes + padded_bytes + columns_bytes + 128 * 2**10
+    assert peak < bound, f"peak {peak} bytes, bound {bound}"
+
+
+def test_conv_memory_of_a_stacking_layer_is_three_column_planes():
+    # 8 output channels fit all five depth offsets in one matmul
+    rng = np.random.default_rng(84)
+    layer = conv_layer(rng, 8, 8, 5, padding=2)
+    x = rng.standard_normal((1, 8, 16, 16, 16))
+    tracemalloc.start()
+    try:
+        out = conv3d_forward(x, layer)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    padded_bytes = 8 * 16 * 20 * 20 * 8  # padded in height and width only
+    plane_bytes = 8 * 5 * 5 * 16 * 16 * 8  # in*kh*kw rows by oh*ow, float64
+    bound = out.nbytes + padded_bytes + 3 * plane_bytes + 128 * 2**10
     assert peak < bound, f"peak {peak} bytes, bound {bound}"
 
 
@@ -221,6 +247,22 @@ def test_transposed_conv_unit_kernel_keeps_spatial_grid():
     # pure channel mixing: every voxel is the same linear map of its input channels
     want = np.einsum("io,bidhw->bodhw", layer.weights[:, :, 0, 0, 0], x)
     assert np.max(np.abs(out - want)) < 1e-9
+
+
+def test_transposed_conv_memory_is_output_and_one_channel_matmul():
+    rng = np.random.default_rng(83)
+    layer = tconv_layer(rng, 16, 8, 2, 2)
+    x = rng.standard_normal((1, 16, 8, 8, 8))
+    tracemalloc.start()
+    try:
+        out = transposed_conv3d_forward(x, layer)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (1, 8, 16, 16, 16)
+    tmp_bytes = 8 * 8**3 * 8  # one out_channels x input-voxels matmul, float64
+    bound = out.nbytes + tmp_bytes + 128 * 2**10
+    assert peak < bound, f"peak {peak} bytes, bound {bound}"
 
 
 def test_transposed_conv_rejects_channel_mismatch():
