@@ -22,6 +22,7 @@ from time import perf_counter
 import numpy as np
 
 from glioseg.config import (
+    FLAG_FIELDS,
     MODALITIES,
     ConfigError,
     PipelineConfig,
@@ -37,9 +38,9 @@ from glioseg.nifti import (
     write_label_volume,
     write_scalar_volume,
 )
-from glioseg.postprocess import postprocess_case
+from glioseg.postprocess import CONNECTIVITIES, postprocess_case
 from glioseg.preprocess import preprocess_volume
-from glioseg.staple import fuse_labels
+from glioseg.staple import FUSION_METHODS, fuse_labels
 from glioseg.volume import Region
 
 logger = logging.getLogger("glioseg")
@@ -315,26 +316,27 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", metavar="PATH", help="JSON configuration file")
         p.add_argument("--parallel", type=int, metavar="N", help="concurrent case pipelines")
 
+    # positional outputs get their own dest: output_dir is the fuse flag's config field
     p = sub.add_parser("normalize", help="z-score and rescale every case's modalities")
     p.add_argument("input_dir")
-    p.add_argument("output_dir")
+    p.add_argument("out_dir", metavar="output_dir")
     common(p)
 
     p = sub.add_parser("fuse", help="fuse per-member predictions into consensus labels")
     common(p)
     p.add_argument("--members", nargs="+", metavar="DIR", help="one directory per ensemble member")
     p.add_argument("--output-dir", metavar="DIR")
-    p.add_argument("--method", choices=["staple", "majority"])
+    p.add_argument("--method", choices=FUSION_METHODS)
     p.add_argument("--staple-tol", type=float, metavar="TOL")
     p.add_argument("--staple-max-iter", type=int, metavar="N")
     p.add_argument("--strict", action="store_true", help="fail on cases missing from a member")
 
     p = sub.add_parser("postprocess", help="clean fused segmentations")
     p.add_argument("input_dir")
-    p.add_argument("output_dir")
+    p.add_argument("out_dir", metavar="output_dir")
     common(p)
     p.add_argument("--et-min-volume", type=int, metavar="VOXELS")
-    p.add_argument("--connectivity", type=int, choices=[6, 18, 26])
+    p.add_argument("--connectivity", type=int, choices=CONNECTIVITIES)
 
     p = sub.add_parser("evaluate", help="score predictions and write a JSON report")
     p.add_argument("pred_dir")
@@ -354,24 +356,14 @@ def main(argv=None) -> int:
     try:
         if args.command == "demo-net":
             return cmd_demo_net(args.architecture, args.size)
-        config = load_config(args.config)
-        overrides = {
-            key: getattr(args, key)
-            for key in (
-                "parallel", "method", "staple_tol", "staple_max_iter",
-                "et_min_volume", "connectivity", "members", "output_dir",
-            )
-            if hasattr(args, key)
-        }
+        overrides = {k: getattr(args, k) for k in FLAG_FIELDS if hasattr(args, k)}
+        config = apply_overrides(load_config(args.config), **overrides)
         if args.command == "fuse":
-            config = apply_overrides(config, **overrides)
             return cmd_fuse(config, strict=args.strict)
-        overrides.pop("output_dir", None)  # positional for the other commands
-        config = apply_overrides(config, **overrides)
         if args.command == "normalize":
-            return cmd_normalize(config, args.input_dir, args.output_dir)
+            return cmd_normalize(config, args.input_dir, args.out_dir)
         if args.command == "postprocess":
-            return cmd_postprocess(config, args.input_dir, args.output_dir)
+            return cmd_postprocess(config, args.input_dir, args.out_dir)
         return cmd_evaluate(config, args.pred_dir, args.truth_dir, args.report)
     except ConfigError as exc:
         logger.error("%s", exc)

@@ -1,7 +1,8 @@
 """Pipeline configuration: one JSON document, overridable by CLI flags.
 
 The file is a flat object of optional sections; anything omitted keeps
-its default. Section names mirror the dataclasses they configure:
+its default. Section names mirror the dataclasses they configure, and
+FLAG_FIELDS names the field each CLI flag overrides:
 
     {
       "modality_suffixes": {"t1": "-t1n.nii.gz", ...},
@@ -9,12 +10,12 @@ its default. Section names mirror the dataclasses they configure:
       "prediction_dirs": ["member0", "member1"],
       "output_dir": "fused",
       "fusion_method": "staple",
+      "parallel_cases": 1,
       "normalization": {"include_background": false, "epsilon": 1e-8},
-      "rescale": {"lo": 2.0, "hi": 98.0, "out_min": 0.0, "out_max": 1.0},
+      "rescale": {"lo_percentile": 2.0, "hi_percentile": 98.0, "out_min": 0.0, "out_max": 1.0},
       "staple": {"prior": "auto", "tolerance": 1e-7, "max_iterations": 100},
       "postprocess": {"et_min_volume": 50, "foreground_connectivity": 26},
-      "metrics": {"empty_pred_penalty_mm": 373.13},
-      "parallel_cases": 1
+      "metrics": {"empty_pred_penalty_mm": 373.13}
     }
 """
 
@@ -46,6 +47,19 @@ class ConfigError(ValueError):
     """Invalid configuration file or flag combination."""
 
 
+# argparse dest -> (section, field); section None is a top-level field
+FLAG_FIELDS = {
+    "parallel": (None, "parallel_cases"),
+    "members": (None, "prediction_dirs"),
+    "output_dir": (None, "output_dir"),
+    "method": (None, "fusion_method"),
+    "staple_tol": ("staple", "tolerance"),
+    "staple_max_iter": ("staple", "max_iterations"),
+    "et_min_volume": ("postprocess", "et_min_volume"),
+    "connectivity": ("postprocess", "foreground_connectivity"),
+}
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     modality_suffixes: dict = field(default_factory=lambda: dict(DEFAULT_MODALITY_SUFFIXES))
@@ -53,15 +67,16 @@ class PipelineConfig:
     prediction_dirs: tuple = ()
     output_dir: str = ""
     fusion_method: str = "staple"
+    parallel_cases: int = 1  # declared before the sections: the snapshot keeps this order
     normalization: NormalizationPolicy = field(default_factory=NormalizationPolicy)
     rescale: RescaleSpec = field(default_factory=RescaleSpec)
     staple: StapleConfig = field(default_factory=StapleConfig)
     postprocess: PostprocessConfig = field(default_factory=PostprocessConfig)
     metrics: MetricConfig = field(default_factory=MetricConfig)
-    parallel_cases: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "prediction_dirs", tuple(self.prediction_dirs))
+        if not isinstance(self.modality_suffixes, dict):
+            raise ConfigError("modality_suffixes must be an object")
         if set(self.modality_suffixes) != set(MODALITIES):
             raise ConfigError(
                 f"modality_suffixes must map exactly {sorted(MODALITIES)}, "
@@ -72,22 +87,25 @@ class PipelineConfig:
                 raise ConfigError(f"suffix for {key!r} must be a non-empty string")
         if not isinstance(self.label_suffix, str) or not self.label_suffix:
             raise ConfigError("label_suffix must be a non-empty string")
+        dirs = self.prediction_dirs
+        if not isinstance(dirs, (list, tuple)) or not all(isinstance(d, str) for d in dirs):
+            raise ConfigError("prediction_dirs must be a list of strings")
+        object.__setattr__(self, "prediction_dirs", tuple(dirs))
+        if not isinstance(self.output_dir, str):
+            raise ConfigError("output_dir must be a string")
         if self.fusion_method not in FUSION_METHODS:
             raise ConfigError(
                 f"fusion_method must be one of {FUSION_METHODS}, got {self.fusion_method!r}"
             )
-        if self.parallel_cases < 1:
-            raise ConfigError(f"parallel_cases must be at least 1, got {self.parallel_cases}")
+        if type(self.parallel_cases) is not int or self.parallel_cases < 1:
+            raise ConfigError(f"parallel_cases must be at least 1, got {self.parallel_cases!r}")
 
 
 _SECTIONS = {
-    "normalization": NormalizationPolicy,
-    "rescale": RescaleSpec,
-    "staple": StapleConfig,
-    "postprocess": PostprocessConfig,
-    "metrics": MetricConfig,
+    f.name: f.default_factory
+    for f in dataclasses.fields(PipelineConfig)
+    if dataclasses.is_dataclass(f.default_factory)
 }
-_SCALARS = ("label_suffix", "fusion_method", "output_dir", "parallel_cases")
 
 
 def _build_section(cls, payload, name):
@@ -99,7 +117,7 @@ def _build_section(cls, payload, name):
         raise ConfigError(f"unknown keys in section {name!r}: {sorted(unknown)}")
     try:
         return cls(**payload)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid section {name!r}: {exc}") from exc
 
 
@@ -110,28 +128,13 @@ def config_from_dict(payload: dict) -> PipelineConfig:
     unknown = set(payload) - known
     if unknown:
         raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
-    kwargs = {}
-    for name in _SCALARS:
-        if name in payload:
-            kwargs[name] = payload[name]
-    if "modality_suffixes" in payload:
-        merged = dict(DEFAULT_MODALITY_SUFFIXES)
-        if not isinstance(payload["modality_suffixes"], dict):
-            raise ConfigError("modality_suffixes must be an object")
-        merged.update(payload["modality_suffixes"])
-        kwargs["modality_suffixes"] = merged
-    if "prediction_dirs" in payload:
-        dirs = payload["prediction_dirs"]
-        if not isinstance(dirs, (list, tuple)) or not all(isinstance(d, str) for d in dirs):
-            raise ConfigError("prediction_dirs must be a list of strings")
-        kwargs["prediction_dirs"] = tuple(dirs)
+    kwargs = dict(payload)
+    if isinstance(kwargs.get("modality_suffixes"), dict):
+        kwargs["modality_suffixes"] = {**DEFAULT_MODALITY_SUFFIXES, **kwargs["modality_suffixes"]}
     for name, cls in _SECTIONS.items():
-        if name in payload:
-            kwargs[name] = _build_section(cls, payload[name], name)
-    try:
-        return PipelineConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+        if name in kwargs:
+            kwargs[name] = _build_section(cls, kwargs[name], name)
+    return PipelineConfig(**kwargs)
 
 
 def load_config(path: str | Path | None) -> PipelineConfig:
@@ -149,56 +152,23 @@ def load_config(path: str | Path | None) -> PipelineConfig:
 
 
 def apply_overrides(config: PipelineConfig, **overrides) -> PipelineConfig:
-    """Return a copy with non-None flag values folded in (flags win)."""
+    """Return a copy with non-None flag values, keyed by FLAG_FIELDS dest, folded in."""
+    updates = {}
     try:
-        updates = {}
-        if overrides.get("et_min_volume") is not None:
-            updates["postprocess"] = dataclasses.replace(
-                config.postprocess, et_min_volume=overrides["et_min_volume"]
-            )
-        if overrides.get("connectivity") is not None:
-            section = updates.get("postprocess", config.postprocess)
-            updates["postprocess"] = dataclasses.replace(
-                section, foreground_connectivity=overrides["connectivity"]
-            )
-        staple_updates = {}
-        if overrides.get("staple_tol") is not None:
-            staple_updates["tolerance"] = overrides["staple_tol"]
-        if overrides.get("staple_max_iter") is not None:
-            staple_updates["max_iterations"] = overrides["staple_max_iter"]
-        if staple_updates:
-            updates["staple"] = dataclasses.replace(config.staple, **staple_updates)
-        if overrides.get("method") is not None:
-            updates["fusion_method"] = overrides["method"]
-        if overrides.get("parallel") is not None:
-            updates["parallel_cases"] = overrides["parallel"]
-        if overrides.get("members") is not None:
-            updates["prediction_dirs"] = tuple(overrides["members"])
-        if overrides.get("output_dir") is not None:
-            updates["output_dir"] = overrides["output_dir"]
+        for dest, value in overrides.items():
+            section, name = FLAG_FIELDS[dest]
+            if value is None:
+                continue
+            if section is None:
+                updates[name] = value
+            else:
+                current = updates.get(section, getattr(config, section))
+                updates[section] = dataclasses.replace(current, **{name: value})
         return dataclasses.replace(config, **updates)
-    except ConfigError:
-        raise
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def config_to_dict(config: PipelineConfig) -> dict:
     """JSON-serializable snapshot of the effective configuration."""
-    payload = {
-        "modality_suffixes": dict(config.modality_suffixes),
-        "label_suffix": config.label_suffix,
-        "prediction_dirs": list(config.prediction_dirs),
-        "output_dir": config.output_dir,
-        "fusion_method": config.fusion_method,
-        "parallel_cases": config.parallel_cases,
-    }
-    for name, value in (
-        ("normalization", config.normalization),
-        ("rescale", config.rescale),
-        ("staple", config.staple),
-        ("postprocess", config.postprocess),
-        ("metrics", config.metrics),
-    ):
-        payload[name] = dataclasses.asdict(value)
-    return payload
+    return dataclasses.asdict(config)

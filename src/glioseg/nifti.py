@@ -4,12 +4,12 @@ Supports exactly what the segmentation pipeline exchanges: ``.nii`` /
 ``.nii.gz`` single files (magic ``n+1\\0``), datatypes int8 / uint8 /
 int16 / uint16 / int32 / uint32 / int64 / float32 / float64 (nibabel
 writes int64 labels by default; raw MRI often comes as uint16),
-scl_slope/scl_inter rescaling, and both byte orders (resolved by
-checking that sizeof_hdr decodes to 348). Orientation comes from the
-sform when sform_code > 0, else from the qform quaternion, offsets and
-qfac (pixdim[0]) when qform_code > 0, else it is a spacing-scaled
-identity affine. .hdr/.img pairs, NIfTI-2 and header extensions are out
-of scope.
+scl_slope/scl_inter rescaling (none when the slope is zero or
+non-finite), and both byte orders (resolved by checking that sizeof_hdr
+decodes to 348). Orientation comes from the sform when sform_code > 0,
+else from the qform quaternion, offsets and qfac (pixdim[0]) when
+qform_code > 0, else it is a spacing-scaled identity affine. .hdr/.img
+pairs, NIfTI-2 and header extensions are out of scope.
 
 On disk the first voxel axis varies fastest; in memory volumes are
 C-ordered ``[i, j, k]`` arrays (see glioseg.volume), so read/write
@@ -28,6 +28,7 @@ at level 9 and compresses several times faster.
 from __future__ import annotations
 
 import gzip
+import math
 import struct
 import zlib
 from dataclasses import dataclass
@@ -242,8 +243,14 @@ def _read_voxels(path, dtype=None):
             f"truncated data section: need {end} bytes, file has {len(raw)}"
         )
     flat = np.frombuffer(raw, dtype=stored, count=count, offset=offset)
-    slope = header.scl_slope or 1.0  # scl_slope 0 means unscaled
-    scaled = slope != 1.0 or header.scl_inter != 0.0
+    # The standard scales only when scl_slope is nonzero. nifti1_io reads a
+    # non-finite field as 0, and nibabel writes NaN to both when unscaled.
+    slope, inter = header.scl_slope, header.scl_inter
+    if not (math.isfinite(slope) and slope):
+        slope, inter = 1.0, 0.0
+    elif not math.isfinite(inter):
+        inter = 0.0
+    scaled = slope != 1.0 or inter != 0.0
     # Disk layout is first-axis-fastest; transpose into C-order [i, j, k].
     data = np.array(
         flat.reshape((nz, ny, nx)).transpose(2, 1, 0),
@@ -252,7 +259,7 @@ def _read_voxels(path, dtype=None):
     )
     if scaled:
         data *= slope
-        data += header.scl_inter
+        data += inter
     return header, data
 
 

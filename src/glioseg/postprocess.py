@@ -34,9 +34,11 @@ from glioseg.volume import (
 
 logger = logging.getLogger(__name__)
 
+CONNECTIVITIES = (6, 18, 26)  # face, edge and corner adjacency
 _STRUCTURES = {
-    n: ndimage.generate_binary_structure(3, rank) for n, rank in ((6, 1), (18, 2), (26, 3))
+    n: ndimage.generate_binary_structure(3, rank) for rank, n in enumerate(CONNECTIVITIES, 1)
 }
+_CONNECTIVITY_TEXT = ", ".join(map(str, CONNECTIVITIES))
 
 
 @dataclass(frozen=True)
@@ -52,8 +54,8 @@ class PostprocessConfig:
             raise ValueError(f"et_min_volume must be >= 0, got {self.et_min_volume}")
         for name in ("foreground_connectivity", "hole_connectivity"):
             value = getattr(self, name)
-            if value not in _STRUCTURES:
-                raise ValueError(f"{name} must be one of 6, 18, 26, got {value}")
+            if value not in CONNECTIVITIES:
+                raise ValueError(f"{name} must be one of {_CONNECTIVITY_TEXT}, got {value}")
         if self.hole_fill_label not in (LABEL_NCR, LABEL_ET):
             raise ValueError(
                 f"hole_fill_label must be a tumor-core label (1 or 3), got {self.hole_fill_label}"
@@ -88,8 +90,8 @@ class ComponentLabeling:
 
 def connected_components(mask: RegionMask, connectivity: int = 26) -> ComponentLabeling:
     """Partition the mask's foreground into maximal connected components."""
-    if connectivity not in _STRUCTURES:
-        raise ValueError(f"connectivity must be one of 6, 18, 26, got {connectivity}")
+    if connectivity not in CONNECTIVITIES:
+        raise ValueError(f"connectivity must be one of {_CONNECTIVITY_TEXT}, got {connectivity}")
     raw, count = ndimage.label(mask.data, structure=_STRUCTURES[connectivity])
     raw = raw.astype(np.int32, copy=False)
     if count == 0:

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -81,6 +82,8 @@ class StapleConfig:
             raise ValueError(f"prior must lie in (0,1), got {self.prior}")
         if not self.tolerance > 0:
             raise ValueError(f"tolerance must be positive, got {self.tolerance}")
+        if isinstance(self.max_iterations, bool) or not isinstance(self.max_iterations, Integral):
+            raise TypeError(f"max_iterations must be an integer, got {self.max_iterations!r}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if not 0.0 < self.decision_threshold < 1.0:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import json
 import re
 import weakref
@@ -8,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from glioseg.cli import main
+from glioseg.cli import _build_parser, main
 from glioseg.config import (
+    FLAG_FIELDS,
     ConfigError,
     PipelineConfig,
     apply_overrides,
@@ -421,6 +423,22 @@ def test_invalid_config_is_a_usage_error(tmp_path):
     assert main(["postprocess", str(tmp_path), str(tmp_path), "--et-min-volume", "-3"]) == 2
 
 
+@pytest.mark.parametrize("section", [
+    {"staple": {"max_iterations": "10"}},
+    {"staple": {"max_iterations": 2.5}},
+    {"metrics": {"empty_pred_penalty_mm": "x"}},
+    {"parallel_cases": "2"},
+    {"prediction_dirs": "member0"},
+    {"modality_suffixes": ["-t1n.nii.gz"]},
+])
+def test_mistyped_config_value_is_a_usage_error(tmp_path, section):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(section))
+    with pytest.raises(ConfigError):
+        load_config(path)
+    assert main(["postprocess", str(tmp_path), str(tmp_path), "--config", str(path)]) == 2
+
+
 def test_parallel_fuse_matches_serial(tmp_path):
     rng = np.random.default_rng(540)
     dirs = None
@@ -507,6 +525,16 @@ def test_readme_config_example_is_accepted():
     assert config.modality_suffixes["t1gd"] == "_t1ce.nii.gz"
 
 
+def test_readme_flag_table_matches_flag_fields():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `--([a-z-]+)` \| `([a-z_.]+)` \|$", readme, flags=re.MULTILINE)
+    table = {}
+    for flag, key in rows:
+        section, _, name = key.rpartition(".")
+        table[flag.replace("-", "_")] = (section or None, name)
+    assert table == FLAG_FIELDS
+
+
 def test_config_partial_modality_merge():
     config = config_from_dict({"modality_suffixes": {"t1": "_T1.nii"}})
     assert config.modality_suffixes["t1"] == "_T1.nii"
@@ -534,3 +562,60 @@ def test_apply_overrides_updates_sections():
     assert config.postprocess.et_min_volume == 50
     with pytest.raises(ConfigError):
         apply_overrides(config, et_min_volume=-1)
+
+
+# flag -> (argv that sets it, value it must land on); one row per FLAG_FIELDS key
+FLAG_SAMPLES = {
+    "parallel": (["evaluate", "p", "t", "r.json", "--parallel", "3"], 3),
+    "members": (["fuse", "--members", "a", "b"], ("a", "b")),
+    "output_dir": (["fuse", "--output-dir", "out"], "out"),
+    "method": (["fuse", "--method", "majority"], "majority"),
+    "staple_tol": (["fuse", "--staple-tol", "1e-3"], 1e-3),
+    "staple_max_iter": (["fuse", "--staple-max-iter", "7"], 7),
+    "et_min_volume": (["postprocess", "in", "out", "--et-min-volume", "9"], 9),
+    "connectivity": (["postprocess", "in", "out", "--connectivity", "6"], 6),
+}
+
+
+def _config_leaves(config):
+    """The config snapshot flattened to "section.field" keys."""
+    leaves = {}
+    for key, value in config_to_dict(config).items():
+        if isinstance(value, dict):
+            leaves.update({f"{key}.{field}": item for field, item in value.items()})
+        else:
+            leaves[key] = value
+    return leaves
+
+
+@pytest.mark.parametrize("dest", sorted(FLAG_FIELDS))
+def test_each_flag_sets_its_config_field(dest):
+    argv, expected = FLAG_SAMPLES[dest]
+    args = _build_parser().parse_args(argv)
+    overrides = {k: getattr(args, k) for k in FLAG_FIELDS if hasattr(args, k)}
+    before = _config_leaves(load_config(None))
+    after = _config_leaves(apply_overrides(load_config(None), **overrides))
+    section, name = FLAG_FIELDS[dest]
+    key = f"{section}.{name}" if section else name
+    assert {k for k in after if after[k] != before[k]} == {key}
+    assert after[key] == expected
+
+
+def test_parser_flags_are_exactly_the_flag_table():
+    parser = _build_parser()
+    (subcommands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    dests = {
+        action.dest
+        for sub in subcommands.choices.values()
+        for action in sub._actions
+        if action.option_strings
+    }
+    assert dests - {"help", "config", "strict", "size"} == set(FLAG_FIELDS)
+
+
+def test_config_snapshot_key_order_is_pinned():
+    assert list(config_to_dict(load_config(None))) == [
+        "modality_suffixes", "label_suffix", "prediction_dirs", "output_dir",
+        "fusion_method", "parallel_cases",
+        "normalization", "rescale", "staple", "postprocess", "metrics",
+    ]

@@ -111,6 +111,26 @@ def test_scl_slope_zero_means_unscaled(tmp_path):
     assert np.all(vol.data == 7.0)
 
 
+@pytest.mark.parametrize(
+    "slope, inter", [(float("nan"), float("nan")), (float("inf"), 0.0), (0.0, 5.0)]
+)
+def test_invalid_scl_slope_means_unscaled(tmp_path, slope, inter):
+    # nibabel stores NaN in both fields of an unscaled image; without a
+    # valid slope the intercept is not applied either
+    labels = np.array([[[0, 1], [2, 3]], [[1, 1], [0, 2]]], dtype=np.int16)
+    blob = build_nifti_bytes(labels, 4, 16, scl_slope=slope, scl_inter=inter)
+    path = write_fixture(tmp_path, "nan.nii", blob)
+    assert np.array_equal(read_label_volume(path).data, labels)
+    assert np.array_equal(read_scalar_volume(path).data, labels.astype(np.float64))
+
+
+def test_non_finite_scl_inter_means_zero(tmp_path):
+    values = np.arange(8, dtype=np.float32).reshape(2, 2, 2)
+    blob = build_nifti_bytes(values, 16, 32, scl_slope=2.0, scl_inter=float("nan"))
+    vol = read_scalar_volume(write_fixture(tmp_path, "naninter.nii", blob))
+    assert np.array_equal(vol.data, 2.0 * values)
+
+
 def test_pixdim_spacing(tmp_path):
     values = np.zeros((3, 4, 5), dtype=np.float32)
     blob = build_nifti_bytes(values, 16, 32, pixdim=(0.5, 1.0, 2.0))

@@ -519,6 +519,13 @@ def test_config_validation():
         StapleConfig(initial_sensitivity=1.0)
 
 
+def test_max_iterations_must_be_an_integer():
+    for value in (2.5, 10.0, "10", True):
+        with pytest.raises(TypeError, match="max_iterations"):
+            StapleConfig(max_iterations=value)
+    assert StapleConfig(max_iterations=np.int64(5)).max_iterations == 5
+
+
 def test_decisions_validation():
     with pytest.raises(ValueError, match="2-D"):
         RaterDecisions(np.zeros(5, dtype=bool), (5, 1, 1), (1, 1, 1), Region.WT)
