@@ -89,6 +89,7 @@ def _run_cases(stage: str, case_tasks, parallel: int) -> dict[str, str]:
 
     failures: dict[str, str] = {}
     if parallel <= 1 or len(case_tasks) <= 1:
+        # inline, not a one-worker pool: the pool raised benchmark peak RSS by 20-35 MiB
         for case, task in case_tasks:
             try:
                 timed(case, task)

@@ -1,7 +1,8 @@
 """Pipeline configuration: one JSON document, overridable by CLI flags.
 
 The file is a flat object of optional sections; anything omitted keeps
-its default. Section names mirror the dataclasses they configure, and
+its default. Section names mirror the dataclasses they configure, each
+section value must fit its field's annotation (see _fits), and
 FLAG_FIELDS names the field each CLI flag overrides:
 
     {
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -108,13 +110,25 @@ _SECTIONS = {
 }
 
 
+def _fits(value, types: tuple) -> bool:
+    """bool takes only a bool, int a non-bool int, float a non-bool int or float."""
+    if isinstance(value, bool):
+        return bool in types
+    return isinstance(value, types) or (float in types and isinstance(value, int))
+
+
 def _build_section(cls, payload, name):
     if not isinstance(payload, dict):
         raise ConfigError(f"section {name!r} must be an object, got {type(payload).__name__}")
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(payload) - known
+    hints = typing.get_type_hints(cls)
+    unknown = set(payload) - set(hints)
     if unknown:
         raise ConfigError(f"unknown keys in section {name!r}: {sorted(unknown)}")
+    for key, value in payload.items():
+        types = typing.get_args(hints[key]) or (hints[key],)
+        if not _fits(value, types):
+            expected = " or ".join(t.__name__ for t in types)
+            raise ConfigError(f"{name}.{key} must be {expected}, got {value!r}")
     try:
         return cls(**payload)
     except (TypeError, ValueError) as exc:

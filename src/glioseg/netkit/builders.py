@@ -3,8 +3,7 @@
 All three map a 4-modality volume to num_classes logit channels at the
 input resolution. Weights are initialized from a seeded generator,
 uniform in [-1/sqrt(fan_in), +1/sqrt(fan_in)], so builds are exactly
-reproducible. Normalization layers (instance norm) can be disabled for
-numerical comparisons against bare convolution stacks.
+reproducible.
 
 unet3d: concatenative skips, 3x3x3 kernels, max-pool down, transposed-
 conv up. Each encoder stage doubles its channel count in its second
@@ -25,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from glioseg.netkit.graph import INPUT_NAME, NetworkGraph, Node
-from glioseg.netkit.layers import PRELU_INITIAL_SLOPE, LayerSpec
+from glioseg.netkit.layers import PRELU_INITIAL_SLOPE, LayerSpec, _triple
 
 VNET_BASE_FEATURES = 32
 VNET_STAGE_KERNEL = (5, 5, 5)
@@ -37,110 +36,78 @@ MODALITY_CHANNELS = 4  # t1, t1 post-contrast, t2, flair
 class _GraphAssembler:
     """Accumulates nodes; every parameter draw comes from one generator."""
 
-    def __init__(self, rng: np.random.Generator, normalization: bool):
+    def __init__(self, rng: np.random.Generator):
         self.rng = rng
-        self.normalization = normalization
         self.nodes: list[Node] = []
 
     def _uniform(self, fan_in: int, shape) -> np.ndarray:
         bound = 1.0 / np.sqrt(fan_in)
         return self.rng.uniform(-bound, bound, size=shape)
 
+    def _add(self, name, inputs, kind, in_ch, out_ch=None, **params) -> str:
+        """Append one node of ``kind``; out_ch defaults to in_ch."""
+        out_ch = in_ch if out_ch is None else out_ch
+        layer = LayerSpec(kind, in_channels=in_ch, out_channels=out_ch, **params)
+        self.nodes.append(Node(name, layer, inputs))
+        return name
+
     def conv(self, name, src, in_ch, out_ch, kernel, stride=1, padding=0) -> str:
-        kernel = (kernel,) * 3 if isinstance(kernel, int) else kernel
+        kernel = _triple(kernel)
         fan_in = in_ch * int(np.prod(kernel))
-        layer = LayerSpec(
-            "conv3d",
-            kernel=kernel,
-            stride=(stride,) * 3 if isinstance(stride, int) else stride,
-            padding=(padding,) * 3 if isinstance(padding, int) else padding,
-            in_channels=in_ch,
-            out_channels=out_ch,
+        return self._add(
+            name, (src,), "conv3d", in_ch, out_ch, kernel=kernel, stride=stride, padding=padding,
             weights=self._uniform(fan_in, (out_ch, in_ch, *kernel)),
             bias=self._uniform(fan_in, (out_ch,)),
         )
-        self.nodes.append(Node(name, layer, (src,)))
-        return name
 
     def tconv(self, name, src, in_ch, out_ch, kernel=2, stride=2) -> str:
-        kernel = (kernel,) * 3 if isinstance(kernel, int) else kernel
+        kernel = _triple(kernel)
         fan_in = in_ch * int(np.prod(kernel))
-        layer = LayerSpec(
-            "transposed_conv3d",
-            kernel=kernel,
-            stride=(stride,) * 3 if isinstance(stride, int) else stride,
-            in_channels=in_ch,
-            out_channels=out_ch,
+        return self._add(
+            name, (src,), "transposed_conv3d", in_ch, out_ch, kernel=kernel, stride=stride,
             weights=self._uniform(fan_in, (in_ch, out_ch, *kernel)),
             bias=self._uniform(fan_in, (out_ch,)),
         )
-        self.nodes.append(Node(name, layer, (src,)))
-        return name
 
     def norm(self, name, src, ch) -> str:
-        if not self.normalization:
-            return src
-        layer = LayerSpec("normalization", in_channels=ch, out_channels=ch)
-        self.nodes.append(Node(name, layer, (src,)))
-        return name
+        return self._add(name, (src,), "normalization", ch)
 
     def relu(self, name, src, ch) -> str:
-        layer = LayerSpec("activation", activation="relu", in_channels=ch, out_channels=ch)
-        self.nodes.append(Node(name, layer, (src,)))
-        return name
+        return self._add(name, (src,), "activation", ch, activation="relu")
 
     def prelu(self, name, src, ch) -> str:
-        layer = LayerSpec(
-            "activation",
-            activation="prelu",
-            in_channels=ch,
-            out_channels=ch,
-            weights=np.array([PRELU_INITIAL_SLOPE]),
-        )
-        self.nodes.append(Node(name, layer, (src,)))
-        return name
+        slope = np.array([PRELU_INITIAL_SLOPE])
+        return self._add(name, (src,), "activation", ch, activation="prelu", weights=slope)
 
     def pool(self, name, src, ch) -> str:
-        layer = LayerSpec("downsample", kernel=(2, 2, 2), stride=(2, 2, 2), in_channels=ch, out_channels=ch)
-        self.nodes.append(Node(name, layer, (src,)))
-        return name
+        return self._add(name, (src,), "downsample", ch, kernel=2, stride=2)
 
     def add(self, name, a, b, ch) -> str:
-        layer = LayerSpec("add_skip", in_channels=ch, out_channels=ch)
-        self.nodes.append(Node(name, layer, (a, b)))
-        return name
+        return self._add(name, (a, b), "add_skip", ch)
 
     def concat(self, name, a, b, ch_a, ch_b) -> str:
-        layer = LayerSpec("concat_skip", in_channels=ch_a + ch_b, out_channels=ch_a + ch_b)
-        self.nodes.append(Node(name, layer, (a, b)))
-        return name
+        return self._add(name, (a, b), "concat_skip", ch_a + ch_b)
 
     def attention(self, name, skip, gate, skip_ch, gate_ch) -> str:
         inter = max(skip_ch // 2, 1)
-        layer = LayerSpec(
-            "attention_gate",
-            in_channels=skip_ch,
-            out_channels=skip_ch,
+        return self._add(
+            name, (skip, gate), "attention_gate", skip_ch,
             weights=self._uniform(skip_ch, (inter, skip_ch, 1, 1, 1)),
             gate_weights=self._uniform(gate_ch, (inter, gate_ch, 1, 1, 1)),
             gate_bias=self._uniform(gate_ch, (inter,)),
             psi_weights=self._uniform(inter, (1, inter, 1, 1, 1)),
             psi_bias=self._uniform(inter, (1,)),
         )
-        self.nodes.append(Node(name, layer, (skip, gate)))
-        return name
 
-    def conv_block(self, prefix, src, in_ch, out_ch, kernel, padding) -> str:
-        """conv -> norm -> relu, the unet3d unit."""
-        x = self.conv(f"{prefix}_conv", src, in_ch, out_ch, kernel, padding=padding)
+    def conv_unit(self, prefix, src, in_ch, out_ch, kernel, act, stride=1, padding=0) -> str:
+        """conv -> norm -> act (self.relu or self.prelu), named <prefix>_conv/_norm/_act."""
+        x = self.conv(f"{prefix}_conv", src, in_ch, out_ch, kernel, stride, padding)
         x = self.norm(f"{prefix}_norm", x, out_ch)
-        return self.relu(f"{prefix}_act", x, out_ch)
+        return act(f"{prefix}_act", x, out_ch)
 
     def residual_block(self, prefix, src, ch) -> str:
         """conv(5x5x5) -> norm -> prelu, plus the identity: the vnet unit."""
-        x = self.conv(f"{prefix}_conv", src, ch, ch, VNET_STAGE_KERNEL, padding=2)
-        x = self.norm(f"{prefix}_norm", x, ch)
-        x = self.prelu(f"{prefix}_act", x, ch)
+        x = self.conv_unit(prefix, src, ch, ch, VNET_STAGE_KERNEL, self.prelu, padding=2)
         return self.add(f"{prefix}_res", x, src, ch)
 
 
@@ -149,7 +116,6 @@ def build_unet3d(
     num_classes: int = 4,
     depth: int = 4,
     seed: int = 0,
-    normalization: bool = True,
 ) -> NetworkGraph:
     """Encoder-decoder with concatenative skips and 3x3x3 kernels.
 
@@ -163,15 +129,15 @@ def build_unet3d(
         raise ValueError(f"depth must be at least 2, got {depth}")
     if base_features < 1 or num_classes < 1:
         raise ValueError("base_features and num_classes must be positive")
-    g = _GraphAssembler(np.random.default_rng(seed), normalization)
+    g = _GraphAssembler(np.random.default_rng(seed))
     stage_out = [base_features * 2 ** (i + 1) for i in range(depth)]
 
     x = INPUT_NAME
     skips = []
     for level, width in enumerate(stage_out):
         in_ch = MODALITY_CHANNELS if level == 0 else stage_out[level - 1]
-        x = g.conv_block(f"enc{level}a", x, in_ch, width // 2, 3, 1)
-        x = g.conv_block(f"enc{level}b", x, width // 2, width, 3, 1)
+        x = g.conv_unit(f"enc{level}a", x, in_ch, width // 2, 3, g.relu, padding=1)
+        x = g.conv_unit(f"enc{level}b", x, width // 2, width, 3, g.relu, padding=1)
         skips.append(x)
         if level < depth - 1:
             x = g.pool(f"down{level}", x, width)
@@ -180,8 +146,8 @@ def build_unet3d(
         width = stage_out[level]
         x = g.tconv(f"up{level}", x, stage_out[level + 1], width)
         x = g.concat(f"join{level}", x, skips[level], width, width)
-        x = g.conv_block(f"dec{level}a", x, 2 * width, width, 3, 1)
-        x = g.conv_block(f"dec{level}b", x, width, width, 3, 1)
+        x = g.conv_unit(f"dec{level}a", x, 2 * width, width, 3, g.relu, padding=1)
+        x = g.conv_unit(f"dec{level}b", x, width, width, 3, g.relu, padding=1)
 
     g.conv("head", x, stage_out[0], num_classes, 1)
     return NetworkGraph(
@@ -195,17 +161,15 @@ def build_unet3d(
 
 def _vnet_encoder(g: _GraphAssembler) -> tuple[str, list[str], list[int]]:
     widths = [VNET_BASE_FEATURES * 2**i for i in range(VNET_LEVELS)]
-    x = g.conv("stem_conv", INPUT_NAME, MODALITY_CHANNELS, widths[0], VNET_STAGE_KERNEL, padding=2)
-    x = g.norm("stem_norm", x, widths[0])
-    x = g.prelu("stem_act", x, widths[0])
+    x = g.conv_unit(
+        "stem", INPUT_NAME, MODALITY_CHANNELS, widths[0], VNET_STAGE_KERNEL, g.prelu, padding=2
+    )
     skips = []
     for level in range(VNET_LEVELS - 1):
         width = widths[level]
         x = g.residual_block(f"enc{level}", x, width)
         skips.append(x)
-        x = g.conv(f"down{level}_conv", x, width, widths[level + 1], 2, stride=2)
-        x = g.norm(f"down{level}_norm", x, widths[level + 1])
-        x = g.prelu(f"down{level}_act", x, widths[level + 1])
+        x = g.conv_unit(f"down{level}", x, width, widths[level + 1], 2, g.prelu, stride=2)
     x = g.residual_block("bottom", x, widths[-1])
     return x, skips, widths
 
@@ -224,11 +188,11 @@ def _vnet_decoder(g, x, skips, widths, num_classes, gated: bool) -> None:
     g.conv("head", x, widths[0], num_classes, 1)
 
 
-def build_vnet(num_classes: int = 4, seed: int = 0, normalization: bool = True) -> NetworkGraph:
+def build_vnet(num_classes: int = 4, seed: int = 0) -> NetworkGraph:
     """Residual 5x5x5 stages with additive skip joins, 32 maps first."""
     if num_classes < 1:
         raise ValueError("num_classes must be positive")
-    g = _GraphAssembler(np.random.default_rng(seed), normalization)
+    g = _GraphAssembler(np.random.default_rng(seed))
     x, skips, widths = _vnet_encoder(g)
     _vnet_decoder(g, x, skips, widths, num_classes, gated=False)
     return NetworkGraph(
@@ -240,17 +204,15 @@ def build_vnet(num_classes: int = 4, seed: int = 0, normalization: bool = True) 
     )
 
 
-def build_msavnet(num_classes: int = 4, seed: int = 0, normalization: bool = True) -> NetworkGraph:
+def build_msavnet(num_classes: int = 4, seed: int = 0) -> NetworkGraph:
     """vnet plus attention-gated skips and a central refinement block."""
     if num_classes < 1:
         raise ValueError("num_classes must be positive")
-    g = _GraphAssembler(np.random.default_rng(seed), normalization)
+    g = _GraphAssembler(np.random.default_rng(seed))
     x, skips, widths = _vnet_encoder(g)
     deep = widths[-1]
     for tag in ("central_a", "central_b"):
-        x = g.conv(f"{tag}_conv", x, deep, deep, 3, padding=1)
-        x = g.norm(f"{tag}_norm", x, deep)
-        x = g.prelu(f"{tag}_act", x, deep)
+        x = g.conv_unit(tag, x, deep, deep, 3, g.prelu, padding=1)
     _vnet_decoder(g, x, skips, widths, num_classes, gated=True)
     return NetworkGraph(
         "msavnet",

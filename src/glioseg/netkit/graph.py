@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from glioseg.netkit.layers import (
+    LAYER_KINDS,
     LayerSpec,
     activation_forward,
     add_skip_forward,
@@ -34,8 +35,6 @@ from glioseg.netkit.layers import (
 
 INPUT_NAME = "input"
 
-_ARITY = {"add_skip": 2, "concat_skip": 2, "attention_gate": 2}
-
 
 @dataclass(frozen=True)
 class Node:
@@ -45,7 +44,7 @@ class Node:
 
     def __post_init__(self):
         object.__setattr__(self, "inputs", tuple(self.inputs))
-        expected = _ARITY.get(self.layer.kind, 1)
+        expected = LAYER_KINDS[self.layer.kind]
         if len(self.inputs) != expected:
             raise ValueError(
                 f"{self.layer.kind} node {self.name!r} needs {expected} inputs, got {len(self.inputs)}"

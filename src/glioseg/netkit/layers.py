@@ -27,17 +27,18 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import expit
 
-LAYER_KINDS = (
-    "conv3d",
-    "transposed_conv3d",
-    "downsample",
-    "upsample",
-    "activation",
-    "normalization",
-    "add_skip",
-    "concat_skip",
-    "attention_gate",
-)
+# each layer kind -> the number of tensors it consumes
+LAYER_KINDS = {
+    "conv3d": 1,
+    "transposed_conv3d": 1,
+    "downsample": 1,
+    "upsample": 1,
+    "activation": 1,
+    "normalization": 1,
+    "add_skip": 2,
+    "concat_skip": 2,
+    "attention_gate": 2,
+}
 
 ACTIVATIONS = ("relu", "prelu", "sigmoid")
 

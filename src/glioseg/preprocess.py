@@ -52,7 +52,17 @@ class RescaleSpec:
             raise ValueError(f"need out_min < out_max, got ({self.out_min}, {self.out_max})")
 
 
-def _included_mask(volume: ScalarVolume, policy: NormalizationPolicy) -> np.ndarray:
+def _included_mask(
+    volume: ScalarVolume, policy: NormalizationPolicy, included: np.ndarray | None = None
+) -> np.ndarray:
+    """``included`` if given (a bool array shaped like the grid), else the policy's set."""
+    if included is not None:
+        dtype, shape = getattr(included, "dtype", None), getattr(included, "shape", None)
+        if dtype != bool or shape != volume.dims:
+            raise ValueError(
+                f"included must be a bool array of shape {volume.dims}, got {dtype} {shape}"
+            )
+        return included
     if policy.include_background:
         return np.ones(volume.dims, dtype=bool)
     return volume.data != 0.0
@@ -79,9 +89,10 @@ def zscore_normalize(
     than two voxels or its spread is at or below policy.epsilon.
 
     ``included`` is a bool mask over the grid that replaces the set the
-    policy would derive from ``volume`` itself.
+    policy would derive from ``volume`` itself; any other dtype or shape
+    raises ValueError.
     """
-    mask = _included_mask(volume, policy) if included is None else included
+    mask = _included_mask(volume, policy, included)
     values = _included_values(volume, mask)
     if values.size < 2:
         raise ValueError(f"need at least 2 included voxels, got {values.size}")
@@ -113,9 +124,10 @@ def rescale_percentiles(
     degenerate (P_lo == P_hi).
 
     ``included`` is a bool mask over the grid that replaces the set the
-    policy would derive from ``volume`` itself.
+    policy would derive from ``volume`` itself; any other dtype or shape
+    raises ValueError.
     """
-    mask = _included_mask(volume, policy) if included is None else included
+    mask = _included_mask(volume, policy, included)
     values = _included_values(volume, mask)
     # values is this call's own copy: the partial sort may reorder it, and it
     # is freed before the output is allocated

@@ -64,10 +64,13 @@ def _validate_grid(dims, spacing):
     return dims, spacing
 
 
-def same_grid(a, b, spacing_tol: float = 1e-6) -> bool:
-    """Whether two volumes/masks share dims and (within tolerance) spacing."""
+SPACING_TOL = 1e-6  # mm; spacings closer than this count as equal
+
+
+def same_grid(a, b) -> bool:
+    """Whether two volumes/masks share dims and (within SPACING_TOL) spacing."""
     return a.dims == b.dims and all(
-        abs(sa - sb) <= spacing_tol for sa, sb in zip(a.spacing, b.spacing)
+        abs(sa - sb) <= SPACING_TOL for sa, sb in zip(a.spacing, b.spacing)
     )
 
 
@@ -80,13 +83,13 @@ def require_same_grid(a, b, what: str = "volumes") -> None:
 
 
 @dataclass(frozen=True, eq=False)
-class ScalarVolume:
-    """3D grid of floating-point intensities with spacing and orientation."""
+class _GridVolume:
+    """Voxel data on a validated grid; subclasses check the data itself."""
 
     dims: tuple[int, int, int]
     spacing: tuple[float, float, float]
     orientation: np.ndarray  # (3, 4) voxel-to-world affine rows
-    data: np.ndarray  # float64 [dims], C-order
+    data: np.ndarray  # [dims], C-order
 
     def __post_init__(self):
         dims, spacing = _validate_grid(self.dims, self.spacing)
@@ -96,45 +99,43 @@ class ScalarVolume:
         if orientation.shape != (3, 4):
             raise ValueError(f"orientation must be 3x4, got {orientation.shape}")
         object.__setattr__(self, "orientation", orientation)
-        data = np.ascontiguousarray(self.data, dtype=np.float64)
+        data = np.asarray(self.data)
         if data.shape != dims:
             raise ValueError(f"data shape {data.shape} does not match dims {dims}")
-        if not np.all(np.isfinite(data)):
-            raise ValueError("volume data contains non-finite values")
-        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "data", self._checked_data(data))
+
+    def _checked_data(self, data: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
 
     @classmethod
-    def from_array(cls, data, spacing=(1.0, 1.0, 1.0), orientation=None) -> "ScalarVolume":
-        data = np.asarray(data, dtype=np.float64)
+    def from_array(cls, data, spacing=(1.0, 1.0, 1.0), orientation=None):
+        data = np.asarray(data)
         if orientation is None:
             orientation = default_orientation(spacing)
         return cls(data.shape, tuple(spacing), orientation, data)
 
-    def with_data(self, data) -> "ScalarVolume":
+    def with_data(self, data):
         """Same grid and orientation, new voxel values."""
-        return ScalarVolume(self.dims, self.spacing, self.orientation, data)
+        return type(self)(self.dims, self.spacing, self.orientation, data)
 
 
 @dataclass(frozen=True, eq=False)
-class LabelVolume:
-    """3D grid of integer tumor labels in {0, 1, 2, 3}."""
+class ScalarVolume(_GridVolume):
+    """3D grid of float64 intensities with spacing and orientation."""
 
-    dims: tuple[int, int, int]
-    spacing: tuple[float, float, float]
-    orientation: np.ndarray
-    data: np.ndarray  # uint8 [dims]
+    def _checked_data(self, data):
+        data = np.ascontiguousarray(data, dtype=np.float64)
+        if not np.all(np.isfinite(data)):
+            raise ValueError("volume data contains non-finite values")
+        return data
 
-    def __post_init__(self):
-        dims, spacing = _validate_grid(self.dims, self.spacing)
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "spacing", spacing)
-        orientation = np.ascontiguousarray(self.orientation, dtype=np.float64)
-        if orientation.shape != (3, 4):
-            raise ValueError(f"orientation must be 3x4, got {orientation.shape}")
-        object.__setattr__(self, "orientation", orientation)
-        data = np.ascontiguousarray(self.data)
-        if data.shape != dims:
-            raise ValueError(f"data shape {data.shape} does not match dims {dims}")
+
+@dataclass(frozen=True, eq=False)
+class LabelVolume(_GridVolume):
+    """3D grid of uint8 tumor labels in {0, 1, 2, 3}."""
+
+    def _checked_data(self, data):
+        data = np.ascontiguousarray(data)
         if data.dtype != np.uint8:
             if not np.all(np.isin(data, VALID_LABELS)):
                 bad = np.unique(data[~np.isin(data, VALID_LABELS)])
@@ -143,17 +144,7 @@ class LabelVolume:
         elif data.max(initial=0) > LABEL_ET:
             bad = np.unique(data[data > LABEL_ET])
             raise ValueError(f"labels outside {{0,1,2,3}}: {bad[:8]}")
-        object.__setattr__(self, "data", np.ascontiguousarray(data))
-
-    @classmethod
-    def from_array(cls, data, spacing=(1.0, 1.0, 1.0), orientation=None) -> "LabelVolume":
-        data = np.asarray(data)
-        if orientation is None:
-            orientation = default_orientation(spacing)
-        return cls(data.shape, tuple(spacing), orientation, data)
-
-    def with_data(self, data) -> "LabelVolume":
-        return LabelVolume(self.dims, self.spacing, self.orientation, data)
+        return data
 
 
 @dataclass(frozen=True, eq=False)

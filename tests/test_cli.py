@@ -3,6 +3,7 @@ from __future__ import annotations
 import argparse
 import json
 import re
+import threading
 import weakref
 from pathlib import Path
 
@@ -430,6 +431,13 @@ def test_invalid_config_is_a_usage_error(tmp_path):
     {"parallel_cases": "2"},
     {"prediction_dirs": "member0"},
     {"modality_suffixes": ["-t1n.nii.gz"]},
+    {"normalization": {"include_background": "false"}},
+    {"postprocess": {"fill_holes": "no"}},
+    {"postprocess": {"et_min_volume": 2.5}},
+    {"postprocess": {"hole_fill_label": 1.0}},
+    {"postprocess": {"foreground_connectivity": 26.0}},
+    {"metrics": {"empty_empty_dice": True}},
+    {"rescale": {"out_min": False}},
 ])
 def test_mistyped_config_value_is_a_usage_error(tmp_path, section):
     path = tmp_path / "config.json"
@@ -437,6 +445,37 @@ def test_mistyped_config_value_is_a_usage_error(tmp_path, section):
     with pytest.raises(ConfigError):
         load_config(path)
     assert main(["postprocess", str(tmp_path), str(tmp_path), "--config", str(path)]) == 2
+
+
+def test_config_types_accept_ints_for_floats_and_the_prior_string():
+    config = config_from_dict({
+        "staple": {"prior": "auto", "tolerance": 1},
+        "rescale": {"out_max": 2},
+        "normalization": {"include_background": True},
+        "postprocess": {"fill_holes": False, "et_min_volume": 10},
+    })
+    assert config.staple.tolerance == 1 and config.rescale.out_max == 2
+    assert config.normalization.include_background is True
+    assert config.postprocess.fill_holes is False
+    assert config_from_dict({"staple": {"prior": 0.25}}).staple.prior == 0.25
+
+
+def test_serial_cases_run_on_the_calling_thread(tmp_path, monkeypatch):
+    rng = np.random.default_rng(541)
+    src = tmp_path / "src"
+    src.mkdir()
+    for case in ("caseA", "caseB", "caseC"):
+        write_label_volume(random_labels(rng, dims=(4, 4, 4)), src / f"{case}{SEG}")
+    threads = []
+
+    def recording(labels, config):
+        threads.append(threading.get_ident())
+        return labels
+
+    monkeypatch.setattr("glioseg.cli.postprocess_case", recording)
+    code = main(["postprocess", str(src), str(tmp_path / "out"), "--parallel", "1"])
+    assert code == 0
+    assert threads == [threading.get_ident()] * 3
 
 
 def test_parallel_fuse_matches_serial(tmp_path):

@@ -206,6 +206,22 @@ def test_zscore_takes_statistics_over_the_given_mask():
     assert np.all(out.data[~mask] == 0.0)
 
 
+@pytest.mark.parametrize("step", [
+    lambda v, mask: zscore_normalize(v, FG, included=mask),
+    lambda v, mask: rescale_percentiles(v, RescaleSpec(), FG, included=mask),
+], ids=["zscore", "rescale"])
+def test_included_must_be_a_bool_mask_of_the_grid_shape(step):
+    # numpy reads a uint8 array as indices, not as a mask: it must be refused,
+    # not silently fancy-indexed
+    rng = np.random.default_rng(110)
+    v = vol(rng.uniform(1.0, 9.0, size=(3, 4, 5)))
+    mask = rng.random((3, 4, 5)) < 0.7
+    step(v, mask)
+    for bad in (mask.astype(np.uint8), mask.astype(np.int64), mask[:, :, :4], mask.tolist()):
+        with pytest.raises(ValueError, match="included must be a bool array"):
+            step(v, bad)
+
+
 def test_preprocess_keeps_brain_voxels_at_the_mean_in_the_window():
     # Brain values {1, 2, 3} in equal numbers: the 2s z-score to exactly 0
     # but are still brain, so they rescale to about 0.5, not to out_min.
