@@ -1,10 +1,11 @@
 """Command-line pipeline: normalize, fuse, postprocess, evaluate, demo-net.
 
 Cases are processed independently (optionally in parallel); every output
-file is written atomically via a temp name in the target directory, and
-normalize moves a case's modalities into place only once all of them are
-written. Logs go to standard error, reports and volumes to files. Exit
-codes: 0 clean, 1 any case-level failure, 2 configuration or usage errors.
+file is staged under a temp name in the output directory and renamed onto
+its target only once written, and normalize moves a case's modalities into
+place only once all of them are written. Logs go to standard error,
+reports and volumes to files. Exit codes: 0 clean, 1 any case-level
+failure, 2 configuration or usage errors.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import logging
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor, as_completed
+from contextlib import contextmanager
 from pathlib import Path
 from time import perf_counter
 
@@ -56,14 +58,22 @@ ARCHITECTURES = {
 }
 
 
-def _write_atomic(writer, content, path: Path) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".tmp-{os.getpid()}-{path.name}")
+@contextmanager
+def _staged(targets, directory: Path):
+    """Yield one temp path in ``directory`` per target; none outlives the block.
+
+    Only if the block succeeds are they renamed onto the targets (parents made then).
+    """
+    temps = [directory / f".tmp-{os.getpid()}-{target.name}" for target in targets]
+    directory.mkdir(parents=True, exist_ok=True)
     try:
-        writer(content, tmp)
-        os.replace(tmp, path)
+        yield temps
+        for tmp, target in zip(temps, targets):
+            target.parent.mkdir(parents=True, exist_ok=True)
+            os.replace(tmp, target)
     finally:
-        tmp.unlink(missing_ok=True)
+        for tmp in temps:
+            tmp.unlink(missing_ok=True)
 
 
 def _cases_by_suffix(directory: Path, suffix: str) -> dict[str, Path]:
@@ -74,30 +84,30 @@ def _cases_by_suffix(directory: Path, suffix: str) -> dict[str, Path]:
     return cases
 
 
-def _run_cases(stage: str, case_tasks, parallel: int) -> dict[str, str]:
-    """Run (case, thunk) pairs, isolating failures per case.
+def _run_cases(stage: str, cases, run_one, parallel: int) -> dict[str, str]:
+    """Call run_one(case) for each case id, isolating failures per case.
 
     Each case that succeeds logs its wall time once at INFO. A failure is
     kept as its message: the exception's traceback would keep the failed
     case's volumes alive until the stage ends.
     """
 
-    def timed(case, task):
+    def timed(case):
         started = perf_counter()
-        task()
+        run_one(case)
         logger.info("case %s: %s in %d ms", case, stage, round(1000 * (perf_counter() - started)))
 
     failures: dict[str, str] = {}
-    if parallel <= 1 or len(case_tasks) <= 1:
+    if parallel <= 1 or len(cases) <= 1:
         # inline, not a one-worker pool: the pool raised benchmark peak RSS by 20-35 MiB
-        for case, task in case_tasks:
+        for case in cases:
             try:
-                timed(case, task)
+                timed(case)
             except Exception as exc:  # noqa: BLE001 - case isolation contract
                 failures[case] = str(exc)
     else:
         with ThreadPoolExecutor(max_workers=parallel) as pool:
-            pending = {pool.submit(timed, case, task): case for case, task in case_tasks}
+            pending = {pool.submit(timed, case): case for case in cases}
             for future in as_completed(pending):
                 case = pending.pop(future)
                 try:
@@ -131,10 +141,8 @@ def cmd_normalize(config: PipelineConfig, input_dir, output_dir) -> int:
         # renamed in only once all of them succeeded, so a failed case leaves
         # no partial set behind. One modality's volumes are alive at a time.
         names = [case + config.modality_suffixes[m] for m in MODALITIES]
-        staged = [output_dir / f".tmp-{os.getpid()}-{name}" for name in names]
-        output_dir.mkdir(parents=True, exist_ok=True)
-        try:
-            for name, tmp in zip(names, staged):
+        with _staged([output_dir / case / name for name in names], output_dir) as temps:
+            for name, tmp in zip(names, temps):
                 write_scalar_volume(
                     preprocess_volume(
                         read_scalar_volume(input_dir / case / name),
@@ -142,16 +150,8 @@ def cmd_normalize(config: PipelineConfig, input_dir, output_dir) -> int:
                     ),
                     tmp,
                 )
-            (output_dir / case).mkdir(exist_ok=True)
-            for name, tmp in zip(names, staged):
-                os.replace(tmp, output_dir / case / name)
-        finally:
-            for tmp in staged:
-                tmp.unlink(missing_ok=True)
 
-    failures = _run_cases(
-        "normalize", [(c, lambda c=c: normalize_case(c)) for c in cases], config.parallel_cases
-    )
+    failures = _run_cases("normalize", cases, normalize_case, config.parallel_cases)
     logger.info(
         "normalize: %d case(s) written, %d failed -> %s",
         len(cases) - len(failures), len(failures), output_dir,
@@ -184,10 +184,10 @@ def cmd_fuse(config: PipelineConfig, strict: bool = False) -> int:
     def fuse_case(case: str):
         members = [read_label_volume(cases[case]) for cases in per_member]
         fused = fuse_labels(members, config.staple, config.fusion_method)
-        _write_atomic(write_label_volume, fused, output_dir / (case + config.label_suffix))
+        with _staged([output_dir / (case + config.label_suffix)], output_dir) as (tmp,):
+            write_label_volume(fused, tmp)
 
-    tasks = [(c, lambda c=c: fuse_case(c)) for c in sorted(shared)]
-    failures = _run_cases("fuse", tasks, config.parallel_cases)
+    failures = _run_cases("fuse", sorted(shared), fuse_case, config.parallel_cases)
     logger.info(
         "fuse: %d case(s) written, %d skipped, %d failed -> %s",
         len(shared) - len(failures), len(skipped), len(failures), output_dir,
@@ -208,10 +208,10 @@ def cmd_postprocess(config: PipelineConfig, input_dir, output_dir) -> int:
     def postprocess_one(case: str):
         labels = read_label_volume(cases[case])
         cleaned = postprocess_case(labels, config.postprocess)
-        _write_atomic(write_label_volume, cleaned, output_dir / cases[case].name)
+        with _staged([output_dir / cases[case].name], output_dir) as (tmp,):
+            write_label_volume(cleaned, tmp)
 
-    tasks = [(c, lambda c=c: postprocess_one(c)) for c in sorted(cases)]
-    failures = _run_cases("postprocess", tasks, config.parallel_cases)
+    failures = _run_cases("postprocess", sorted(cases), postprocess_one, config.parallel_cases)
     logger.info(
         "postprocess: %d case(s) written, %d failed -> %s",
         len(cases) - len(failures), len(failures), output_dir,
@@ -266,16 +266,13 @@ def cmd_evaluate(config: PipelineConfig, pred_dir, truth_dir, report_path) -> in
         reports[case] = evaluate_case(pred, truth, config.metrics, case=case)
 
     shared = sorted(set(truths) & set(preds))
-    failures = _run_cases(
-        "evaluate", [(c, lambda c=c: evaluate_one(c)) for c in shared], config.parallel_cases
-    )
+    failures = _run_cases("evaluate", shared, evaluate_one, config.parallel_cases)
 
     failed = dict(sorted(failures.items()))
     payload = _report_payload(list(reports.values()), missing, failed, config)
     report_path = Path(report_path)
-    _write_atomic(
-        lambda data, path: path.write_text(json.dumps(data, indent=2) + "\n"), payload, report_path
-    )
+    with _staged([report_path], report_path.parent) as (tmp,):
+        tmp.write_text(json.dumps(payload, indent=2) + "\n")
     logger.info(
         "report: %d case(s) evaluated, %d missing, %d failed -> %s",
         len(reports), len(missing), len(failed), report_path,

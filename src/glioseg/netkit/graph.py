@@ -113,6 +113,8 @@ def forward(net: NetworkGraph, x: np.ndarray, on_node=None) -> np.ndarray:
     right after the node is evaluated.
     """
     x = require_tensor5(np.asarray(x, dtype=np.float64), net.input_channels)
+    if not np.all(np.isfinite(x)):  # checked once here, not at each layer boundary
+        raise ValueError("input contains non-finite values")
     for axis, size in zip("DHW", x.shape[2:]):
         if size % net.spatial_divisor:
             raise ValueError(

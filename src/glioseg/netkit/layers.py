@@ -53,8 +53,6 @@ def require_tensor5(x: np.ndarray, channels: int | None = None, what: str = "inp
         raise ValueError(f"{what} has a non-positive dimension: {x.shape}")
     if channels is not None and x.shape[1] != channels:
         raise ValueError(f"{what} has {x.shape[1]} channels, layer expects {channels}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError(f"{what} contains non-finite values")
     return x
 
 

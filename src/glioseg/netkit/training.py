@@ -48,7 +48,7 @@ def _check_loss_inputs(pred, target):
     target = require_tensor5(target, what="target")
     if pred.shape != target.shape:
         raise ValueError(f"pred shape {pred.shape} does not match target shape {target.shape}")
-    if np.min(pred) < 0.0 or np.max(pred) > 1.0:
+    if not np.all((pred >= 0.0) & (pred <= 1.0)):  # False for NaN, too
         raise ValueError("pred values must lie in [0, 1]")
     if not np.all((target == 0.0) | (target == 1.0)):
         raise ValueError("target values must be exactly 0 or 1")

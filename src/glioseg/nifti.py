@@ -9,15 +9,18 @@ non-finite), and both byte orders (resolved by checking that sizeof_hdr
 decodes to 348). Orientation comes from the sform when sform_code > 0,
 else from the qform quaternion, offsets and qfac (pixdim[0]) when
 qform_code > 0, else it is a spacing-scaled identity affine. .hdr/.img
-pairs, NIfTI-2 and header extensions are out of scope.
+pairs, NIfTI-2 and header extensions are out of scope. One table gives
+every header field's offset and format; the reader and the writer both
+go through it.
 
 On disk the first voxel axis varies fastest; in memory volumes are
 C-ordered ``[i, j, k]`` arrays (see glioseg.volume), so read/write
 transposes between the two. Each read copies the voxels once into an
 array the volume owns: labels keep their stored integers (float-coded or
 scaled labels must be integral), intensities become float64. The value
-checks (label range, finiteness) belong to LabelVolume and ScalarVolume;
-the reader reports their failures as NiftiFormatError. Labels are written
+checks (label range, finiteness, a finite orientation) belong to
+LabelVolume and ScalarVolume; the reader reports their failures as
+NiftiFormatError. Labels are written
 as uint8 and scalars as float32, with the orientation as the sform; a
 ``.gz`` path gets one gzip member with no file name and mtime 0, so the
 bytes depend only on the volume. Labels are compressed at gzip level 9,
@@ -71,26 +74,25 @@ _GZIP_LEVEL = {DT_UINT8: 9, DT_FLOAT32: 1}
 # written piece by piece instead of held whole
 _GZIP_SLICE = 2**20
 
-# (name, offset, struct format) for the header fields this reader uses;
+# name -> (offset, struct format) of every header field read or written;
 # formats are given without the byte-order prefix.
-_FIELDS = [
-    ("sizeof_hdr", 0, "i"),
-    ("dim", 40, "8h"),
-    ("datatype", 70, "h"),
-    ("bitpix", 72, "h"),
-    ("pixdim", 76, "8f"),
-    ("vox_offset", 108, "f"),
-    ("scl_slope", 112, "f"),
-    ("scl_inter", 116, "f"),
-    ("qform_code", 252, "h"),
-    ("sform_code", 254, "h"),
-    ("quatern", 256, "3f"),
-    ("qoffset", 268, "3f"),
-    ("srow_x", 280, "4f"),
-    ("srow_y", 296, "4f"),
-    ("srow_z", 312, "4f"),
-    ("magic", 344, "4s"),
-]
+_FIELDS = {
+    "sizeof_hdr": (0, "i"),
+    "dim": (40, "8h"),
+    "datatype": (70, "h"),
+    "bitpix": (72, "h"),
+    "pixdim": (76, "8f"),
+    "vox_offset": (108, "f"),
+    "scl_slope": (112, "f"),
+    "scl_inter": (116, "f"),
+    "xyzt_units": (123, "b"),
+    "qform_code": (252, "h"),
+    "sform_code": (254, "h"),
+    "quatern": (256, "3f"),
+    "qoffset": (268, "3f"),
+    "srow": (280, "12f"),
+    "magic": (344, "4s"),
+}
 
 
 class NiftiFormatError(ValueError):
@@ -109,6 +111,7 @@ class NiftiHeader:
     vox_offset: int
     scl_slope: float
     scl_inter: float
+    xyzt_units: int
     qform_code: int
     sform_code: int
     quatern: tuple[float, float, float]  # (b, c, d)
@@ -165,62 +168,45 @@ def _read_bytes(path) -> bytes:
     return raw
 
 
+def _unpack(raw: bytes, order: str, name: str):
+    """One field's value: a scalar for one-item formats, else a tuple."""
+    offset, fmt = _FIELDS[name]
+    values = struct.unpack_from(order + fmt, raw, offset)
+    return values[0] if len(values) == 1 else values
+
+
 def parse_header(raw: bytes) -> NiftiHeader:
     """Decode the header from the raw (decompressed) file bytes."""
     if len(raw) < HEADER_SIZE:
         raise NiftiFormatError(f"file too short for a NIfTI-1 header ({len(raw)} bytes)")
-    order = "<"
-    (size,) = struct.unpack_from("<i", raw, 0)
-    if size != HEADER_SIZE:
-        order = ">"
-        (size,) = struct.unpack_from(">i", raw, 0)
-        if size != HEADER_SIZE:
-            raise NiftiFormatError("sizeof_hdr is not 348 in either byte order")
-    values = {
-        name: struct.unpack_from(order + fmt, raw, offset)
-        for name, offset, fmt in _FIELDS
-    }
-    magic = values["magic"][0]
-    if magic != MAGIC_SINGLE:
-        raise NiftiFormatError(f"bad magic {magic!r}, expected {MAGIC_SINGLE!r}")
-    dim = values["dim"]
+    order = next((o for o in "<>" if _unpack(raw, o, "sizeof_hdr") == HEADER_SIZE), None)
+    if order is None:
+        raise NiftiFormatError("sizeof_hdr is not 348 in either byte order")
+    fields = {name: _unpack(raw, order, name) for name in _FIELDS}
+    if fields["magic"] != MAGIC_SINGLE:
+        raise NiftiFormatError(f"bad magic {fields['magic']!r}, expected {MAGIC_SINGLE!r}")
+    dim = fields["dim"]
     if dim[0] not in (3, 4):
         raise NiftiFormatError(f"unsupported dim[0]={dim[0]}, expected 3 or 4")
     if dim[0] == 4 and dim[4] != 1:
         raise NiftiFormatError(f"4D files must have a single frame, got dim[4]={dim[4]}")
     if any(d <= 0 for d in dim[1:4]):
         raise NiftiFormatError(f"non-positive spatial dims {dim[1:4]}")
-    datatype = values["datatype"][0]
+    datatype = fields["datatype"]
     if datatype not in _DTYPES:
         raise NiftiFormatError(f"unsupported datatype code {datatype}")
-    bitpix = values["bitpix"][0]
-    if bitpix != _DTYPES[datatype][1]:
+    if fields["bitpix"] != _DTYPES[datatype][1]:
         raise NiftiFormatError(
-            f"bitpix {bitpix} inconsistent with datatype {datatype}"
+            f"bitpix {fields['bitpix']} inconsistent with datatype {datatype}"
         )
-    pixdim = values["pixdim"]
+    pixdim = fields["pixdim"]
     if any(p <= 0 or not np.isfinite(p) for p in pixdim[1:4]):
         raise NiftiFormatError(f"non-positive pixdim {pixdim[1:4]}")
-    srow = np.array(
-        [values["srow_x"], values["srow_y"], values["srow_z"]], dtype=np.float64
-    )
-    return NiftiHeader(
-        sizeof_hdr=size,
-        dim=dim,
-        datatype=datatype,
-        bitpix=bitpix,
-        pixdim=pixdim,
-        vox_offset=int(values["vox_offset"][0]),
-        scl_slope=values["scl_slope"][0],
-        scl_inter=values["scl_inter"][0],
-        qform_code=values["qform_code"][0],
-        sform_code=values["sform_code"][0],
-        quatern=values["quatern"],
-        qoffset=values["qoffset"],
-        srow=srow,
-        magic=magic,
-        byte_order=order,
-    )
+    if not math.isfinite(fields["vox_offset"]):
+        raise NiftiFormatError(f"non-finite vox_offset {fields['vox_offset']}")
+    fields["vox_offset"] = int(fields["vox_offset"])
+    fields["srow"] = np.array(fields["srow"], dtype=np.float64).reshape(3, 4)
+    return NiftiHeader(**fields, byte_order=order)
 
 
 def _read_voxels(path, dtype=None):
@@ -285,21 +271,25 @@ def read_label_volume(path) -> LabelVolume:
 
 
 def _build_header(volume, datatype) -> bytearray:
-    """Little-endian header plus the four zero extension bytes."""
+    """Little-endian header plus the four zero extension bytes; unset fields stay 0."""
     raw = bytearray(HEADER_SIZE + 4)
-    struct.pack_into("<i", raw, 0, HEADER_SIZE)
     nx, ny, nz = volume.dims
-    struct.pack_into("<8h", raw, 40, 3, nx, ny, nz, 1, 1, 1, 1)
-    struct.pack_into("<h", raw, 70, datatype)
-    struct.pack_into("<h", raw, 72, _DTYPES[datatype][1])
-    struct.pack_into("<8f", raw, 76, 1.0, *volume.spacing, 0, 0, 0, 0)
-    struct.pack_into("<f", raw, 108, len(raw))  # vox_offset
-    struct.pack_into("<f", raw, 112, 1.0)  # scl_slope
-    struct.pack_into("<b", raw, 123, 2)  # xyzt_units: millimeters
-    struct.pack_into("<h", raw, 254, 1)  # sform_code; qform_code stays 0
-    for offset, row in zip((280, 296, 312), volume.orientation):
-        struct.pack_into("<4f", raw, offset, *row)
-    struct.pack_into("<4s", raw, 344, MAGIC_SINGLE)
+    fields = {
+        "sizeof_hdr": HEADER_SIZE,
+        "dim": (3, nx, ny, nz, 1, 1, 1, 1),
+        "datatype": datatype,
+        "bitpix": _DTYPES[datatype][1],
+        "pixdim": (1.0, *volume.spacing, 0, 0, 0, 0),
+        "vox_offset": len(raw),
+        "scl_slope": 1.0,
+        "xyzt_units": 2,  # millimeters
+        "sform_code": 1,  # qform_code stays 0
+        "srow": tuple(volume.orientation.ravel()),
+        "magic": MAGIC_SINGLE,
+    }
+    for name, value in fields.items():
+        offset, fmt = _FIELDS[name]
+        struct.pack_into("<" + fmt, raw, offset, *(value if isinstance(value, tuple) else (value,)))
     return raw
 
 

@@ -55,25 +55,24 @@ class RescaleSpec:
 def _included_mask(
     volume: ScalarVolume, policy: NormalizationPolicy, included: np.ndarray | None = None
 ) -> np.ndarray:
-    """``included`` if given (a bool array shaped like the grid), else the policy's set."""
+    """``included`` if given (a bool array shaped like the grid), else the policy's set.
+
+    An empty set raises ValueError naming its source: the passed mask or the volume.
+    """
     if included is not None:
         dtype, shape = getattr(included, "dtype", None), getattr(included, "shape", None)
         if dtype != bool or shape != volume.dims:
             raise ValueError(
                 f"included must be a bool array of shape {volume.dims}, got {dtype} {shape}"
             )
-        return included
-    if policy.include_background:
+        mask, cause = included, "the included mask selects no voxel"
+    elif policy.include_background:
         return np.ones(volume.dims, dtype=bool)
-    return volume.data != 0.0
-
-
-def _included_values(volume: ScalarVolume, mask: np.ndarray) -> np.ndarray:
-    """A copy of the included voxels' values, free to be changed in place."""
-    values = volume.data[mask]
-    if values.size == 0:
-        raise ValueError("no voxels in the included set; volume is all background")
-    return values
+    else:
+        mask, cause = volume.data != 0.0, "volume is all background"
+    if not mask.any():
+        raise ValueError(f"no voxels in the included set; {cause}")
+    return mask
 
 
 def zscore_normalize(
@@ -93,7 +92,7 @@ def zscore_normalize(
     raises ValueError.
     """
     mask = _included_mask(volume, policy, included)
-    values = _included_values(volume, mask)
+    values = volume.data[mask]  # a copy, free to be changed in place
     if values.size < 2:
         raise ValueError(f"need at least 2 included voxels, got {values.size}")
     mean = float(values.mean())
@@ -128,7 +127,7 @@ def rescale_percentiles(
     raises ValueError.
     """
     mask = _included_mask(volume, policy, included)
-    values = _included_values(volume, mask)
+    values = volume.data[mask]
     # values is this call's own copy: the partial sort may reorder it, and it
     # is freed before the output is allocated
     p_lo, p_hi = np.percentile(

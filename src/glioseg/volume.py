@@ -98,6 +98,8 @@ class _GridVolume:
         orientation = np.ascontiguousarray(self.orientation, dtype=np.float64)
         if orientation.shape != (3, 4):
             raise ValueError(f"orientation must be 3x4, got {orientation.shape}")
+        if not np.all(np.isfinite(orientation)):
+            raise ValueError("orientation contains non-finite values")
         object.__setattr__(self, "orientation", orientation)
         data = np.asarray(self.data)
         if data.shape != dims:

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import glioseg.cli as cli
 from glioseg.cli import _build_parser, main
 from glioseg.config import (
     FLAG_FIELDS,
@@ -301,6 +302,35 @@ def test_postprocess_is_idempotent_through_the_cli(tmp_path):
         first = read_label_volume(once / f"{case}{SEG}")
         second = read_label_volume(twice / f"{case}{SEG}")
         assert np.array_equal(first.data, second.data)
+
+
+# --------------------------------------------------------------- staging
+
+
+@pytest.mark.parametrize("stage", ["fuse", "postprocess", "evaluate"])
+def test_failed_write_leaves_no_target_and_no_temp(tmp_path, monkeypatch, stage):
+    source = Path(write_member_dirs(tmp_path, [random_labels(np.random.default_rng(540))])[0])
+    out = tmp_path / "out"
+
+    def write_then_fail(_content, path):
+        Path(path).write_bytes(b"partial")
+        raise OSError("disk full")
+
+    if stage == "evaluate":
+        target = out / "report.json"
+        monkeypatch.setattr(Path, "write_text", lambda self, data, *_: write_then_fail(data, self))
+        with pytest.raises(OSError, match="disk full"):
+            main(["evaluate", str(source), str(source), str(target)])
+    else:
+        target = out / f"caseA{SEG}"
+        monkeypatch.setattr(cli, "write_label_volume", write_then_fail)
+        argv = {
+            "fuse": ["fuse", "--members", str(source), "--output-dir", str(out)],
+            "postprocess": ["postprocess", str(source), str(out)],
+        }[stage]
+        assert main(argv) == 1
+    assert not target.exists()
+    assert list(out.rglob("*")) == []
 
 
 # -------------------------------------------------------------- evaluate

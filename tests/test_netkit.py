@@ -411,8 +411,6 @@ def test_require_tensor5_rejects_bad_shapes():
         require_tensor5(np.zeros((4, 4, 4)))
     with pytest.raises(ValueError, match="channel"):
         require_tensor5(np.zeros((1, 3, 4, 4, 4)), channels=4)
-    with pytest.raises(ValueError, match="finite"):
-        require_tensor5(np.full((1, 1, 2, 2, 2), np.nan))
 
 
 # ------------------------------------------------------ graph machinery
@@ -479,6 +477,15 @@ def side_branch_graph():
         Node("head", conv_layer(np.random.default_rng(89), 4, 2, 1), ("double",)),
     )
     return NetworkGraph("side", nodes, num_classes=2, base_features=4)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_forward_rejects_non_finite_input(bad):
+    # values are checked once where they enter forward, not at each layer
+    x = np.ones((1, 4, 3, 3, 3))
+    x[0, 2, 1, 0, 2] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        forward(side_branch_graph(), x)
 
 
 @pytest.mark.parametrize(
@@ -700,6 +707,11 @@ def test_dice_loss_input_validation():
         soft_dice_loss(good, np.zeros((1, 1, 2, 2, 3)))
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         soft_dice_loss(good - 0.1, good)
+    nan_pred = good.copy()
+    nan_pred[0, 0, 1, 1, 0] = np.nan  # fails both range comparisons, so it is out of range
+    for loss in (soft_dice_loss, soft_dice_grad):
+        with pytest.raises(ValueError, match="pred"):
+            loss(nan_pred, good)
     with pytest.raises(ValueError, match="0 or 1"):
         soft_dice_loss(good, good + 0.5)
     with pytest.raises(ValueError, match="eps"):

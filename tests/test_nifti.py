@@ -17,6 +17,7 @@ import pytest
 
 from glioseg.nifti import (
     NiftiFormatError,
+    parse_header,
     read_label_volume,
     read_scalar_volume,
     write_label_volume,
@@ -350,6 +351,27 @@ def test_scalar_round_trip_float32_values(tmp_path):
         assert np.array_equal(back.data, vol.data.astype(np.float32).astype(np.float64))
 
 
+@pytest.mark.parametrize("offset", [np.nan, np.inf], ids=["nan", "inf"])
+def test_non_finite_vox_offset_rejected(tmp_path, offset):
+    blob = bytearray(build_nifti_bytes(np.zeros((2, 2, 2), dtype=np.float32), 16, 32))
+    struct.pack_into("<f", blob, 108, offset)
+    with pytest.raises(NiftiFormatError, match="vox_offset"):
+        read_scalar_volume(write_fixture(tmp_path, "offset.nii", bytes(blob)))
+
+
+@pytest.mark.parametrize("geometry", [
+    dict(sform_code=1, srows=[(1.0, 0.0, 0.0, 0.0), (0.0, np.nan, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0)]),
+    dict(qform_code=1, quatern=(0.0, np.nan, 0.0)),
+    dict(qform_code=1, qoffset=(0.0, np.inf, 0.0)),
+], ids=["sform-nan-srow", "qform-nan-quatern", "qform-inf-qoffset"])
+def test_non_finite_orientation_rejected(tmp_path, geometry):
+    blob = build_nifti_bytes(np.zeros((2, 2, 2), dtype=np.uint8), 2, 8, **geometry)
+    path = write_fixture(tmp_path, "geometry.nii", blob)
+    for read in (read_label_volume, read_scalar_volume):
+        with pytest.raises(NiftiFormatError, match="orientation"):
+            read(path)
+
+
 def test_written_header_bytes(tmp_path):
     labels = LabelVolume.from_array(
         np.zeros((3, 4, 5), dtype=np.uint8), spacing=(1.0, 1.5, 2.0)
@@ -366,6 +388,19 @@ def test_written_header_bytes(tmp_path):
     assert struct.unpack_from("<h", raw, 254)[0] == 1  # sform present
     assert struct.unpack_from("<4s", raw, 344)[0] == b"n+1\x00"
     assert len(raw) == 352 + 3 * 4 * 5
+    # a turned, anisotropic grid: the sform rows land at their own offsets
+    orientation = np.array(
+        [[0.0, -1.5, 0.0, 12.0], [2.0, 0.0, 0.0, -7.5], [0.0, 0.0, 0.5, 3.25]]
+    )
+    turned = LabelVolume((3, 4, 5), (2.0, 1.5, 0.5), orientation, np.zeros((3, 4, 5), np.uint8))
+    write_label_volume(turned, lpath)
+    raw = lpath.read_bytes()
+    for offset, row in zip((280, 296, 312), orientation):
+        assert struct.unpack_from("<4f", raw, offset) == tuple(row)
+    assert struct.unpack_from("<b", raw, 123)[0] == 2  # xyzt_units: millimeters
+    assert struct.unpack_from("<h", raw, 252)[0] == 0  # qform_code
+    assert struct.unpack_from("<f", raw, 112)[0] == 1.0  # scl_slope
+    assert struct.unpack_from("<f", raw, 116)[0] == 0.0  # scl_inter
 
     vol = ScalarVolume.from_array(np.zeros((2, 2, 2)))
     spath = tmp_path / "vol.nii"
@@ -373,6 +408,12 @@ def test_written_header_bytes(tmp_path):
     raw = spath.read_bytes()
     assert struct.unpack_from("<h", raw, 70)[0] == 16  # float32
     assert struct.unpack_from("<h", raw, 72)[0] == 32
+
+
+def test_header_reads_xyzt_units(tmp_path):
+    path = tmp_path / "units.nii"
+    write_label_volume(LabelVolume.from_array(np.zeros((2, 2, 2), np.uint8)), path)
+    assert parse_header(path.read_bytes()).xyzt_units == 2  # millimeters
 
 
 def test_written_disk_order_is_x_fastest(tmp_path):

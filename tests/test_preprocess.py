@@ -43,6 +43,18 @@ def test_all_background_rejected():
         zscore_normalize(v, FG)
 
 
+@pytest.mark.parametrize("step", [
+    lambda v, mask: zscore_normalize(v, FG, included=mask),
+    lambda v, mask: rescale_percentiles(v, RescaleSpec(), FG, included=mask),
+], ids=["zscore", "rescale"])
+def test_empty_included_mask_is_blamed_not_the_volume(step):
+    v = vol(np.arange(1.0, 61.0).reshape(3, 4, 5))  # no background at all
+    with pytest.raises(ValueError, match="included mask selects no voxel"):
+        step(v, np.zeros((3, 4, 5), dtype=bool))
+    with pytest.raises(ValueError, match="all background"):
+        preprocess_volume(vol(np.zeros((3, 4, 5))))
+
+
 def test_single_included_voxel_rejected():
     data = np.zeros((3, 3, 3))
     data[1, 1, 1] = 2.0

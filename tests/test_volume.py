@@ -30,6 +30,11 @@ def test_scalar_volume_validation():
         ScalarVolume.from_array(np.zeros((2, 2, 2)), spacing=(1.0, 0.0, 1.0))
     with pytest.raises(ValueError):
         ScalarVolume((2, 2, 2), (1, 1, 1), np.zeros((3, 4)), np.zeros((2, 2, 3)))
+    for bad in (np.nan, np.inf):
+        orientation = np.eye(3, 4)
+        orientation[1, 3] = bad
+        with pytest.raises(ValueError, match="orientation"):
+            ScalarVolume((2, 2, 2), (1, 1, 1), orientation, np.zeros((2, 2, 2)))
 
 
 def test_label_volume_rejects_out_of_range():
