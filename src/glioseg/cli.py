@@ -271,8 +271,12 @@ def cmd_evaluate(config: PipelineConfig, pred_dir, truth_dir, report_path) -> in
     failed = dict(sorted(failures.items()))
     payload = _report_payload(list(reports.values()), missing, failed, config)
     report_path = Path(report_path)
-    with _staged([report_path], report_path.parent) as (tmp,):
-        tmp.write_text(json.dumps(payload, indent=2) + "\n")
+    try:
+        with _staged([report_path], report_path.parent) as (tmp,):
+            tmp.write_text(json.dumps(payload, indent=2) + "\n")
+    except OSError as exc:
+        logger.error("cannot write report %s: %s", report_path, exc)
+        return EXIT_CASE_FAILURE
     logger.info(
         "report: %d case(s) evaluated, %d missing, %d failed -> %s",
         len(reports), len(missing), len(failed), report_path,

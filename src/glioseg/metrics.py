@@ -15,9 +15,12 @@ each surface voxel of one mask to the nearest surface voxel of the
 other. hd95 is the maximum of the two directed 95th percentiles (linear
 interpolation), not the percentile of the pooled distances.
 
-Each directed distance comes from one feature transform of the other
+Each directed distance comes from a feature transform of the other
 mask's surface (scipy's exact EDT, nearest-voxel indices only), read at
-the surface voxels alone; no dense distance map is built.
+the surface voxels alone; no dense distance map is built. The transform
+covers the joint box of the two masks or, when the query surface's box is
+under half of it, that box grown by the largest distance a first
+transform of it finds (see ``_directed_p95``).
 """
 
 from __future__ import annotations
@@ -117,12 +120,14 @@ def surface_mask(mask: np.ndarray) -> np.ndarray:
     return mask & ~eroded
 
 
-def _directed_p95(from_surface: np.ndarray, to_surface: np.ndarray, spacing) -> float:
-    """95th percentile of each from-surface voxel's distance to to_surface."""
+def _query_distances(from_surface, to_surface, spacing, box) -> np.ndarray:
+    """Distance from each from-surface voxel in box to its nearest to_surface voxel in box."""
     nearest = ndimage.distance_transform_edt(
-        ~to_surface, sampling=spacing, return_distances=False, return_indices=True
+        ~to_surface[box], sampling=spacing, return_distances=False, return_indices=True
     )
-    at = np.nonzero(from_surface)
+    # found after the transform, so the query coordinates never coexist
+    # with its temporaries
+    at = np.nonzero(from_surface[box])
     # scipy's own distance formula, so the floats are bit-identical to its
     # dense map: the integer offset as float64 times the spacing, squared,
     # summed over axes 0, 1, 2 in that order, then sqrt
@@ -130,8 +135,29 @@ def _directed_p95(from_surface: np.ndarray, to_surface: np.ndarray, spacing) -> 
         np.square((nearest[axis][at] - at[axis]).astype(np.float64) * step)
         for axis, step in enumerate(spacing)
     ]
-    distances = np.sqrt(squared[0] + squared[1] + squared[2])
-    return float(np.percentile(distances, 95.0))
+    return np.sqrt(squared[0] + squared[1] + squared[2])
+
+
+def _directed_p95(from_surface: np.ndarray, to_surface: np.ndarray, spacing) -> float:
+    """95th percentile of each from-surface voxel's distance to to_surface.
+
+    When the queries' bounding box Q is under half the array and meets
+    to_surface, a transform of Q alone gives distances whose maximum U
+    bounds every true one; the nearest voxel t* of a query q then has
+    |q_a - t*_a| * spacing_a <= U, so Q grown by ceil(U / spacing_a) on
+    each axis holds it, and a second transform of that box is exact (ceil,
+    not floor, so a quotient rounded just under an integer keeps that
+    plane). Two transforms can only beat one over the array if vol(Q) is
+    under half of it, since the grown box contains Q.
+    """
+    queries = ndimage.find_objects(from_surface.view(np.uint8))[0]
+    box = (slice(None),) * from_surface.ndim
+    volume = int(np.prod([s.stop - s.start for s in queries]))
+    if 2 * volume < from_surface.size and to_surface[queries].any():
+        bound = _query_distances(from_surface, to_surface, spacing, queries).max()
+        reach = np.ceil(bound / np.asarray(spacing)).astype(np.intp)
+        box = tuple(slice(max(s.start - r, 0), s.stop + r) for s, r in zip(queries, reach))
+    return float(np.percentile(_query_distances(from_surface, to_surface, spacing, box), 95.0))
 
 
 def hd95(
@@ -146,10 +172,13 @@ def hd95(
     explicitly overrides and must be three positive finite reals.
     Empty-mask conventions come from config.
 
-    Surfaces and the two feature transforms (one per direction, each read
-    only at the other mask's surface voxels) cover only the bounding box
-    of a|b, which is exact: every surface voxel lies in the box, and the
-    voxels just outside it are background, as the erosion assumes.
+    Surfaces and the feature transforms (each read only at the other
+    mask's surface voxels) cover only the bounding box of a|b, which is
+    exact: every surface voxel lies in the box, and the voxels just outside
+    it are background, as the erosion assumes. A direction transforms the
+    box once, unless its queries' own box is under half of it and meets
+    the other surface: then it transforms the queries' box, and that box
+    grown by the largest distance found in it.
     """
     require_same_grid(a, b, "masks")
     if spacing is None:

@@ -10,6 +10,7 @@ from glioseg.metrics import (
     CaseReport,
     MetricConfig,
     RegionScore,
+    _directed_p95,
     aggregate,
     dice,
     evaluate_case,
@@ -205,17 +206,18 @@ def test_hd95_bounded_by_max_hausdorff():
         assert hd95(mask_of(a), mask_of(b)) <= full + 1e-12
 
 
+def dense_edt_p95(from_surface, to_surface, spacing):
+    """Directed 95th percentile read from one dense EDT map of the whole array."""
+    distances = ndimage.distance_transform_edt(~to_surface, sampling=spacing)
+    return float(np.percentile(distances[from_surface], 95.0))
+
+
 def dense_edt_hd95(a, b, spacing):
     """hd95 of two non-empty masks from two dense EDT maps over their joint box."""
     box = ndimage.find_objects((a | b).view(np.uint8))[0]
     surf_a = surface_mask(a[box])
     surf_b = surface_mask(b[box])
-    dist_to_b = ndimage.distance_transform_edt(~surf_b, sampling=spacing)
-    dist_to_a = ndimage.distance_transform_edt(~surf_a, sampling=spacing)
-    return max(
-        float(np.percentile(dist_to_b[surf_a], 95.0)),
-        float(np.percentile(dist_to_a[surf_b], 95.0)),
-    )
+    return max(dense_edt_p95(surf_a, surf_b, spacing), dense_edt_p95(surf_b, surf_a, spacing))
 
 
 def ball(dims, centre, radius):
@@ -277,6 +279,114 @@ def test_hd95_memory_is_a_feature_transform_of_the_box():
     # distance maps and their temporaries would take ~59
     assert peak < 20 * box_voxels, f"peak {peak / box_voxels:.1f} bytes per box voxel"
     assert got == dense_edt_hd95(a.data, b.data, (0.9, 1.1, 3.0))
+
+
+@pytest.fixture
+def edt_sizes(monkeypatch):
+    """Voxel count of each feature transform hd95 runs, in call order."""
+    sizes = []
+    transform = ndimage.distance_transform_edt
+
+    def counting(input, *args, **kwargs):
+        sizes.append(input.size)
+        return transform(input, *args, **kwargs)
+
+    monkeypatch.setattr(ndimage, "distance_transform_edt", counting)
+    return sizes
+
+
+def test_directed_p95_finds_the_nearest_voxel_outside_the_query_box(edt_sizes):
+    # queries: the shell of a 7^3 cube; in their box the only target is the
+    # cube's centre (3 to 5.2 mm away), while a one-voxel shell two voxels
+    # outside the cube is 2 mm from every query
+    dims = (40, 40, 40)
+    cube = np.zeros(dims, dtype=bool)
+    cube[10:17, 10:17, 10:17] = True
+    target = np.zeros(dims, dtype=bool)
+    target[8:19, 8:19, 8:19] = True
+    target[9:18, 9:18, 9:18] = False
+    target[13, 13, 13] = target[39, 39, 39] = True
+    queries = surface_mask(cube)
+    got = _directed_p95(queries, target, (1.0, 1.0, 1.0))
+    # one transform of the 7^3 query box, one of it grown by ceil(5.2) = 6
+    assert edt_sizes == [7**3, 19**3]
+    assert got == dense_edt_p95(queries, target, (1.0, 1.0, 1.0)) == 2.0
+    assert hd95(mask_of(cube), mask_of(target)) == dense_edt_hd95(cube, target, (1.0, 1.0, 1.0))
+
+
+def test_directed_p95_bound_from_one_far_query(edt_sizes):
+    # eight clustered queries and one far one; in the query box the only
+    # target sits in the cluster, 20.05 mm from the far query, whose true
+    # nearest target lies 15 voxels past it, outside the box
+    dims = (60, 24, 24)
+    queries = np.zeros(dims, dtype=bool)
+    queries[10:12, 10:12, 10:12] = True
+    queries[30, 11, 11] = True
+    target = np.zeros(dims, dtype=bool)
+    target[10, 10, 10] = target[45, 11, 11] = True
+    got = _directed_p95(queries, target, (1.0, 1.0, 1.0))
+    assert edt_sizes == [21 * 2 * 2, 52 * 24 * 24]
+    assert got == dense_edt_p95(queries, target, (1.0, 1.0, 1.0))
+    # the far query's distance, 15 not 20.05, reaches the percentile of nine
+    assert got == pytest.approx(np.sqrt(3) + 0.6 * (15 - np.sqrt(3)))
+    assert hd95(mask_of(queries), mask_of(target)) == dense_edt_hd95(
+        queries, target, (1.0, 1.0, 1.0)
+    )
+
+
+def test_directed_p95_grows_the_query_box_in_voxels_per_axis(edt_sizes):
+    # 0.5 mm voxels along axis 0: U = 2.74 mm is 6 voxels there, and two
+    # target sheets 4 voxels (2 mm) off the cube's axis-0 faces are nearer
+    # to its corners than the cube's centre
+    spacing = (0.5, 1.0, 2.5)
+    dims = (30, 20, 12)
+    cube = np.zeros(dims, dtype=bool)
+    cube[10:13, 10:13, 4:7] = True
+    target = np.zeros(dims, dtype=bool)
+    target[(6, 16), 8:15, 2:9] = True
+    target[11, 11, 5] = True
+    queries = surface_mask(cube)
+    got = _directed_p95(queries, target, spacing)
+    # grown by 6, 3 and 2 voxels
+    assert edt_sizes == [3**3, 15 * 9 * 7]
+    assert got == dense_edt_p95(queries, target, spacing) == 2.5
+    assert hd95(mask_of(cube, spacing), mask_of(target, spacing)) == dense_edt_hd95(
+        cube, target, spacing
+    )
+
+
+def test_compact_pair_keeps_one_transform_of_the_joint_box_per_direction(edt_sizes):
+    # each surface's box is over half the joint box, so the bounded path
+    # cannot win and each direction transforms the joint box once
+    dims = (24, 24, 24)
+    a = ball(dims, (10, 10, 10), 6)
+    b = ball(dims, (12, 11, 10), 6)
+    box = ndimage.find_objects((a | b).view(np.uint8))[0]
+    joint = int(np.prod([s.stop - s.start for s in box]))
+    got = hd95(mask_of(a), mask_of(b))
+    assert edt_sizes == [joint, joint]
+    assert got == dense_edt_hd95(a, b, (1.0, 1.0, 1.0))
+
+
+def test_specks_against_a_blob_transform_less_than_the_joint_box(edt_sizes):
+    rng = np.random.default_rng(305)
+    dims = (40, 36, 30)
+    specks = np.zeros(dims, dtype=bool)
+    for corner in rng.integers(0, np.array(dims) - 2, size=(60, 3)):
+        size = rng.integers(1, 3, size=3)
+        specks[tuple(slice(c, c + n) for c, n in zip(corner, size))] = True
+    specks[20, 18, 15] = True  # one speck inside the blob's box
+    blob = ball(dims, (20, 18, 15), 5)
+    sp = (0.9, 1.1, 3.0)
+    box = ndimage.find_objects((specks | blob).view(np.uint8))[0]
+    joint = int(np.prod([s.stop - s.start for s in box]))
+    got = hd95(mask_of(blob, sp), mask_of(specks, sp))
+    # blob -> specks: two transforms of bounded boxes; specks -> blob: the joint box
+    *blob_to_specks, specks_to_blob = edt_sizes
+    assert len(blob_to_specks) == 2
+    assert sum(blob_to_specks) < joint
+    assert specks_to_blob == joint
+    assert got == dense_edt_hd95(blob, specks, sp)
 
 
 def test_hd95_rejects_explicit_spacing_that_is_not_three_positive_finite_reals():
