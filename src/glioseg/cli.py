@@ -104,7 +104,7 @@ def _run_cases(stage: str, cases, run_one, parallel: int) -> dict[str, str]:
             try:
                 timed(case)
             except Exception as exc:  # noqa: BLE001 - case isolation contract
-                failures[case] = str(exc)
+                failures[case] = str(exc) or type(exc).__name__
     else:
         with ThreadPoolExecutor(max_workers=parallel) as pool:
             pending = {pool.submit(timed, case): case for case in cases}
@@ -113,7 +113,7 @@ def _run_cases(stage: str, cases, run_one, parallel: int) -> dict[str, str]:
                 try:
                     future.result()
                 except Exception as exc:  # noqa: BLE001
-                    failures[case] = str(exc)
+                    failures[case] = str(exc) or type(exc).__name__
     for case in sorted(failures):
         logger.error("case %s failed: %s", case, failures[case])
     return failures

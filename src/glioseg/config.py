@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -111,10 +112,14 @@ _SECTIONS = {
 
 
 def _fits(value, types: tuple) -> bool:
-    """bool takes only a bool, int a non-bool int, float a non-bool int or float."""
+    """bool takes only a bool, int a non-bool int, float a finite non-bool int or float."""
     if isinstance(value, bool):
         return bool in types
-    return isinstance(value, types) or (float in types and isinstance(value, int))
+    if isinstance(value, int) and int in types:
+        return True
+    if isinstance(value, (int, float)):
+        return float in types and -math.inf < value < math.inf
+    return isinstance(value, types)
 
 
 def _build_section(cls, payload, name):
@@ -157,11 +162,13 @@ def load_config(path: str | Path | None) -> PipelineConfig:
         return PipelineConfig()
     path = Path(path)
     try:
-        payload = json.loads(path.read_text())
+        payload = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return config_from_dict(payload)
 
 

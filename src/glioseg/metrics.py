@@ -49,9 +49,16 @@ class MetricConfig:
     empty_empty_hd95: float = 0.0
 
     def __post_init__(self):
-        if not self.empty_pred_penalty_mm > 0:
+        if not 0.0 < self.empty_pred_penalty_mm < np.inf:
             raise ValueError(
-                f"empty_pred_penalty_mm must be positive, got {self.empty_pred_penalty_mm}"
+                "empty_pred_penalty_mm must be positive and finite, "
+                f"got {self.empty_pred_penalty_mm}"
+            )
+        if not 0.0 <= self.empty_empty_dice <= 1.0:
+            raise ValueError(f"empty_empty_dice must lie in [0, 1], got {self.empty_empty_dice}")
+        if not 0.0 <= self.empty_empty_hd95 < np.inf:
+            raise ValueError(
+                f"empty_empty_hd95 must be >= 0 and finite, got {self.empty_empty_hd95}"
             )
 
 

@@ -154,7 +154,6 @@ def build_unet3d(
         "unet3d",
         tuple(g.nodes),
         num_classes=num_classes,
-        base_features=base_features,
         spatial_divisor=2 ** (depth - 1),
     )
 
@@ -199,7 +198,6 @@ def build_vnet(num_classes: int = 4, seed: int = 0) -> NetworkGraph:
         "vnet",
         tuple(g.nodes),
         num_classes=num_classes,
-        base_features=VNET_BASE_FEATURES,
         spatial_divisor=2 ** (VNET_LEVELS - 1),
     )
 
@@ -218,6 +216,5 @@ def build_msavnet(num_classes: int = 4, seed: int = 0) -> NetworkGraph:
         "msavnet",
         tuple(g.nodes),
         num_classes=num_classes,
-        base_features=VNET_BASE_FEATURES,
         spatial_divisor=2 ** (VNET_LEVELS - 1),
     )

@@ -56,7 +56,6 @@ class NetworkGraph:
     name: str
     nodes: tuple[Node, ...]
     num_classes: int
-    base_features: int
     input_channels: int = 4
     spatial_divisor: int = 1  # every spatial dim must divide by this
 

@@ -25,7 +25,9 @@ as uint8 and scalars as float32, with the orientation as the sform; a
 ``.gz`` path gets one gzip member with no file name and mtime 0, so the
 bytes depend only on the volume. Labels are compressed at gzip level 9,
 scalars at level 1: a float32 intensity volume comes out ~5 % larger than
-at level 9 and compresses several times faster.
+at level 9 and compresses several times faster. Both kinds of file are
+written by one loop that casts one slab of disk planes at a time, so a
+write never holds a copy of the image.
 """
 
 from __future__ import annotations
@@ -70,8 +72,8 @@ _DTYPES = {
 # at level 1 and take several times as long to compress.
 _GZIP_LEVEL = {DT_UINT8: 9, DT_FLOAT32: 1}
 
-# voxel bytes fed to the compressor per call, so the compressed stream is
-# written piece by piece instead of held whole
+# voxel bytes cast, transposed and written (or compressed) per slab, so
+# neither a disk-order image nor the compressed stream is held whole
 _GZIP_SLICE = 2**20
 
 # name -> (offset, struct format) of every header field read or written;
@@ -294,24 +296,27 @@ def _build_header(volume, datatype) -> bytearray:
 
 
 def _write_file(volume, path, datatype) -> None:
-    # first-axis-fastest disk order, cast in the same copy
-    disk = np.ascontiguousarray(
-        volume.data.transpose(2, 1, 0), dtype="<" + _DTYPES[datatype][0]
-    )
-    header = _build_header(volume, datatype)
-    with open(path, "wb") as fh:
-        if not str(path).endswith(".gz"):
-            fh.write(header)
-            fh.write(disk)
-            return
-        # wbits 31: one gzip member with no file name and mtime 0, byte-equal to
-        # gzip.compress(header + disk, level, mtime=0) but with no joined copy
+    """Header, then the voxels in first-axis-fastest disk order.
+
+    The voxels are cast and transposed one slab of whole disk planes at a
+    time, at most _GZIP_SLICE bytes (one plane if a plane is larger), and
+    each slab goes to the file, or for a .gz path through one gzip stream
+    with no file name and mtime 0 (wbits 31), byte-equal to
+    gzip.compress(header + voxels, level, mtime=0).
+    """
+    dtype = np.dtype("<" + _DTYPES[datatype][0])
+    planes = volume.data.T  # disk plane k is planes[k], a strided view
+    step = max(1, _GZIP_SLICE // (planes[0].size * dtype.itemsize))
+    stream = None
+    if str(path).endswith(".gz"):
         stream = zlib.compressobj(_GZIP_LEVEL[datatype], zlib.DEFLATED, 31)
-        fh.write(stream.compress(header))
-        voxels = memoryview(disk).cast("B")
-        for start in range(0, len(voxels), _GZIP_SLICE):
-            fh.write(stream.compress(voxels[start : start + _GZIP_SLICE]))
-        fh.write(stream.flush())
+    encode = stream.compress if stream else (lambda chunk: chunk)
+    with open(path, "wb") as fh:
+        fh.write(encode(_build_header(volume, datatype)))
+        for start in range(0, len(planes), step):
+            fh.write(encode(np.ascontiguousarray(planes[start : start + step], dtype=dtype)))
+        if stream:
+            fh.write(stream.flush())
 
 
 def write_label_volume(labels: LabelVolume, path) -> None:

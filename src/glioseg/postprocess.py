@@ -89,23 +89,17 @@ class ComponentLabeling:
 
 
 def connected_components(mask: RegionMask, connectivity: int = 26) -> ComponentLabeling:
-    """Partition the mask's foreground into maximal connected components."""
+    """Partition the mask's foreground into maximal connected components.
+
+    The ids are ndimage.label's own, which already run from 1 in raster
+    order of each component's first voxel.
+    """
     if connectivity not in CONNECTIVITIES:
         raise ValueError(f"connectivity must be one of {_CONNECTIVITY_TEXT}, got {connectivity}")
-    raw, count = ndimage.label(mask.data, structure=_STRUCTURES[connectivity])
-    raw = raw.astype(np.int32, copy=False)
-    if count == 0:
-        return ComponentLabeling(raw, {}, connectivity)
-    # renumber so ids follow raster order of each component's first voxel
-    flat = raw.ravel()
-    ids, first_seen = np.unique(flat[flat != 0], return_index=True)
-    remap = np.zeros(count + 1, dtype=np.int32)
-    remap[ids[np.argsort(first_seen)]] = np.arange(1, count + 1, dtype=np.int32)
-    relabeled = remap[raw]
-    sizes = np.bincount(relabeled.ravel(), minlength=count + 1)
-    return ComponentLabeling(
-        relabeled, {i: int(sizes[i]) for i in range(1, count + 1)}, connectivity
-    )
+    structure = _STRUCTURES[connectivity]
+    ids, count = ndimage.label(mask.data, structure=structure, output=np.int32)
+    sizes = np.bincount(ids.ravel(), minlength=count + 1)
+    return ComponentLabeling(ids, {i: int(sizes[i]) for i in range(1, count + 1)}, connectivity)
 
 
 def filter_small_et(labels: LabelVolume, config: PostprocessConfig = PostprocessConfig()) -> LabelVolume:

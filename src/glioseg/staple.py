@@ -21,7 +21,11 @@ the end. The votes themselves may arrive as columns that each stand for
 a count of voxels (RaterDecisions.counts, one voxel per column by
 default); the pattern counts then sum those counts.
 
-The scalar prior f defaults to the mean rater foreground fraction.
+The scalar prior f defaults to the mean rater foreground fraction. When
+that fraction is exactly 0 or 1, every voxel has the one all-empty or
+all-full vote pattern, whose weight is f itself: EM is skipped, and the
+result reports 0 iterations, converged, the initial performance and the
+degenerate flag.
 Products run in log space with a per-pattern max subtraction so dozens of
 raters cannot underflow; p and q are clamped to [1e-6, 1-1e-6] after
 every M-step. Iteration stops when the mean absolute change in W over the
@@ -209,24 +213,6 @@ def _clamp(values: np.ndarray) -> np.ndarray:
     return np.clip(values, PERFORMANCE_CLAMP, 1.0 - PERFORMANCE_CLAMP)
 
 
-def _degenerate_result(
-    decisions: RaterDecisions, config: StapleConfig, foreground: bool
-) -> StapleResult:
-    n = decisions.decisions.shape[1]  # columns, not voxels
-    flat = np.full(n, foreground, dtype=bool)
-    return StapleResult(
-        mask=decisions.to_mask(flat),
-        performance=RaterPerformance(
-            _clamp(np.full(decisions.num_raters, config.initial_sensitivity)),
-            _clamp(np.full(decisions.num_raters, config.initial_specificity)),
-        ),
-        weights=ConsensusWeights(np.full(n, 1.0 if foreground else 0.0)),
-        iterations=0,
-        converged=True,
-        degenerate=True,
-    )
-
-
 def _distinct_columns(rows, base: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Distinct columns of J equal-length rows of digits in [0, base).
 
@@ -261,7 +247,8 @@ def staple_binary(decisions: RaterDecisions, config: StapleConfig = StapleConfig
     """Run the EM fusion on one binary problem.
 
     An auto prior of exactly 0 (all raters empty) or 1 (all raters full)
-    short-circuits to the unanimous answer with the degenerate flag set.
+    gives the unanimous answer after 0 iterations, converged, with the
+    initial performance and the degenerate flag set.
     """
     patterns, _, ids = _distinct_columns(decisions.decisions, 2)
     d = patterns.astype(np.float64)  # [J, K]
@@ -270,27 +257,22 @@ def staple_binary(decisions: RaterDecisions, config: StapleConfig = StapleConfig
     votes_per_rater = d @ n  # reused by every M-step
     if isinstance(config.prior, str):
         prior = float(votes_per_rater.sum()) / (num_raters * num_voxels)
-        if prior == 0.0:
-            return _degenerate_result(decisions, config, foreground=False)
-        if prior == 1.0:
-            return _degenerate_result(decisions, config, foreground=True)
     else:
         prior = float(config.prior)
-    log_f = np.log(prior)
-    log_1f = np.log1p(-prior)
-
+    degenerate = prior in (0.0, 1.0)
+    w = np.full(len(n), prior)  # when degenerate, the one pattern and its weight
     p = _clamp(np.full(num_raters, config.initial_sensitivity))
     q = _clamp(np.full(num_raters, config.initial_specificity))
     w_prev = None
-    converged = False
+    converged = degenerate
     iterations = 0
-    for iterations in range(1, config.max_iterations + 1):
+    for iterations in range(1, 0 if degenerate else config.max_iterations + 1):
         # E-step, log space: log a_k and log b_k share the structure
         # const + D^T (on - off), so one matvec each.
         log_p, log_1p = np.log(p), np.log1p(-p)
         log_q, log_1q = np.log(q), np.log1p(-q)
-        log_a = log_f + log_1p.sum() + d.T @ (log_p - log_1p)
-        log_b = log_1f + log_q.sum() + d.T @ (log_1q - log_q)
+        log_a = np.log(prior) + log_1p.sum() + d.T @ (log_p - log_1p)
+        log_b = np.log1p(-prior) + log_q.sum() + d.T @ (log_1q - log_q)
         peak = np.maximum(log_a, log_b)
         a = np.exp(log_a - peak)
         b = np.exp(log_b - peak)
@@ -319,7 +301,7 @@ def staple_binary(decisions: RaterDecisions, config: StapleConfig = StapleConfig
         weights=ConsensusWeights(w[ids]),
         iterations=iterations,
         converged=converged,
-        degenerate=False,
+        degenerate=degenerate,
     )
 
 

@@ -389,6 +389,25 @@ def test_evaluate_reports_unreadable_prediction_as_failed(tmp_path, caplog):
     assert "1 case(s) evaluated, 0 missing, 1 failed" in caplog.text
 
 
+@pytest.mark.parametrize("parallel", ["1", "2"])
+def test_failure_without_a_message_is_recorded_by_its_type(tmp_path, monkeypatch, caplog, parallel):
+    rng = np.random.default_rng(535)
+    volumes = {"caseA": random_labels(rng), "caseB": random_labels(rng)}
+    truth = seg_dir(tmp_path, "truth", volumes)
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "evaluate_case", out_of_memory)
+    report_path = tmp_path / "report.json"
+    argv = ["evaluate", str(truth), str(truth), str(report_path), "--parallel", parallel]
+    with caplog.at_level("INFO", logger="glioseg"):
+        assert main(argv) == 1
+    report = json.loads(report_path.read_text())
+    assert report["failed"] == {"caseA": "MemoryError", "caseB": "MemoryError"}
+    assert "case caseA failed: MemoryError" in caplog.text
+
+
 def test_evaluate_matches_module_scores_exactly(tmp_path):
     rng = np.random.default_rng(532)
     truth_labels = random_labels(rng, dims=(8, 8, 8))
@@ -476,6 +495,34 @@ def test_mistyped_config_value_is_a_usage_error(tmp_path, section):
     with pytest.raises(ConfigError):
         load_config(path)
     assert main(["postprocess", str(tmp_path), str(tmp_path), "--config", str(path)]) == 2
+
+
+@pytest.mark.parametrize("section", [
+    {"metrics": {"empty_pred_penalty_mm": float("inf")}},
+    {"metrics": {"empty_empty_hd95": float("inf")}},
+    {"metrics": {"empty_empty_hd95": -1.0}},
+    {"metrics": {"empty_empty_dice": float("nan")}},
+    {"metrics": {"empty_empty_dice": 1.5}},
+    {"normalization": {"epsilon": float("inf")}},
+    {"staple": {"tolerance": float("inf")}},
+    {"rescale": {"out_max": float("inf")}},
+])
+def test_non_finite_or_out_of_range_config_real_is_a_usage_error(tmp_path, section):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(section))  # json writes Infinity and NaN
+    with pytest.raises(ConfigError):
+        load_config(path)
+    assert main(["postprocess", str(tmp_path), str(tmp_path), "--config", str(path)]) == 2
+
+
+def test_unreadable_config_path_is_a_usage_error(tmp_path):
+    (tmp_path / "config.json").mkdir()
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b'{"label_suffix": "\xe9"}')
+    for path in (tmp_path / "config.json", latin):
+        with pytest.raises(ConfigError, match="cannot read config file"):
+            load_config(path)
+        assert main(["postprocess", str(tmp_path), str(tmp_path), "--config", str(path)]) == 2
 
 
 def test_config_types_accept_ints_for_floats_and_the_prior_string():

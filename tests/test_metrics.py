@@ -525,6 +525,20 @@ def test_case_report_needs_all_regions():
         CaseReport("x", scores)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("empty_pred_penalty_mm", np.inf),
+    ("empty_empty_dice", -0.1),
+    ("empty_empty_dice", 1.5),
+    ("empty_empty_dice", np.nan),
+    ("empty_empty_hd95", -1.0),
+    ("empty_empty_hd95", np.inf),
+    ("empty_empty_hd95", np.nan),
+])
+def test_metric_config_rejects_conventions_no_score_can_hold(field, value):
+    with pytest.raises(ValueError, match=field):
+        MetricConfig(**{field: value})
+
+
 def test_region_score_validation():
     with pytest.raises(ValueError):
         RegionScore(Region.ET, 1.5, 0.0)

@@ -430,7 +430,7 @@ def test_graph_rejects_wrong_final_channels():
     rng = np.random.default_rng(85)
     node = Node("a", conv_layer(rng, 4, 3, 1), (INPUT_NAME,))
     with pytest.raises(ValueError, match="final"):
-        NetworkGraph("g", (node,), num_classes=2, base_features=2)
+        NetworkGraph("g", (node,), num_classes=2)
 
 
 def test_node_arity_is_checked():
@@ -476,7 +476,7 @@ def side_branch_graph():
         Node("double", add, ("relu", "relu")),
         Node("head", conv_layer(np.random.default_rng(89), 4, 2, 1), ("double",)),
     )
-    return NetworkGraph("side", nodes, num_classes=2, base_features=4)
+    return NetworkGraph("side", nodes, num_classes=2)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
@@ -637,12 +637,12 @@ def test_builder_argument_validation():
 def test_param_count_closed_form():
     rng = np.random.default_rng(90)
     node = Node("a", conv_layer(rng, 1, 8, 3), (INPUT_NAME,))
-    net = NetworkGraph("tiny", (node,), num_classes=8, base_features=8)
+    net = NetworkGraph("tiny", (node,), num_classes=8)
     assert param_count(net) == 8 * 27 + 8 == 224
 
 
 def test_param_count_empty_graph():
-    net = NetworkGraph("empty", (), num_classes=4, base_features=4)
+    net = NetworkGraph("empty", (), num_classes=4)
     assert param_count(net) == 0
 
 

@@ -15,6 +15,7 @@ import zlib
 import numpy as np
 import pytest
 
+import glioseg.nifti as nifti
 from glioseg.nifti import (
     NiftiFormatError,
     parse_header,
@@ -455,28 +456,37 @@ def test_gzip_level_is_fixed_per_datatype(tmp_path):
     assert (tmp_path / "t1.nii.gz").read_bytes()[8] == 0x04
 
 
-def test_written_bytes_are_header_voxels_and_one_gzip_member(tmp_path):
-    labels = LabelVolume.from_array(np.random.default_rng(18).integers(0, 4, (5, 6, 7)).astype(np.uint8))
-    scalars = ScalarVolume.from_array(np.random.default_rng(19).normal(size=(5, 6, 7)))
-    for write, volume, dtype, level in [
-        (write_label_volume, labels, "<u1", 9),
-        (write_scalar_volume, scalars, "<f4", 1),
-    ]:
-        write(volume, tmp_path / "plain.nii")
-        write(volume, tmp_path / "packed.nii.gz")
-        plain = (tmp_path / "plain.nii").read_bytes()
-        voxels = np.ascontiguousarray(volume.data.transpose(2, 1, 0), dtype=dtype).tobytes()
-        assert len(plain) == 352 + len(voxels)
-        assert plain[352:] == voxels
-        packed = (tmp_path / "packed.nii.gz").read_bytes()
-        assert packed == zlib.compress(plain, level, wbits=31)
+def test_written_bytes_are_header_voxels_and_one_gzip_member(tmp_path, monkeypatch):
+    # (5, 6, 7) has 30-byte label and 120-byte float32 disk planes, so slabs of
+    # 1, 100 and 250 bytes split both into several slabs with a partial last
+    # one; at the default 1 MiB, (128, 128, 70) writes labels as 64 + 6 planes
+    # and scalars as 4 * 16 + 6
+    rng = np.random.default_rng(18)
+    for slab, shape in [(2**20, (5, 6, 7)), (1, (5, 6, 7)), (100, (5, 6, 7)), (250, (5, 6, 7)),
+                        (2**20, (128, 128, 70))]:
+        monkeypatch.setattr(nifti, "_GZIP_SLICE", slab)
+        labels = LabelVolume.from_array(rng.integers(0, 4, shape).astype(np.uint8))
+        scalars = ScalarVolume.from_array(rng.normal(size=shape))
+        for write, volume, dtype, level in [
+            (write_label_volume, labels, "<u1", 9),
+            (write_scalar_volume, scalars, "<f4", 1),
+        ]:
+            write(volume, tmp_path / "plain.nii")
+            write(volume, tmp_path / "packed.nii.gz")
+            plain = (tmp_path / "plain.nii").read_bytes()
+            voxels = np.ascontiguousarray(volume.data.transpose(2, 1, 0), dtype=dtype).tobytes()
+            assert len(plain) == 352 + len(voxels)
+            assert plain[352:] == voxels
+            packed = (tmp_path / "packed.nii.gz").read_bytes()
+            assert packed == zlib.compress(plain, level, wbits=31)
 
 
 def test_scalar_write_holds_one_image(tmp_path):
+    # the voxels are cast one slab of disk planes at a time: no image-sized copy
     data = np.zeros((128, 128, 64))
     data[40:72, 40:72, 16:48] = np.random.default_rng(20).normal(size=(32, 32, 32))
     volume = ScalarVolume.from_array(data)
-    image = data.size * 4  # the float32 disk-order copy
+    image = data.size * 4  # a float32 disk-order copy would be 4 MiB
     for name in ("big.nii", "big.nii.gz"):
         tracemalloc.start()
         try:
@@ -484,13 +494,14 @@ def test_scalar_write_holds_one_image(tmp_path):
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < image + 2**20, f"{name}: peak {peak / 2**20:.1f} MiB"
+        assert peak < nifti._GZIP_SLICE + 2**20 < image, f"{name}: peak {peak / 2**20:.1f} MiB"
 
 
 def test_incompressible_gzip_write_holds_one_image(tmp_path):
     # random-normal float32 barely compresses, so a compressed stream held
-    # whole would cost about one more image; streamed, the extra is one
-    # slice of output (held twice while zlib joins its blocks) and zlib's state
+    # whole would cost about one more image; streamed, the extra over one
+    # slab is one slice of output (held twice while zlib joins its blocks)
+    # and zlib's state
     volume = ScalarVolume.from_array(np.random.default_rng(21).normal(size=(128, 128, 128)))
     image = volume.data.size * 4
     tracemalloc.start()
@@ -499,7 +510,8 @@ def test_incompressible_gzip_write_holds_one_image(tmp_path):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < image + 3 * 2**20, f"peak {peak / 2**20:.1f} MiB for a {image / 2**20:.0f} MiB image"
+    bound = nifti._GZIP_SLICE + 3 * 2**20
+    assert peak < bound < image, f"peak {peak / 2**20:.1f} MiB for a {image / 2**20:.0f} MiB image"
 
 
 def test_label_read_allocates_no_wide_copy(tmp_path):

@@ -217,10 +217,15 @@ def test_explicit_prior_matches_oracle():
 
 def test_degenerate_all_empty():
     rows = np.zeros((3, 20), dtype=bool)
-    result = staple_binary(decisions_from_rows(rows))
+    config = StapleConfig(initial_sensitivity=0.9999999, initial_specificity=0.3)
+    result = staple_binary(decisions_from_rows(rows), config)
     assert result.degenerate
     assert not result.mask.data.any()
     assert np.all(result.weights.values == 0.0)
+    assert result.iterations == 0 and result.converged
+    # the initial performance, clamped into [1e-6, 1 - 1e-6]
+    assert np.array_equal(result.performance.sensitivity, np.full(3, 1.0 - 1e-6))
+    assert np.array_equal(result.performance.specificity, np.full(3, 0.3))
 
 
 def test_degenerate_all_full():
@@ -229,6 +234,9 @@ def test_degenerate_all_full():
     assert result.degenerate
     assert result.mask.data.all()
     assert np.all(result.weights.values == 1.0)
+    assert result.iterations == 0 and result.converged
+    assert np.array_equal(result.performance.sensitivity, np.full(2, 0.99999))
+    assert np.array_equal(result.performance.specificity, np.full(2, 0.99999))
 
 
 def test_rater_order_invariance():
