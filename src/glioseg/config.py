@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -112,13 +111,16 @@ _SECTIONS = {
 
 
 def _fits(value, types: tuple) -> bool:
-    """bool takes only a bool, int a non-bool int, float a finite non-bool int or float."""
+    """bool takes only a bool, int a non-bool int, float a non-bool int or float.
+
+    Ranges, finiteness included, are the section dataclasses' own checks.
+    """
     if isinstance(value, bool):
         return bool in types
     if isinstance(value, int) and int in types:
         return True
     if isinstance(value, (int, float)):
-        return float in types and -math.inf < value < math.inf
+        return float in types
     return isinstance(value, types)
 
 

@@ -133,8 +133,10 @@ class LayerSpec:
             raise ValueError(f"{self.activation} takes no parameters")
 
     def _check_normalization(self):
-        if self.epsilon <= 0:
-            raise ValueError(f"normalization epsilon must be positive, got {self.epsilon}")
+        if not 0.0 < self.epsilon < np.inf:
+            raise ValueError(
+                f"normalization epsilon must be positive and finite, got {self.epsilon}"
+            )
 
     def _check_add_skip(self):
         pass

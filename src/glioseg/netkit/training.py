@@ -31,19 +31,24 @@ class TrainingSchedule:
     def __post_init__(self):
         if not self.eta_min >= 0.0:
             raise ValueError(f"eta_min must be non-negative, got {self.eta_min}")
-        if not self.initial_lr > self.eta_min:
+        if not self.eta_min < self.initial_lr < np.inf:
             raise ValueError(
-                f"initial_lr must exceed eta_min, got {self.initial_lr} <= {self.eta_min}"
+                f"initial_lr must be finite and exceed eta_min, "
+                f"got {self.initial_lr} with eta_min {self.eta_min}"
             )
         if self.epochs < 1:
             raise ValueError(f"epochs must be at least 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
-        if self.weight_decay < 0.0:
-            raise ValueError(f"weight_decay must be non-negative, got {self.weight_decay}")
+        if not 0.0 <= self.weight_decay < np.inf:
+            raise ValueError(
+                f"weight_decay must be non-negative and finite, got {self.weight_decay}"
+            )
 
 
-def _check_loss_inputs(pred, target):
+def _check_loss_inputs(pred, target, eps):
+    if not 0.0 <= eps < np.inf:
+        raise ValueError(f"eps must be non-negative and finite, got {eps}")
     pred = require_tensor5(pred, what="pred")
     target = require_tensor5(target, what="target")
     if pred.shape != target.shape:
@@ -70,9 +75,7 @@ def soft_dice_loss(pred: np.ndarray, target: np.ndarray, eps: float = 1e-5) -> f
     sum(g) + eps). An all-zero pair with eps == 0 is treated as a
     perfect match (ratio 1), the eps -> 0 limit.
     """
-    if eps < 0.0:
-        raise ValueError(f"eps must be non-negative, got {eps}")
-    pred, target = _check_loss_inputs(pred, target)
+    pred, target = _check_loss_inputs(pred, target, eps)
     overlap, denom = _dice_sums(pred, target, eps)
     ratio = np.ones_like(denom)
     np.divide(2.0 * overlap + eps, denom, out=ratio, where=denom > 0.0)
@@ -87,9 +90,7 @@ def soft_dice_grad(pred: np.ndarray, target: np.ndarray, eps: float = 1e-5) -> n
     (2*S_pg + eps)) / S^2; the loss negates it and averages over the
     batch*class pairs. Pairs with S == 0 contribute zero gradient.
     """
-    if eps < 0.0:
-        raise ValueError(f"eps must be non-negative, got {eps}")
-    pred, target = _check_loss_inputs(pred, target)
+    pred, target = _check_loss_inputs(pred, target, eps)
     overlap, denom = _dice_sums(pred, target, eps)
     batch, channels = pred.shape[:2]
     safe = np.where(denom > 0.0, denom, 1.0)

@@ -9,6 +9,11 @@ volume boundary through non-core voxels, are relabeled (default to NCR).
 Edema voxels inside such cavities are left alone, so voxels outside the
 core other than true background are never rewritten.
 
+Both rules run on one labeller, _label, applied to a bounding box: the
+ET components of the ET box, and the components of the core's
+complement within the core box, where a cavity is a component that
+touches no face of the box.
+
 Foreground components use 26-adjacency and cavities 6-adjacency by
 default, the complementary pairing that keeps foreground/background
 topology consistent.
@@ -88,18 +93,22 @@ class ComponentLabeling:
         return len(self.component_sizes)
 
 
-def connected_components(mask: RegionMask, connectivity: int = 26) -> ComponentLabeling:
-    """Partition the mask's foreground into maximal connected components.
+def _label(mask: np.ndarray, connectivity: int) -> tuple[np.ndarray, np.ndarray]:
+    """Component ids of a bool mask and their sizes, the module's one labelling.
 
-    The ids are ndimage.label's own, which already run from 1 in raster
-    order of each component's first voxel.
+    ids are int32, 0 for background and from 1 in raster order of each
+    component's first voxel; sizes[i] counts id i, sizes[0] the background.
     """
+    ids, count = ndimage.label(mask, structure=_STRUCTURES[connectivity], output=np.int32)
+    return ids, np.bincount(ids.ravel(), minlength=count + 1)
+
+
+def connected_components(mask: RegionMask, connectivity: int = 26) -> ComponentLabeling:
+    """Partition the mask's foreground into maximal connected components."""
     if connectivity not in CONNECTIVITIES:
         raise ValueError(f"connectivity must be one of {_CONNECTIVITY_TEXT}, got {connectivity}")
-    structure = _STRUCTURES[connectivity]
-    ids, count = ndimage.label(mask.data, structure=structure, output=np.int32)
-    sizes = np.bincount(ids.ravel(), minlength=count + 1)
-    return ComponentLabeling(ids, {i: int(sizes[i]) for i in range(1, count + 1)}, connectivity)
+    ids, sizes = _label(mask.data, connectivity)
+    return ComponentLabeling(ids, {i: int(n) for i, n in enumerate(sizes[1:], 1)}, connectivity)
 
 
 def filter_small_et(labels: LabelVolume, config: PostprocessConfig = PostprocessConfig()) -> LabelVolume:
@@ -113,10 +122,9 @@ def filter_small_et(labels: LabelVolume, config: PostprocessConfig = Postprocess
     components = removed = voxels = 0
     out = labels
     for box in ndimage.find_objects(et.view(np.uint8)):  # one box, none if et is empty
-        ids, components = ndimage.label(
-            et[box], structure=_STRUCTURES[config.foreground_connectivity]
-        )
-        small = np.bincount(ids.ravel()) <= config.et_min_volume
+        ids, sizes = _label(et[box], config.foreground_connectivity)
+        components = len(sizes) - 1
+        small = sizes <= config.et_min_volume
         small[0] = False
         removed = int(np.count_nonzero(small))
         if removed:
@@ -141,18 +149,23 @@ def find_tc_hole_voxels(
     hole_connectivity) that touches no face of the volume. Only label-0
     voxels inside cavities are reported; enclosed edema stays edema.
 
-    The search covers only the core's bounding box, which is exact: every
-    voxel outside the box reaches a volume face in a straight line of
-    non-core voxels, and every voxel on the box's border has a face
-    neighbor outside it.
+    The complement is labelled on the core's bounding box only, and a
+    component is a cavity iff it touches no face of the box. This is
+    exact: every voxel outside the box reaches a volume face in a
+    straight line of non-core voxels, every voxel on the box's border
+    has a face neighbor outside it or lies on a volume face, and a
+    component that touches no box face has no neighbor outside the box.
     """
     tc = extract_region(labels, Region.TC).data
     holes = np.zeros(labels.dims, dtype=bool)
     for box in ndimage.find_objects(tc.view(np.uint8)):  # one box, none if tc is empty
-        structure = _STRUCTURES[config.hole_connectivity]
-        filled = ndimage.binary_fill_holes(tc[box], structure=structure)
-        # core voxels are labels 1 and 3, so this keeps only background cavities
-        holes[box] = filled & (labels.data[box] == LABEL_BACKGROUND)
+        ids, sizes = _label(~tc[box], config.hole_connectivity)
+        enclosed = np.ones(len(sizes), dtype=bool)
+        enclosed[0] = False  # the core itself
+        for axis in range(3):
+            enclosed[np.take(ids, [0, -1], axis=axis)] = False
+        # the complement holds labels 0 and 2, so this keeps only background cavities
+        holes[box] = enclosed[ids] & (labels.data[box] == LABEL_BACKGROUND)
     return holes
 
 

@@ -30,8 +30,8 @@ class NormalizationPolicy:
     epsilon: float = 1e-8  # minimum admissible standard deviation
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if not 0.0 < self.epsilon < np.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
 
 
 @dataclass(frozen=True)
@@ -48,8 +48,10 @@ class RescaleSpec:
             raise ValueError(
                 f"need 0 <= lo < hi <= 100, got ({self.lo_percentile}, {self.hi_percentile})"
             )
-        if not self.out_min < self.out_max:
-            raise ValueError(f"need out_min < out_max, got ({self.out_min}, {self.out_max})")
+        if not -np.inf < self.out_min < self.out_max < np.inf:
+            raise ValueError(
+                f"need finite out_min < out_max, got ({self.out_min}, {self.out_max})"
+            )
 
 
 def _included_mask(

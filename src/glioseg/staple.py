@@ -84,8 +84,8 @@ class StapleConfig:
                 raise ValueError(f"prior must be 'auto' or a real in (0,1), got {self.prior!r}")
         elif not 0.0 < self.prior < 1.0:
             raise ValueError(f"prior must lie in (0,1), got {self.prior}")
-        if not self.tolerance > 0:
-            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
+        if not 0.0 < self.tolerance < np.inf:
+            raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
         if isinstance(self.max_iterations, bool) or not isinstance(self.max_iterations, Integral):
             raise TypeError(f"max_iterations must be an integer, got {self.max_iterations!r}")
         if self.max_iterations < 1:

@@ -404,6 +404,9 @@ def test_layer_spec_validation_errors():
         LayerSpec("activation", activation="tanh", in_channels=1, out_channels=1)
     with pytest.raises(ValueError, match="stride"):
         LayerSpec("downsample", kernel=2, stride=3, in_channels=1, out_channels=1)
+    for epsilon in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="epsilon"):
+            LayerSpec("normalization", in_channels=1, out_channels=1, epsilon=epsilon)
 
 
 def test_require_tensor5_rejects_bad_shapes():
@@ -716,6 +719,12 @@ def test_dice_loss_input_validation():
         soft_dice_loss(good, good + 0.5)
     with pytest.raises(ValueError, match="eps"):
         soft_dice_loss(good, good, eps=-1.0)
+    # eps=nan would score a half-right prediction as perfect; eps=inf gives nan
+    half = np.full(good.shape, 0.5)
+    for eps in (np.nan, np.inf):
+        for loss in (soft_dice_loss, soft_dice_grad):
+            with pytest.raises(ValueError, match="eps"):
+                loss(half, good + 1.0, eps=eps)
 
 
 def test_dice_grad_matches_finite_differences():
@@ -788,6 +797,11 @@ def test_training_schedule_validation():
         TrainingSchedule(eta_min=-1e-9)
     with pytest.raises(ValueError, match="initial_lr"):
         TrainingSchedule(initial_lr=1e-9, eta_min=1e-6)
+    for value in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="initial_lr"):
+            TrainingSchedule(initial_lr=value)
+        with pytest.raises(ValueError, match="weight_decay"):
+            TrainingSchedule(weight_decay=value)
     with pytest.raises(ValueError, match="epochs"):
         TrainingSchedule(epochs=0)
     with pytest.raises(ValueError, match="batch_size"):

@@ -251,10 +251,13 @@ def hole_oracle(data, connectivity):
 
 def test_hole_voxels_match_flood_fill_oracle():
     # porous cores in a larger grid, so the core's box is a crop; the box
-    # holds a grid corner, the opposite corner or neither, by turns
+    # holds a grid corner, the opposite corner or neither, by turns. Then
+    # boxes 1, 2 and 3 voxels thick on one axis, whose two face planes
+    # coincide or touch, and boxes that fill the grid, whose every face
+    # is a grid face
     rng = np.random.default_rng(203)
     dims = np.array((14, 12, 10))
-    filled = {6: 0, 18: 0, 26: 0}
+    cases = []
     for trial in range(24):
         size = rng.integers(4, 9, size=3)
         lo = (np.zeros(3, int), dims - size, rng.integers(0, dims - size + 1))[trial % 3]
@@ -265,11 +268,34 @@ def test_hole_voxels_match_flood_fill_oracle():
         corner = lo + rng.integers(0, size - 3)
         data[tuple(slice(c, c + 4) for c in corner)] = 1
         data[tuple(slice(c + 1, c + 3) for c in corner)] = rng.choice([0, 2], size=(2, 2, 2))
+        cases.append(data)
+    for thickness in (1, 2, 3):
+        for axis in range(3):
+            size = np.where(np.arange(3) == axis, thickness, rng.integers(4, 9, size=3))
+            lo = rng.integers(0, dims - size + 1)
+            data = np.zeros(tuple(dims), dtype=np.uint8)
+            box = tuple(slice(l, l + n) for l, n in zip(lo, size))
+            data[box] = rng.choice([0, 1, 2, 3], p=[0.15, 0.6, 0.1, 0.15], size=tuple(size))
+            data[tuple(lo)] = data[tuple(lo + size - 1)] = 1  # the box is exactly `box`
+            # a voxel on the middle plane, walled in if the box is 3 thick
+            middle = lo + size // 2
+            data[tuple(slice(max(m - 1, l), min(m + 2, l + n)) for m, l, n in zip(middle, lo, size))] = 1
+            data[tuple(middle)] = 0
+            cases.append(data)
+    for _ in range(3):
+        data = rng.choice([0, 1, 2, 3], p=[0.2, 0.45, 0.1, 0.25], size=tuple(dims)).astype(np.uint8)
+        data[0, 0, 0] = data[-1, -1, -1] = 1
+        corner = rng.integers(0, dims - 3)
+        data[tuple(slice(c, c + 4) for c in corner)] = 1
+        data[tuple(slice(c + 1, c + 3) for c in corner)] = 0
+        cases.append(data)
+    filled = {6: 0, 18: 0, 26: 0}
+    for trial, data in enumerate(cases):
         lab = labels_of(data)
         for conn in (6, 18, 26):
             got = find_tc_hole_voxels(lab, PostprocessConfig(hole_connectivity=conn))
             want = hole_oracle(data, conn)
-            assert np.array_equal(got, want), f"trial {trial} conn {conn}"
+            assert np.array_equal(got, want), f"case {trial} conn {conn}"
             filled[conn] += int(want.sum())
     assert all(filled.values()), filled
 

@@ -114,6 +114,9 @@ def test_epsilon_must_be_positive():
         NormalizationPolicy(epsilon=0.0)
     with pytest.raises(ValueError):
         NormalizationPolicy(epsilon=-1e-9)
+    for value in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="epsilon"):
+            NormalizationPolicy(epsilon=value)
 
 
 def test_rescale_ramp_percentiles():
@@ -193,6 +196,9 @@ def test_rescale_spec_validation():
         RescaleSpec(hi_percentile=101.0)
     with pytest.raises(ValueError):
         RescaleSpec(out_min=1.0, out_max=1.0)
+    for bounds in ({"out_max": np.inf}, {"out_min": -np.inf}, {"out_max": np.nan}):
+        with pytest.raises(ValueError, match="finite"):
+            RescaleSpec(**bounds)
 
 
 def test_preprocess_volume_composes_both_steps():

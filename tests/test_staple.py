@@ -517,8 +517,9 @@ def test_config_validation():
         StapleConfig(prior=0.0)
     with pytest.raises(ValueError):
         StapleConfig(prior="mean")
-    with pytest.raises(ValueError):
-        StapleConfig(tolerance=0.0)
+    for tolerance in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="tolerance"):
+            StapleConfig(tolerance=tolerance)
     with pytest.raises(ValueError):
         StapleConfig(max_iterations=0)
     with pytest.raises(ValueError):
