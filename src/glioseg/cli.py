@@ -79,8 +79,9 @@ def _staged(targets, directory: Path):
 def _cases_by_suffix(directory: Path, suffix: str) -> dict[str, Path]:
     cases = {}
     for entry in sorted(directory.iterdir()):
-        if entry.is_file() and entry.name.endswith(suffix) and len(entry.name) > len(suffix):
-            cases[entry.name[: -len(suffix)]] = entry
+        name = entry.name  # a hidden name, such as a leftover staging temp, is no case
+        if entry.is_file() and not name.startswith(".") and name.endswith(suffix) and name != suffix:
+            cases[name[: -len(suffix)]] = entry
     return cases
 
 
@@ -131,7 +132,7 @@ def cmd_normalize(config: PipelineConfig, input_dir, output_dir) -> int:
     input_dir, output_dir = Path(input_dir), Path(output_dir)
     if not _require_directory(input_dir, "input"):
         return EXIT_USAGE
-    cases = sorted(p.name for p in input_dir.iterdir() if p.is_dir())
+    cases = sorted(p.name for p in input_dir.iterdir() if p.is_dir() and not p.name.startswith("."))
     if not cases:
         logger.warning("no case directories under %s", input_dir)
         return EXIT_OK

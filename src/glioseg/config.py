@@ -1,8 +1,10 @@
 """Pipeline configuration: one JSON document, overridable by CLI flags.
 
 The file is a flat object of optional sections; anything omitted keeps
-its default. Section names mirror the dataclasses they configure, each
-section value must fit its field's annotation (see _fits), and
+its default. Section names mirror the dataclasses they configure. Each
+settings class checks its own field types (volume.check_field_types) and
+ranges however it is built; the loader only refuses unknown keys and
+non-object sections, and turns every refusal into a ConfigError.
 FLAG_FIELDS names the field each CLI flag overrides:
 
     {
@@ -24,7 +26,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -32,6 +33,7 @@ from glioseg.metrics import MetricConfig
 from glioseg.postprocess import PostprocessConfig
 from glioseg.preprocess import NormalizationPolicy, RescaleSpec
 from glioseg.staple import FUSION_METHODS, StapleConfig
+from glioseg.volume import check_field_types
 
 MODALITIES = ("t1", "t1gd", "t2", "flair")
 
@@ -66,7 +68,7 @@ FLAG_FIELDS = {
 class PipelineConfig:
     modality_suffixes: dict = field(default_factory=lambda: dict(DEFAULT_MODALITY_SUFFIXES))
     label_suffix: str = DEFAULT_LABEL_SUFFIX
-    prediction_dirs: tuple = ()
+    prediction_dirs: tuple | list = ()
     output_dir: str = ""
     fusion_method: str = "staple"
     parallel_cases: int = 1  # declared before the sections: the snapshot keeps this order
@@ -77,8 +79,7 @@ class PipelineConfig:
     metrics: MetricConfig = field(default_factory=MetricConfig)
 
     def __post_init__(self):
-        if not isinstance(self.modality_suffixes, dict):
-            raise ConfigError("modality_suffixes must be an object")
+        check_field_types(self, ConfigError)
         if set(self.modality_suffixes) != set(MODALITIES):
             raise ConfigError(
                 f"modality_suffixes must map exactly {sorted(MODALITIES)}, "
@@ -87,75 +88,43 @@ class PipelineConfig:
         for key, suffix in self.modality_suffixes.items():
             if not isinstance(suffix, str) or not suffix:
                 raise ConfigError(f"suffix for {key!r} must be a non-empty string")
-        if not isinstance(self.label_suffix, str) or not self.label_suffix:
+        if not self.label_suffix:
             raise ConfigError("label_suffix must be a non-empty string")
-        dirs = self.prediction_dirs
-        if not isinstance(dirs, (list, tuple)) or not all(isinstance(d, str) for d in dirs):
+        if not all(isinstance(d, str) for d in self.prediction_dirs):
             raise ConfigError("prediction_dirs must be a list of strings")
-        object.__setattr__(self, "prediction_dirs", tuple(dirs))
-        if not isinstance(self.output_dir, str):
-            raise ConfigError("output_dir must be a string")
+        object.__setattr__(self, "prediction_dirs", tuple(self.prediction_dirs))
         if self.fusion_method not in FUSION_METHODS:
             raise ConfigError(
                 f"fusion_method must be one of {FUSION_METHODS}, got {self.fusion_method!r}"
             )
-        if type(self.parallel_cases) is not int or self.parallel_cases < 1:
+        if self.parallel_cases < 1:
             raise ConfigError(f"parallel_cases must be at least 1, got {self.parallel_cases!r}")
 
 
-_SECTIONS = {
-    f.name: f.default_factory
-    for f in dataclasses.fields(PipelineConfig)
-    if dataclasses.is_dataclass(f.default_factory)
-}
-
-
-def _fits(value, types: tuple) -> bool:
-    """bool takes only a bool, int a non-bool int, float a non-bool int or float.
-
-    Ranges, finiteness included, are the section dataclasses' own checks.
-    """
-    if isinstance(value, bool):
-        return bool in types
-    if isinstance(value, int) and int in types:
-        return True
-    if isinstance(value, (int, float)):
-        return float in types
-    return isinstance(value, types)
-
-
-def _build_section(cls, payload, name):
+def _build(cls, payload, where: str):
+    """``cls`` from a JSON object with no unknown keys, each section from its own object."""
     if not isinstance(payload, dict):
-        raise ConfigError(f"section {name!r} must be an object, got {type(payload).__name__}")
-    hints = typing.get_type_hints(cls)
-    unknown = set(payload) - set(hints)
+        raise ConfigError(f"{where} must be a JSON object, got {type(payload).__name__}")
+    factories = {f.name: f.default_factory for f in dataclasses.fields(cls)}
+    unknown = set(payload) - set(factories)
     if unknown:
-        raise ConfigError(f"unknown keys in section {name!r}: {sorted(unknown)}")
+        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+    kwargs = dict(payload)
     for key, value in payload.items():
-        types = typing.get_args(hints[key]) or (hints[key],)
-        if not _fits(value, types):
-            expected = " or ".join(t.__name__ for t in types)
-            raise ConfigError(f"{name}.{key} must be {expected}, got {value!r}")
+        if dataclasses.is_dataclass(factories[key]):
+            kwargs[key] = _build(factories[key], value, f"section {key!r}")
     try:
-        return cls(**payload)
+        return cls(**kwargs)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid section {name!r}: {exc}") from exc
+        raise ConfigError(f"invalid {where}: {exc}") from exc
 
 
 def config_from_dict(payload: dict) -> PipelineConfig:
-    if not isinstance(payload, dict):
-        raise ConfigError("configuration root must be a JSON object")
-    known = {f.name for f in dataclasses.fields(PipelineConfig)}
-    unknown = set(payload) - known
-    if unknown:
-        raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
-    kwargs = dict(payload)
-    if isinstance(kwargs.get("modality_suffixes"), dict):
-        kwargs["modality_suffixes"] = {**DEFAULT_MODALITY_SUFFIXES, **kwargs["modality_suffixes"]}
-    for name, cls in _SECTIONS.items():
-        if name in kwargs:
-            kwargs[name] = _build_section(cls, kwargs[name], name)
-    return PipelineConfig(**kwargs)
+    """Build the settings from a parsed config file; modality_suffixes merges with the defaults."""
+    if isinstance(payload, dict) and isinstance(payload.get("modality_suffixes"), dict):
+        suffixes = {**DEFAULT_MODALITY_SUFFIXES, **payload["modality_suffixes"]}
+        payload = {**payload, "modality_suffixes": suffixes}
+    return _build(PipelineConfig, payload, "configuration")
 
 
 def load_config(path: str | Path | None) -> PipelineConfig:

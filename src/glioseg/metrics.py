@@ -35,6 +35,7 @@ from glioseg.volume import (
     Region,
     RegionMask,
     _validate_grid,
+    check_field_types,
     extract_region,
     require_same_grid,
 )
@@ -49,6 +50,7 @@ class MetricConfig:
     empty_empty_hd95: float = 0.0
 
     def __post_init__(self):
+        check_field_types(self)
         if not 0.0 < self.empty_pred_penalty_mm < np.inf:
             raise ValueError(
                 "empty_pred_penalty_mm must be positive and finite, "

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from glioseg.netkit.layers import require_tensor5
+from glioseg.volume import check_field_types
 
 DEFAULT_INITIAL_LR = 6e-5
 DEFAULT_WEIGHT_DECAY = 1e-5
@@ -29,6 +30,7 @@ class TrainingSchedule:
     eta_min: float = 0.0
 
     def __post_init__(self):
+        check_field_types(self)
         if not self.eta_min >= 0.0:
             raise ValueError(f"eta_min must be non-negative, got {self.eta_min}")
         if not self.eta_min < self.initial_lr < np.inf:

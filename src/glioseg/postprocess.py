@@ -34,6 +34,7 @@ from glioseg.volume import (
     LabelVolume,
     Region,
     RegionMask,
+    check_field_types,
     extract_region,
 )
 
@@ -55,6 +56,7 @@ class PostprocessConfig:
     fill_holes: bool = True  # False: detect only, leave labels untouched
 
     def __post_init__(self):
+        check_field_types(self)
         if self.et_min_volume < 0:
             raise ValueError(f"et_min_volume must be >= 0, got {self.et_min_volume}")
         for name in ("foreground_connectivity", "hole_connectivity"):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from glioseg.volume import ScalarVolume
+from glioseg.volume import ScalarVolume, check_field_types
 
 
 @dataclass(frozen=True)
@@ -30,6 +30,7 @@ class NormalizationPolicy:
     epsilon: float = 1e-8  # minimum admissible standard deviation
 
     def __post_init__(self):
+        check_field_types(self)
         if not 0.0 < self.epsilon < np.inf:
             raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
 
@@ -44,6 +45,7 @@ class RescaleSpec:
     out_max: float = 1.0
 
     def __post_init__(self):
+        check_field_types(self)
         if not 0.0 <= self.lo_percentile < self.hi_percentile <= 100.0:
             raise ValueError(
                 f"need 0 <= lo < hi <= 100, got ({self.lo_percentile}, {self.hi_percentile})"

@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
@@ -57,6 +56,7 @@ from glioseg.volume import (
     LabelVolume,
     Region,
     RegionMask,
+    check_field_types,
     extract_region,
     reconstruct_labels,
     require_same_grid,
@@ -79,6 +79,7 @@ class StapleConfig:
     initial_specificity: float = 0.99999
 
     def __post_init__(self):
+        check_field_types(self)
         if isinstance(self.prior, str):
             if self.prior != "auto":
                 raise ValueError(f"prior must be 'auto' or a real in (0,1), got {self.prior!r}")
@@ -86,8 +87,6 @@ class StapleConfig:
             raise ValueError(f"prior must lie in (0,1), got {self.prior}")
         if not 0.0 < self.tolerance < np.inf:
             raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
-        if isinstance(self.max_iterations, bool) or not isinstance(self.max_iterations, Integral):
-            raise TypeError(f"max_iterations must be an integer, got {self.max_iterations!r}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if not 0.0 < self.decision_threshold < 1.0:
@@ -149,9 +148,7 @@ class RaterDecisions:
         return int(self.counts.sum())
 
     @classmethod
-    def from_masks(
-        cls, masks: list[RegionMask], counts: np.ndarray | None = None
-    ) -> "RaterDecisions":
+    def from_masks(cls, masks: list[RegionMask]) -> "RaterDecisions":
         if not masks:
             raise ValueError("need at least one rater mask")
         first = masks[0]
@@ -162,7 +159,7 @@ class RaterDecisions:
                     f"rater masks mix regions {first.region} and {other.region}"
                 )
         rows = np.stack([m.data.ravel() for m in masks])
-        return cls(rows, first.dims, first.spacing, first.region, counts)
+        return cls(rows, first.dims, first.spacing, first.region)
 
     def to_mask(self, flat_foreground: np.ndarray) -> RegionMask:
         data = np.asarray(flat_foreground, dtype=bool).reshape(self.dims)
@@ -335,10 +332,11 @@ def fuse_labels(
 ) -> LabelVolume:
     """Fuse label maps region by region into one consensus label map.
 
-    The members are folded once into their T distinct label tuples. Each
-    region is fused on the (T, 1, 1) tables of those tuples, weighted by
-    their voxel counts, and the output is one gather of the fused labels
-    of the T tuples, on the grid and orientation of the first member.
+    The members are folded once into their T distinct label tuples, a
+    J x T table. Each region's votes are one extraction from that table,
+    fused on a (T, 1, 1) grid weighted by the tuples' voxel counts, and
+    the output is one gather of the fused labels of the T tuples, on the
+    grid and orientation of the first member.
     """
     if not predictions:
         raise ValueError("need at least one prediction to fuse")
@@ -348,12 +346,11 @@ def fuse_labels(
     for other in predictions[1:]:
         require_same_grid(first, other, "predictions")
     tuples, counts, ids = _distinct_columns([p.data.ravel() for p in predictions], 4)
-    tables = [LabelVolume.from_array(row[:, None, None], first.spacing) for row in tuples]
+    table = LabelVolume.from_array(tuples[:, :, None], first.spacing)
     fused = {}
     for region in Region:
-        decisions = RaterDecisions.from_masks(
-            [extract_region(t, region) for t in tables], counts
-        )
+        votes = extract_region(table, region).data[:, :, 0]
+        decisions = RaterDecisions(votes, (len(counts), 1, 1), first.spacing, region, counts)
         if method == "majority":
             fused[region] = majority_vote(decisions)
         else:

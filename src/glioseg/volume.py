@@ -14,8 +14,10 @@ All types are immutable values and all operations are pure.
 
 from __future__ import annotations
 
+import typing
 from dataclasses import dataclass, field
 from enum import Enum
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -62,6 +64,24 @@ def _validate_grid(dims, spacing):
     if len(spacing) != 3 or any(not np.isfinite(s) or s <= 0 for s in spacing):
         raise ValueError(f"spacing must be 3 positive finite reals, got {spacing}")
     return dims, spacing
+
+
+def check_field_types(settings, error: type[Exception] = TypeError) -> None:
+    """Raise ``error`` naming the first field of a settings dataclass that does not fit its type.
+
+    bool takes only a bool, int a non-bool integer (NumPy's included), float a
+    non-bool real, any other type its instances. Ranges are each class's own checks.
+    """
+    for name, hint in typing.get_type_hints(type(settings)).items():
+        types, value = typing.get_args(hint) or (hint,), getattr(settings, name)
+        if isinstance(value, bool):
+            fits = bool in types
+        elif isinstance(value, Real):
+            fits = float in types or (int in types and isinstance(value, Integral))
+        else:
+            fits = isinstance(value, types)
+        if not fits:
+            raise error(f"{name} must be {' or '.join(t.__name__ for t in types)}, got {value!r}")
 
 
 SPACING_TOL = 1e-6  # mm; spacings closer than this count as equal

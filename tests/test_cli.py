@@ -252,6 +252,22 @@ def test_postprocess_logs_cases_written_and_failed(tmp_path, caplog):
     assert "postprocess: 1 case(s) written, 1 failed" in caplog.text
 
 
+def test_hidden_names_such_as_a_leftover_staging_temp_are_no_case(tmp_path, caplog):
+    labels, _ = et_island_labels(50)
+    src = tmp_path / "pred"
+    src.mkdir()
+    write_label_volume(labels, src / f"case0{SEG}")
+    (src / f".tmp-4242-case1{SEG}").write_bytes(b"\x1f\x8b\x08\x00\x00\x00\x00")  # cut short
+    raw = tmp_path / "raw"
+    write_case_modalities(raw, "caseA", np.random.default_rng(545))
+    (raw / ".stale").mkdir()
+    with caplog.at_level("INFO", logger="glioseg"):
+        assert main(["postprocess", str(src), str(tmp_path / "clean")]) == 0
+        assert main(["normalize", str(raw), str(tmp_path / "norm")]) == 0
+    assert "postprocess: 1 case(s) written, 0 failed" in caplog.text
+    assert "normalize: 1 case(s) written, 0 failed" in caplog.text
+
+
 @pytest.mark.parametrize("parallel", ["1", "2"])
 def test_run_logs_one_stage_time_per_case(tmp_path, caplog, parallel):
     labels, _ = et_island_labels(50)
@@ -631,6 +647,12 @@ def test_config_round_trip_and_validation():
         PipelineConfig(label_suffix="")
     with pytest.raises(ConfigError, match="modality"):
         PipelineConfig(modality_suffixes={"t1": "-t1.nii.gz"})
+    with pytest.raises(ConfigError, match="staple"):
+        PipelineConfig(staple={"tolerance": 1e-3})
+    with pytest.raises(ConfigError, match="normalization"):
+        PipelineConfig(normalization=None)
+    with pytest.raises(ConfigError, match="tolerance"):
+        apply_overrides(config, staple_tol="1e-3")
 
 
 def test_readme_config_example_is_accepted():

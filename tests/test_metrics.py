@@ -539,6 +539,16 @@ def test_metric_config_rejects_conventions_no_score_can_hold(field, value):
         MetricConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("empty_empty_dice", True),
+    ("empty_empty_hd95", "0"),
+    ("empty_pred_penalty_mm", None),
+])
+def test_metric_config_takes_only_reals(field, value):
+    with pytest.raises(TypeError, match=field):
+        MetricConfig(**{field: value})
+
+
 def test_region_score_validation():
     with pytest.raises(ValueError):
         RegionScore(Region.ET, 1.5, 0.0)

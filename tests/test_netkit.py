@@ -806,3 +806,7 @@ def test_training_schedule_validation():
         TrainingSchedule(epochs=0)
     with pytest.raises(ValueError, match="batch_size"):
         TrainingSchedule(batch_size=0)
+    with pytest.raises(TypeError, match="epochs"):
+        TrainingSchedule(epochs=2.5)
+    with pytest.raises(TypeError, match="batch_size"):
+        TrainingSchedule(batch_size=True)

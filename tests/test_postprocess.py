@@ -380,5 +380,14 @@ def test_config_validation():
         PostprocessConfig(hole_connectivity=27)
     with pytest.raises(ValueError):
         PostprocessConfig(hole_fill_label=2)
+    for field, value in [
+        ("et_min_volume", float("nan")),
+        ("et_min_volume", 2.5),
+        ("foreground_connectivity", 26.0),
+        ("hole_fill_label", 1.0),
+        ("fill_holes", "no"),
+    ]:
+        with pytest.raises(TypeError, match=field):
+            PostprocessConfig(**{field: value})
     with pytest.raises(ValueError):
         connected_components(mask_of(np.zeros((2, 2, 2), dtype=bool)), 10)

@@ -117,6 +117,10 @@ def test_epsilon_must_be_positive():
     for value in (np.inf, np.nan):
         with pytest.raises(ValueError, match="epsilon"):
             NormalizationPolicy(epsilon=value)
+    with pytest.raises(TypeError, match="epsilon"):
+        NormalizationPolicy(epsilon="1e-8")
+    with pytest.raises(TypeError, match="include_background"):
+        NormalizationPolicy(include_background="false")
 
 
 def test_rescale_ramp_percentiles():
@@ -199,6 +203,9 @@ def test_rescale_spec_validation():
     for bounds in ({"out_max": np.inf}, {"out_min": -np.inf}, {"out_max": np.nan}):
         with pytest.raises(ValueError, match="finite"):
             RescaleSpec(**bounds)
+    with pytest.raises(TypeError, match="out_min"):
+        RescaleSpec(out_min=False)
+    assert RescaleSpec(out_max=np.int64(2)).out_max == 2
 
 
 def test_preprocess_volume_composes_both_steps():

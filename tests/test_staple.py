@@ -526,6 +526,16 @@ def test_config_validation():
         StapleConfig(decision_threshold=1.0)
     with pytest.raises(ValueError):
         StapleConfig(initial_sensitivity=1.0)
+    for field, value in [
+        ("tolerance", "1e-3"),
+        ("decision_threshold", None),
+        ("initial_sensitivity", True),
+        ("prior", True),
+        ("prior", ["auto"]),
+    ]:
+        with pytest.raises(TypeError, match=field):
+            StapleConfig(**{field: value})
+    assert StapleConfig(tolerance=1).tolerance == 1
 
 
 def test_max_iterations_must_be_an_integer():
