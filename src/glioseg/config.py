@@ -29,6 +29,8 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from glioseg.metrics import MetricConfig
 from glioseg.postprocess import PostprocessConfig
 from glioseg.preprocess import NormalizationPolicy, RescaleSpec
@@ -162,5 +164,15 @@ def apply_overrides(config: PipelineConfig, **overrides) -> PipelineConfig:
 
 
 def config_to_dict(config: PipelineConfig) -> dict:
-    """JSON-serializable snapshot of the effective configuration."""
-    return dataclasses.asdict(config)
+    """JSON-serializable snapshot of the effective configuration.
+
+    The settings types accept NumPy scalars; the snapshot holds them as the
+    Python numbers ``json`` can write.
+    """
+    return dataclasses.asdict(
+        config,
+        dict_factory=lambda items: {
+            name: value.item() if isinstance(value, np.generic) else value
+            for name, value in items
+        },
+    )

@@ -15,10 +15,10 @@ go through it.
 
 On disk the first voxel axis varies fastest; in memory volumes are
 C-ordered ``[i, j, k]`` arrays (see glioseg.volume), so read/write
-transposes between the two. Each read copies the voxels once into an
-array the volume owns: labels keep their stored integers (float-coded or
-scaled labels must be integral), intensities become float64. The value
-checks (label range, finiteness, a finite orientation) belong to
+transposes between the two. Each read copies the voxels once, a block
+of disk planes at a time, into an array the volume owns: labels keep
+their stored integers (float-coded or scaled labels must be integral),
+intensities become float64. The value checks (label range, finiteness, a finite orientation) belong to
 LabelVolume and ScalarVolume; the reader reports their failures as
 NiftiFormatError. Labels are written
 as uint8 and scalars as float32, with the orientation as the sform; a
@@ -75,6 +75,11 @@ _GZIP_LEVEL = {DT_UINT8: 9, DT_FLOAT32: 1}
 # voxel bytes cast, transposed and written (or compressed) per slab, so
 # neither a disk-order image nor the compressed stream is held whole
 _GZIP_SLICE = 2**20
+
+# disk planes transposed per block on read: a block of whole planes is one
+# contiguous run of the file, small enough to stay in cache while it is
+# scattered into the C-order array
+_READ_PLANES = 32
 
 # name -> (offset, struct format) of every header field read or written;
 # formats are given without the byte-order prefix.
@@ -215,7 +220,8 @@ def _read_voxels(path, dtype=None):
     """Header and voxels of one file, copied once into an owned C-order array.
 
     The values keep their stored dtype unless ``dtype`` is given; when
-    scl_slope/scl_inter apply they become float64.
+    scl_slope/scl_inter apply they become float64. The copy is the
+    transpose from disk order, filled _READ_PLANES disk planes at a time.
     """
     raw = _read_bytes(path)
     header = parse_header(raw)
@@ -240,11 +246,12 @@ def _read_voxels(path, dtype=None):
         inter = 0.0
     scaled = slope != 1.0 or inter != 0.0
     # Disk layout is first-axis-fastest; transpose into C-order [i, j, k].
-    data = np.array(
-        flat.reshape((nz, ny, nx)).transpose(2, 1, 0),
-        dtype=np.float64 if scaled else dtype,
-        order="C",
-    )
+    disk = flat.reshape((nz, ny, nx)).transpose(2, 1, 0)
+    if scaled:
+        dtype = np.float64
+    data = np.empty((nx, ny, nz), dtype=stored if dtype is None else dtype)
+    for k in range(0, nz, _READ_PLANES):
+        data[:, :, k:k + _READ_PLANES] = disk[:, :, k:k + _READ_PLANES]
     if scaled:
         data *= slope
         data += inter

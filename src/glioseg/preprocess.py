@@ -8,9 +8,12 @@ are excluded, since skull-stripped volumes are dominated by zero
 background. Excluded voxels do not enter the statistics and are written
 as 0 (z-score) or out_min (rescale) in the output.
 
-Each step allocates one grid-sized output and works on a copy of the
-included values in place; the input volume and a passed ``included`` mask
-are never modified.
+Every function writes one output grid and does its arithmetic on the
+included values: it gathers them once, works on that 1-D copy in place
+and scatters it into the output, whose excluded voxels already hold their
+fill value. Each formula lives in one value-level helper that all three
+functions share. The input volume and a passed ``included`` mask are
+never modified.
 """
 
 from __future__ import annotations
@@ -79,6 +82,43 @@ def _included_mask(
     return mask
 
 
+def _zscore_values(values: np.ndarray, policy: NormalizationPolicy) -> None:
+    """Z-score the included values in place with their own mean and std."""
+    if values.size < 2:
+        raise ValueError(f"need at least 2 included voxels, got {values.size}")
+    mean = float(values.mean())
+    std = float(values.std())
+    if std <= policy.epsilon:
+        raise ValueError(
+            f"intensity spread {std:.3g} is at or below epsilon {policy.epsilon:.3g}"
+        )
+    values -= mean
+    values /= std
+
+
+def _percentile_window(values: np.ndarray, spec: RescaleSpec) -> tuple[float, float]:
+    """P_lo and P_hi of the included values; the partial sort reorders ``values``."""
+    p_lo, p_hi = np.percentile(
+        values, [spec.lo_percentile, spec.hi_percentile], overwrite_input=True
+    )
+    if not p_lo < p_hi:
+        raise ValueError(
+            f"degenerate percentile window: P{spec.lo_percentile:g} == P{spec.hi_percentile:g}"
+            f" == {p_lo:.6g}"
+        )
+    return p_lo, p_hi
+
+
+def _rescale_values(values: np.ndarray, window: tuple[float, float], spec: RescaleSpec) -> None:
+    """Stretch the included values in place from the window onto [out_min, out_max]."""
+    p_lo, p_hi = window
+    values -= p_lo
+    values /= p_hi - p_lo
+    np.clip(values, 0.0, 1.0, out=values)
+    values *= spec.out_max - spec.out_min
+    values += spec.out_min
+
+
 def zscore_normalize(
     volume: ScalarVolume,
     policy: NormalizationPolicy = NormalizationPolicy(),
@@ -96,17 +136,8 @@ def zscore_normalize(
     raises ValueError.
     """
     mask = _included_mask(volume, policy, included)
-    values = volume.data[mask]  # a copy, free to be changed in place
-    if values.size < 2:
-        raise ValueError(f"need at least 2 included voxels, got {values.size}")
-    mean = float(values.mean())
-    std = float(values.std())
-    if std <= policy.epsilon:
-        raise ValueError(
-            f"intensity spread {std:.3g} is at or below epsilon {policy.epsilon:.3g}"
-        )
-    values -= mean
-    values /= std
+    values = volume.data[mask]
+    _zscore_values(values, policy)
     out = np.zeros(volume.dims, dtype=np.float64)
     out[mask] = values
     return volume.with_data(out)
@@ -131,24 +162,11 @@ def rescale_percentiles(
     raises ValueError.
     """
     mask = _included_mask(volume, policy, included)
+    window = _percentile_window(volume.data[mask], spec)
     values = volume.data[mask]
-    # values is this call's own copy: the partial sort may reorder it, and it
-    # is freed before the output is allocated
-    p_lo, p_hi = np.percentile(
-        values, [spec.lo_percentile, spec.hi_percentile], overwrite_input=True
-    )
-    del values
-    if not p_lo < p_hi:
-        raise ValueError(
-            f"degenerate percentile window: P{spec.lo_percentile:g} == P{spec.hi_percentile:g}"
-            f" == {p_lo:.6g}"
-        )
-    out = np.subtract(volume.data, p_lo)
-    out /= p_hi - p_lo
-    np.clip(out, 0.0, 1.0, out=out)
-    out *= spec.out_max - spec.out_min
-    out += spec.out_min
-    np.copyto(out, spec.out_min, where=~mask)
+    _rescale_values(values, window, spec)
+    out = np.full(volume.dims, spec.out_min, dtype=np.float64)
+    out[mask] = values
     return volume.with_data(out)
 
 
@@ -160,8 +178,19 @@ def preprocess_volume(
     """Full preprocessing for one modality: z-score, then percentile rescale.
 
     Both steps use the input's included set, built once, so a voxel at
-    exactly the mean (z-score 0) stays in the rescale window.
+    exactly the mean (z-score 0) stays in the rescale window. The output
+    is the only float64 grid: it parks the z-scores while the percentile
+    search consumes the included values, then takes the rescaled values
+    back.
     """
-    included = _included_mask(volume, policy)
-    normalized = zscore_normalize(volume, policy, included=included)
-    return rescale_percentiles(normalized, spec, policy, included=included)
+    mask = _included_mask(volume, policy)
+    values = volume.data[mask]
+    _zscore_values(values, policy)
+    out = np.full(volume.dims, spec.out_min, dtype=np.float64)
+    out[mask] = values
+    window = _percentile_window(values, spec)
+    del values
+    values = out[mask]
+    _rescale_values(values, window, spec)
+    out[mask] = values
+    return volume.with_data(out)

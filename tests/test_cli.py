@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import re
 import threading
@@ -24,8 +25,8 @@ from glioseg.config import (
 from glioseg.metrics import evaluate_case
 from glioseg.netkit import build_vnet, graph
 from glioseg.nifti import read_label_volume, read_scalar_volume, write_label_volume, write_scalar_volume
-from glioseg.preprocess import preprocess_volume
-from glioseg.staple import fuse_labels
+from glioseg.preprocess import RescaleSpec, preprocess_volume
+from glioseg.staple import StapleConfig, fuse_labels
 from glioseg.volume import LabelVolume, ScalarVolume
 
 MOD_SUFFIXES = ("-t1n.nii.gz", "-t1c.nii.gz", "-t2w.nii.gz", "-t2f.nii.gz")
@@ -454,6 +455,23 @@ def test_evaluate_report_schema(tmp_path):
         assert set(section["dice"]) == {"mean", "std", "median"}
     assert report["config"]["label_suffix"] == SEG
     assert report["config"]["postprocess"]["et_min_volume"] == 50
+
+
+def test_evaluate_report_holds_numpy_settings_as_plain_numbers(tmp_path):
+    # the settings types accept NumPy scalars; the report must still be JSON
+    rng = np.random.default_rng(534)
+    truth = seg_dir(tmp_path, "truth", {"caseA": random_labels(rng)})
+    report_path = tmp_path / "report.json"
+    config = dataclasses.replace(
+        PipelineConfig(),
+        staple=StapleConfig(max_iterations=np.int64(5)),
+        rescale=RescaleSpec(out_min=np.float32(0.0)),
+    )
+    assert cli.cmd_evaluate(config, truth, truth, report_path) == 0
+    snapshot = config_to_dict(config)
+    assert type(snapshot["staple"]["max_iterations"]) is int
+    assert type(snapshot["rescale"]["out_min"]) is float
+    assert json.loads(report_path.read_text())["config"] == json.loads(json.dumps(snapshot))
 
 
 # ---------------------------------------------------- config and parallel

@@ -538,6 +538,29 @@ def test_reads_of_line_shaped_grids_own_writable_data(tmp_path):
             assert np.array_equal(vol.data, labels)
 
 
+def test_blocked_read_transpose_equals_the_whole_image_transpose(tmp_path):
+    # 70 disk planes: two whole blocks of planes and a partial third
+    shape = (6, 5, 70)
+    assert shape[2] > nifti._READ_PLANES and shape[2] % nifti._READ_PLANES
+    rng = np.random.default_rng(17)
+    labels = rng.integers(0, 4, shape)
+    intensities = rng.integers(-3000, 3000, shape)
+    slope, inter = 0.5, -7.25
+    cases = [
+        (read_label_volume, build_nifti_bytes(labels, 2, 8), np.uint8, 1.0, 0.0),
+        (read_scalar_volume, build_nifti_bytes(intensities, 4, 16), np.float64, 1.0, 0.0),
+        (read_scalar_volume,
+         build_nifti_bytes(intensities, 4, 16, scl_slope=slope, scl_inter=inter),
+         np.float64, slope, inter),
+    ]
+    for read, blob, dtype, a, b in cases:
+        stored = np.frombuffer(blob, "<u1" if dtype == np.uint8 else "<i2", offset=352)
+        whole = np.array(stored.reshape(shape[::-1]).transpose(2, 1, 0), dtype, order="C")
+        vol = read(write_fixture(tmp_path, "deep.nii", blob))
+        assert vol.data.dtype == dtype and vol.data.flags.c_contiguous
+        assert np.array_equal(vol.data, whole * a + b)
+
+
 def test_scalar_rejects_non_finite_values(tmp_path):
     values = np.zeros((2, 2, 2), dtype=np.float32)
     values[1, 0, 1] = np.nan

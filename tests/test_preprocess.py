@@ -307,11 +307,23 @@ def test_steps_match_the_out_of_place_formulas_bit_for_bit():
             rescaled[~mask] = spec.out_min
             assert np.array_equal(preprocess_volume(vol(data), policy, spec).data, rescaled)
 
+        # rescale on its own, over a passed mask that is not the policy's set
+        mask = rng.random(data.shape) < 0.6
+        p_lo, p_hi = np.percentile(data[mask], [spec.lo_percentile, spec.hi_percentile])
+        unit = np.clip((data - p_lo) / (p_hi - p_lo), 0.0, 1.0)
+        rescaled = unit * (spec.out_max - spec.out_min) + spec.out_min
+        rescaled[~mask] = spec.out_min
+        for policy in (ALL, FG):
+            out = rescale_percentiles(vol(data), spec, policy, included=mask)
+            assert np.array_equal(out.data, rescaled)
+
 
 def test_preprocess_memory_is_one_output_per_step():
-    # 128x128x64 float64 is 8 MiB. Each step makes one grid-sized output, so
-    # the peak is the z-scored grid, the rescaled grid and two bool masks
-    # (2.25 grids); a step that builds out-of-place temporaries adds grids.
+    # 128x128x64 float64 is 8 MiB. preprocess_volume writes one output grid
+    # and does its arithmetic on the included values, so the peak is that
+    # grid, two bool masks and the included values (about 2.2 grids here,
+    # where 90 % of the voxels are included); a step that builds
+    # out-of-place temporaries or a second output grid adds grids.
     rng = np.random.default_rng(111)
     dims = (128, 128, 64)
     data = rng.uniform(100.0, 900.0, size=dims)
@@ -326,3 +338,27 @@ def test_preprocess_memory_is_one_output_per_step():
         tracemalloc.stop()
     assert out.dims == dims
     assert peak < 22 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_preprocess_volume_holds_one_grid_and_the_included_values():
+    # BraTS volumes are ~77 % background. The bound is the output grid, two
+    # bool grids (the included mask and the output's finiteness check) and
+    # two copies of the included values; a second float64 grid, such as a
+    # z-score grid beside the rescaled one, breaks it.
+    rng = np.random.default_rng(112)
+    dims = (128, 128, 64)
+    data = rng.uniform(100.0, 900.0, size=dims)
+    data[rng.random(dims) < 0.77] = 0.0
+    included = np.count_nonzero(data)
+    v = vol(data)
+    del data
+    preprocess_volume(vol(np.arange(1.0, 9.0).reshape(2, 2, 2)))  # lazy imports are not arrays
+    tracemalloc.start()
+    try:
+        out = preprocess_volume(v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    voxels = out.data.size
+    bound = 8 * voxels + 2 * voxels + 2 * 8 * included
+    assert peak < bound, f"peak {peak / 2**20:.1f} MiB, bound {bound / 2**20:.1f} MiB"
