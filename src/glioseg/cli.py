@@ -16,7 +16,7 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor, as_completed
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
 from time import perf_counter
@@ -92,32 +92,36 @@ def _run_cases(stage: str, cases, run_one, parallel: int) -> dict[str, str]:
     kept as its message: the exception's traceback would keep the failed
     case's volumes alive until the stage ends.
     """
+    failures: dict[str, str] = {}
 
-    def timed(case):
+    def attempt(case):
         started = perf_counter()
-        run_one(case)
+        try:
+            run_one(case)
+        except Exception as exc:  # noqa: BLE001 - case isolation contract
+            failures[case] = str(exc) or type(exc).__name__
+            return
         logger.info("case %s: %s in %d ms", case, stage, round(1000 * (perf_counter() - started)))
 
-    failures: dict[str, str] = {}
     if parallel <= 1 or len(cases) <= 1:
         # inline, not a one-worker pool: the pool raised benchmark peak RSS by 20-35 MiB
-        for case in cases:
-            try:
-                timed(case)
-            except Exception as exc:  # noqa: BLE001 - case isolation contract
-                failures[case] = str(exc) or type(exc).__name__
+        list(map(attempt, cases))
     else:
         with ThreadPoolExecutor(max_workers=parallel) as pool:
-            pending = {pool.submit(timed, case): case for case in cases}
-            for future in as_completed(pending):
-                case = pending.pop(future)
-                try:
-                    future.result()
-                except Exception as exc:  # noqa: BLE001
-                    failures[case] = str(exc) or type(exc).__name__
+            list(pool.map(attempt, cases))
     for case in sorted(failures):
         logger.error("case %s failed: %s", case, failures[case])
     return failures
+
+
+def _close_stage(stage: str, cases, failures, output_dir, skipped=None) -> int:
+    """Log a writing stage's closing line and return its exit code."""
+    skip = "" if skipped is None else f"{len(skipped)} skipped, "
+    logger.info(
+        "%s: %d case(s) written, %s%d failed -> %s",
+        stage, len(cases) - len(failures), skip, len(failures), output_dir,
+    )
+    return EXIT_CASE_FAILURE if failures else EXIT_OK
 
 
 def _require_directory(path: Path, what: str) -> bool:
@@ -155,11 +159,7 @@ def cmd_normalize(config: PipelineConfig, input_dir, output_dir) -> int:
                 )
 
     failures = _run_cases("normalize", cases, normalize_case, config.parallel_cases)
-    logger.info(
-        "normalize: %d case(s) written, %d failed -> %s",
-        len(cases) - len(failures), len(failures), output_dir,
-    )
-    return EXIT_CASE_FAILURE if failures else EXIT_OK
+    return _close_stage("normalize", cases, failures, output_dir)
 
 
 def cmd_fuse(config: PipelineConfig, strict: bool = False) -> int:
@@ -191,11 +191,7 @@ def cmd_fuse(config: PipelineConfig, strict: bool = False) -> int:
             write_label_volume(fused, tmp)
 
     failures = _run_cases("fuse", sorted(shared), fuse_case, config.parallel_cases)
-    logger.info(
-        "fuse: %d case(s) written, %d skipped, %d failed -> %s",
-        len(shared) - len(failures), len(skipped), len(failures), output_dir,
-    )
-    return EXIT_CASE_FAILURE if failures else EXIT_OK
+    return _close_stage("fuse", shared, failures, output_dir, skipped)
 
 
 def cmd_postprocess(config: PipelineConfig, input_dir, output_dir) -> int:
@@ -215,11 +211,7 @@ def cmd_postprocess(config: PipelineConfig, input_dir, output_dir) -> int:
             write_label_volume(cleaned, tmp)
 
     failures = _run_cases("postprocess", sorted(cases), postprocess_one, config.parallel_cases)
-    logger.info(
-        "postprocess: %d case(s) written, %d failed -> %s",
-        len(cases) - len(failures), len(failures), output_dir,
-    )
-    return EXIT_CASE_FAILURE if failures else EXIT_OK
+    return _close_stage("postprocess", cases, failures, output_dir)
 
 
 def _report_payload(reports, missing, failed, config) -> dict:

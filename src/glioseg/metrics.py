@@ -34,7 +34,6 @@ from glioseg.volume import (
     LabelVolume,
     Region,
     RegionMask,
-    _validate_grid,
     check_field_types,
     extract_region,
     require_same_grid,
@@ -169,17 +168,11 @@ def _directed_p95(from_surface: np.ndarray, to_surface: np.ndarray, spacing) -> 
     return float(np.percentile(_query_distances(from_surface, to_surface, spacing, box), 95.0))
 
 
-def hd95(
-    a: RegionMask,
-    b: RegionMask,
-    spacing=None,
-    config: MetricConfig = MetricConfig(),
-) -> float:
+def hd95(a: RegionMask, b: RegionMask, config: MetricConfig = MetricConfig()) -> float:
     """95th-percentile symmetric surface distance in millimeters.
 
-    spacing defaults to the masks' common grid spacing; passing it
-    explicitly overrides and must be three positive finite reals.
-    Empty-mask conventions come from config.
+    Distances use the masks' common grid spacing; empty-mask conventions
+    come from config.
 
     Surfaces and the feature transforms (each read only at the other
     mask's surface voxels) cover only the bounding box of a|b, which is
@@ -190,10 +183,6 @@ def hd95(
     grown by the largest distance found in it.
     """
     require_same_grid(a, b, "masks")
-    if spacing is None:
-        spacing = a.spacing
-    else:
-        _, spacing = _validate_grid(a.dims, spacing)
     a_empty = not a.data.any()
     b_empty = not b.data.any()
     if a_empty and b_empty:
@@ -203,7 +192,7 @@ def hd95(
     box = ndimage.find_objects((a.data | b.data).view(np.uint8))[0]
     surf_a = surface_mask(a.data[box])
     surf_b = surface_mask(b.data[box])
-    return max(_directed_p95(surf_a, surf_b, spacing), _directed_p95(surf_b, surf_a, spacing))
+    return max(_directed_p95(surf_a, surf_b, a.spacing), _directed_p95(surf_b, surf_a, a.spacing))
 
 
 def evaluate_case(

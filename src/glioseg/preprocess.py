@@ -12,8 +12,7 @@ Every function writes one output grid and does its arithmetic on the
 included values: it gathers them once, works on that 1-D copy in place
 and scatters it into the output, whose excluded voxels already hold their
 fill value. Each formula lives in one value-level helper that all three
-functions share. The input volume and a passed ``included`` mask are
-never modified.
+functions share. The input volume is never modified.
 """
 
 from __future__ import annotations
@@ -59,26 +58,13 @@ class RescaleSpec:
             )
 
 
-def _included_mask(
-    volume: ScalarVolume, policy: NormalizationPolicy, included: np.ndarray | None = None
-) -> np.ndarray:
-    """``included`` if given (a bool array shaped like the grid), else the policy's set.
-
-    An empty set raises ValueError naming its source: the passed mask or the volume.
-    """
-    if included is not None:
-        dtype, shape = getattr(included, "dtype", None), getattr(included, "shape", None)
-        if dtype != bool or shape != volume.dims:
-            raise ValueError(
-                f"included must be a bool array of shape {volume.dims}, got {dtype} {shape}"
-            )
-        mask, cause = included, "the included mask selects no voxel"
-    elif policy.include_background:
+def _included_mask(volume: ScalarVolume, policy: NormalizationPolicy) -> np.ndarray:
+    """The policy's included set; an empty one raises ValueError."""
+    if policy.include_background:
         return np.ones(volume.dims, dtype=bool)
-    else:
-        mask, cause = volume.data != 0.0, "volume is all background"
+    mask = volume.data != 0.0
     if not mask.any():
-        raise ValueError(f"no voxels in the included set; {cause}")
+        raise ValueError("no voxels in the included set; volume is all background")
     return mask
 
 
@@ -122,20 +108,14 @@ def _rescale_values(values: np.ndarray, window: tuple[float, float], spec: Resca
 def zscore_normalize(
     volume: ScalarVolume,
     policy: NormalizationPolicy = NormalizationPolicy(),
-    *,
-    included: np.ndarray | None = None,
 ) -> ScalarVolume:
     """Map included voxels to (x - mean) / std; excluded voxels become 0.
 
     Mean and standard deviation are the population form (divisor N) over
     the included set. Raises ValueError when the included set is smaller
     than two voxels or its spread is at or below policy.epsilon.
-
-    ``included`` is a bool mask over the grid that replaces the set the
-    policy would derive from ``volume`` itself; any other dtype or shape
-    raises ValueError.
     """
-    mask = _included_mask(volume, policy, included)
+    mask = _included_mask(volume, policy)
     values = volume.data[mask]
     _zscore_values(values, policy)
     out = np.zeros(volume.dims, dtype=np.float64)
@@ -147,8 +127,6 @@ def rescale_percentiles(
     volume: ScalarVolume,
     spec: RescaleSpec = RescaleSpec(),
     policy: NormalizationPolicy = NormalizationPolicy(),
-    *,
-    included: np.ndarray | None = None,
 ) -> ScalarVolume:
     """Stretch the lo..hi percentile window onto [out_min, out_max].
 
@@ -156,12 +134,8 @@ def rescale_percentiles(
     included set. Values outside the window clamp to the range ends;
     excluded voxels become out_min. Raises ValueError when the window is
     degenerate (P_lo == P_hi).
-
-    ``included`` is a bool mask over the grid that replaces the set the
-    policy would derive from ``volume`` itself; any other dtype or shape
-    raises ValueError.
     """
-    mask = _included_mask(volume, policy, included)
+    mask = _included_mask(volume, policy)
     window = _percentile_window(volume.data[mask], spec)
     values = volume.data[mask]
     _rescale_values(values, window, spec)

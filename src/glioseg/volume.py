@@ -158,15 +158,12 @@ class LabelVolume(_GridVolume):
 
     def _checked_data(self, data):
         data = np.ascontiguousarray(data)
-        if data.dtype != np.uint8:
-            if not np.all(np.isin(data, VALID_LABELS)):
-                bad = np.unique(data[~np.isin(data, VALID_LABELS)])
-                raise ValueError(f"labels outside {{0,1,2,3}}: {bad[:8]}")
-            data = data.astype(np.uint8)
-        elif data.max(initial=0) > LABEL_ET:
-            bad = np.unique(data[data > LABEL_ET])
-            raise ValueError(f"labels outside {{0,1,2,3}}: {bad[:8]}")
-        return data
+        if data.dtype == np.uint8 and data.max(initial=0) <= LABEL_ET:
+            return data
+        outside = ~np.isin(data, VALID_LABELS)
+        if outside.any():
+            raise ValueError(f"labels outside {{0,1,2,3}}: {np.unique(data[outside])[:8]}")
+        return data.astype(np.uint8)
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,17 +195,12 @@ def extract_region(labels: LabelVolume, region: Region) -> RegionMask:
     return RegionMask(region, labels.dims, labels.spacing, mask)
 
 
-def reconstruct_labels(
-    et: RegionMask,
-    tc: RegionMask,
-    wt: RegionMask,
-    orientation: np.ndarray | None = None,
-) -> LabelVolume:
+def reconstruct_labels(et: RegionMask, tc: RegionMask, wt: RegionMask) -> LabelVolume:
     """Rebuild a label volume from per-region masks.
 
     Nesting is enforced first (ET within TC within WT) by intersection, so
-    independently fused masks never produce an invalid labeling. The output
-    uses ``orientation`` when given, else a spacing-scaled identity affine.
+    independently fused masks never produce an invalid labeling. Masks carry
+    no orientation, so the output gets a spacing-scaled identity affine.
     """
     require_same_grid(et, tc, "region masks")
     require_same_grid(et, wt, "region masks")
@@ -218,6 +210,4 @@ def reconstruct_labels(
     out[wt.data] = LABEL_ED
     out[tc_n] = LABEL_NCR
     out[et_n] = LABEL_ET
-    if orientation is None:
-        orientation = default_orientation(wt.spacing)
-    return LabelVolume(wt.dims, wt.spacing, orientation, out)
+    return LabelVolume(wt.dims, wt.spacing, default_orientation(wt.spacing), out)

@@ -248,9 +248,16 @@ def test_postprocess_logs_cases_written_and_failed(tmp_path, caplog):
     src.mkdir()
     write_label_volume(labels, src / f"caseA{SEG}")
     (src / f"caseB{SEG}").write_bytes(b"\x1f\x8b\x08\x00\x00\x00\x00")  # truncated gzip
-    with caplog.at_level("INFO", logger="glioseg"):
-        assert main(["postprocess", str(src), str(tmp_path / "clean")]) == 1
-    assert "postprocess: 1 case(s) written, 1 failed" in caplog.text
+    # the inline loop and the thread pool keep the same accounting
+    for parallel in ("1", "2"):
+        caplog.clear()
+        out = tmp_path / f"clean{parallel}"
+        with caplog.at_level("INFO", logger="glioseg"):
+            assert main(["postprocess", str(src), str(out), "--parallel", parallel]) == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1 and errors[0].startswith("case caseB failed: ")
+        assert "postprocess: 1 case(s) written, 1 failed" in caplog.text
+        assert [p.name for p in out.iterdir()] == [f"caseA{SEG}"]
 
 
 def test_hidden_names_such_as_a_leftover_staging_temp_are_no_case(tmp_path, caplog):

@@ -389,26 +389,6 @@ def test_specks_against_a_blob_transform_less_than_the_joint_box(edt_sizes):
     assert got == dense_edt_hd95(blob, specks, sp)
 
 
-def test_hd95_rejects_explicit_spacing_that_is_not_three_positive_finite_reals():
-    a = box((8, 8, 8), (1, 1, 1), (4, 4, 4))
-    b = box((8, 8, 8), (3, 4, 2), (7, 7, 6))
-    empty = mask_of(np.zeros((8, 8, 8), dtype=bool))
-    for bad in [
-        (np.nan, 1.0, 1.0),
-        (0.0, 1.0, 1.0),
-        (-1.0, 1.0, 1.0),
-        (1.0, 1.0, np.inf),
-        (1.0, 1.0),
-        (1.0, 1.0, 1.0, 1.0),
-        2.0,
-    ]:
-        for x, y in [(a, b), (empty, b), (empty, empty)]:
-            with pytest.raises(ValueError, match="spacing"):
-                hd95(x, y, spacing=bad)
-    assert hd95(a, b, spacing=(1, 1, 1)) == hd95(a, b)
-    assert hd95(a, b, spacing=[2.0, 2.0, 2.0]) == 2.0 * hd95(a, b)
-
-
 def labels_of(data, spacing=(1.0, 1.0, 1.0)):
     return LabelVolume.from_array(np.asarray(data, dtype=np.uint8), spacing)
 

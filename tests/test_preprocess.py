@@ -39,20 +39,9 @@ def test_constant_volume_rejected():
 
 def test_all_background_rejected():
     v = vol(np.zeros((4, 4, 4)))
-    with pytest.raises(ValueError, match="included"):
-        zscore_normalize(v, FG)
-
-
-@pytest.mark.parametrize("step", [
-    lambda v, mask: zscore_normalize(v, FG, included=mask),
-    lambda v, mask: rescale_percentiles(v, RescaleSpec(), FG, included=mask),
-], ids=["zscore", "rescale"])
-def test_empty_included_mask_is_blamed_not_the_volume(step):
-    v = vol(np.arange(1.0, 61.0).reshape(3, 4, 5))  # no background at all
-    with pytest.raises(ValueError, match="included mask selects no voxel"):
-        step(v, np.zeros((3, 4, 5), dtype=bool))
-    with pytest.raises(ValueError, match="all background"):
-        preprocess_volume(vol(np.zeros((3, 4, 5))))
+    for step in (zscore_normalize, rescale_percentiles, preprocess_volume):
+        with pytest.raises(ValueError, match="included set; volume is all background"):
+            step(v)
 
 
 def test_single_included_voxel_rejected():
@@ -218,35 +207,6 @@ def test_preprocess_volume_composes_both_steps():
     assert combined.data.min() >= 0.0 and combined.data.max() <= 1.0
 
 
-def test_zscore_takes_statistics_over_the_given_mask():
-    rng = np.random.default_rng(108)
-    data = rng.normal(10.0, 3.0, size=(6, 5, 4))
-    data[rng.random(data.shape) < 0.3] = 0.0
-    mask = rng.random(data.shape) < 0.5
-    # the mask is not the policy's set: it takes some zeros, drops some brain
-    assert (mask & (data == 0.0)).any() and (~mask & (data != 0.0)).any()
-    out = zscore_normalize(vol(data), FG, included=mask)
-    mean, std = two_pass_mean_std(data[mask])
-    assert np.max(np.abs(out.data[mask] - (data[mask] - mean) / std)) < 1e-12
-    assert np.all(out.data[~mask] == 0.0)
-
-
-@pytest.mark.parametrize("step", [
-    lambda v, mask: zscore_normalize(v, FG, included=mask),
-    lambda v, mask: rescale_percentiles(v, RescaleSpec(), FG, included=mask),
-], ids=["zscore", "rescale"])
-def test_included_must_be_a_bool_mask_of_the_grid_shape(step):
-    # numpy reads a uint8 array as indices, not as a mask: it must be refused,
-    # not silently fancy-indexed
-    rng = np.random.default_rng(110)
-    v = vol(rng.uniform(1.0, 9.0, size=(3, 4, 5)))
-    mask = rng.random((3, 4, 5)) < 0.7
-    step(v, mask)
-    for bad in (mask.astype(np.uint8), mask.astype(np.int64), mask[:, :, :4], mask.tolist()):
-        with pytest.raises(ValueError, match="included must be a bool array"):
-            step(v, bad)
-
-
 def test_preprocess_keeps_brain_voxels_at_the_mean_in_the_window():
     # Brain values {1, 2, 3} in equal numbers: the 2s z-score to exactly 0
     # but are still brain, so they rescale to about 0.5, not to out_min.
@@ -268,22 +228,18 @@ def test_steps_leave_the_input_and_the_mask_unchanged():
     rng = np.random.default_rng(109)
     data = rng.normal(10.0, 3.0, size=(7, 6, 5))
     data[rng.random(data.shape) < 0.3] = 0.0
-    mask = rng.random(data.shape) < 0.6
     for policy in (ALL, FG):
         v = vol(data)
         steps = [
             lambda: zscore_normalize(v, policy),
-            lambda: zscore_normalize(v, policy, included=mask),
             lambda: rescale_percentiles(v, RescaleSpec(), policy),
-            lambda: rescale_percentiles(v, RescaleSpec(), policy, included=mask),
             lambda: preprocess_volume(v, policy),
         ]
         for step in steps:
-            before, mask_before = v.data.copy(), mask.copy()
+            before = v.data.copy()
             out = step()
             assert out.data is not v.data
             assert np.array_equal(v.data, before)
-            assert np.array_equal(mask, mask_before)
 
 
 def test_steps_match_the_out_of_place_formulas_bit_for_bit():
@@ -307,15 +263,12 @@ def test_steps_match_the_out_of_place_formulas_bit_for_bit():
             rescaled[~mask] = spec.out_min
             assert np.array_equal(preprocess_volume(vol(data), policy, spec).data, rescaled)
 
-        # rescale on its own, over a passed mask that is not the policy's set
-        mask = rng.random(data.shape) < 0.6
-        p_lo, p_hi = np.percentile(data[mask], [spec.lo_percentile, spec.hi_percentile])
-        unit = np.clip((data - p_lo) / (p_hi - p_lo), 0.0, 1.0)
-        rescaled = unit * (spec.out_max - spec.out_min) + spec.out_min
-        rescaled[~mask] = spec.out_min
-        for policy in (ALL, FG):
-            out = rescale_percentiles(vol(data), spec, policy, included=mask)
-            assert np.array_equal(out.data, rescaled)
+            # rescale on its own, over the raw values
+            p_lo, p_hi = np.percentile(data[mask], [spec.lo_percentile, spec.hi_percentile])
+            unit = np.clip((data - p_lo) / (p_hi - p_lo), 0.0, 1.0)
+            rescaled = unit * (spec.out_max - spec.out_min) + spec.out_min
+            rescaled[~mask] = spec.out_min
+            assert np.array_equal(rescale_percentiles(vol(data), spec, policy).data, rescaled)
 
 
 def test_preprocess_memory_is_one_output_per_step():

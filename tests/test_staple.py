@@ -429,9 +429,8 @@ def fuse_reference(predictions, config, method):
             fused[region] = majority_vote(decisions)
         else:
             fused[region] = _staple_mask(decisions, config)
-    return reconstruct_labels(
-        fused[Region.ET], fused[Region.TC], fused[Region.WT],
-        orientation=predictions[0].orientation,
+    return predictions[0].with_data(
+        reconstruct_labels(fused[Region.ET], fused[Region.TC], fused[Region.WT]).data
     )
 
 

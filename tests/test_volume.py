@@ -141,7 +141,7 @@ def test_round_trip_and_nesting_properties():
         # monotone nesting
         assert not (et.data & ~tc.data).any()
         assert not (tc.data & ~wt.data).any()
-        rebuilt = reconstruct_labels(et, tc, wt, orientation=labels.orientation)
+        rebuilt = reconstruct_labels(et, tc, wt)
         assert np.array_equal(rebuilt.data, labels.data)
         # output of reconstruction is always a valid LabelVolume
         assert rebuilt.data.max(initial=0) <= 3
