@@ -9,10 +9,10 @@ volume boundary through non-core voxels, are relabeled (default to NCR).
 Edema voxels inside such cavities are left alone, so voxels outside the
 core other than true background are never rewritten.
 
-Both rules run on one labeller, _label, applied to a bounding box: the
-ET components of the ET box, and the components of the core's
-complement within the core box, where a cavity is a component that
-touches no face of the box.
+Both rules run on one labeller, connected_components, applied to a plain
+bool array cut to a bounding box: the ET components of the ET box, and
+the components of the core's complement within the core box, where a
+cavity is a component that touches no face of the box.
 
 Foreground components use 26-adjacency and cavities 6-adjacency by
 default, the complementary pairing that keeps foreground/background
@@ -33,7 +33,6 @@ from glioseg.volume import (
     LABEL_NCR,
     LabelVolume,
     Region,
-    RegionMask,
     check_field_types,
     extract_region,
 )
@@ -69,48 +68,18 @@ class PostprocessConfig:
             )
 
 
-@dataclass(frozen=True)
-class ComponentLabeling:
-    """Connected-component partition of a binary mask.
-
-    component_ids holds one integer per voxel, 0 for background;
-    foreground ids are contiguous from 1 in raster order of each
-    component's first voxel.
-    """
-
-    component_ids: np.ndarray  # int32 [dims]
-    component_sizes: dict[int, int]
-    connectivity: int
-
-    def __post_init__(self):
-        ids = sorted(self.component_sizes)
-        if ids != list(range(1, len(ids) + 1)):
-            raise ValueError(f"component ids not contiguous from 1: {ids[:8]}")
-        total = int(np.count_nonzero(self.component_ids))
-        if sum(self.component_sizes.values()) != total:
-            raise ValueError("component sizes do not sum to the foreground count")
-
-    @property
-    def count(self) -> int:
-        return len(self.component_sizes)
-
-
-def _label(mask: np.ndarray, connectivity: int) -> tuple[np.ndarray, np.ndarray]:
-    """Component ids of a bool mask and their sizes, the module's one labelling.
+def connected_components(
+    mask: np.ndarray, connectivity: int = 26
+) -> tuple[np.ndarray, np.ndarray]:
+    """Component ids of a bool mask and their sizes, the module's one labeller.
 
     ids are int32, 0 for background and from 1 in raster order of each
     component's first voxel; sizes[i] counts id i, sizes[0] the background.
     """
-    ids, count = ndimage.label(mask, structure=_STRUCTURES[connectivity], output=np.int32)
-    return ids, np.bincount(ids.ravel(), minlength=count + 1)
-
-
-def connected_components(mask: RegionMask, connectivity: int = 26) -> ComponentLabeling:
-    """Partition the mask's foreground into maximal connected components."""
     if connectivity not in CONNECTIVITIES:
         raise ValueError(f"connectivity must be one of {_CONNECTIVITY_TEXT}, got {connectivity}")
-    ids, sizes = _label(mask.data, connectivity)
-    return ComponentLabeling(ids, {i: int(n) for i, n in enumerate(sizes[1:], 1)}, connectivity)
+    ids, count = ndimage.label(mask, structure=_STRUCTURES[connectivity], output=np.int32)
+    return ids, np.bincount(ids.ravel(), minlength=count + 1)
 
 
 def filter_small_et(labels: LabelVolume, config: PostprocessConfig = PostprocessConfig()) -> LabelVolume:
@@ -124,7 +93,7 @@ def filter_small_et(labels: LabelVolume, config: PostprocessConfig = Postprocess
     components = removed = voxels = 0
     out = labels
     for box in ndimage.find_objects(et.view(np.uint8)):  # one box, none if et is empty
-        ids, sizes = _label(et[box], config.foreground_connectivity)
+        ids, sizes = connected_components(et[box], config.foreground_connectivity)
         components = len(sizes) - 1
         small = sizes <= config.et_min_volume
         small[0] = False
@@ -161,7 +130,7 @@ def find_tc_hole_voxels(
     tc = extract_region(labels, Region.TC).data
     holes = np.zeros(labels.dims, dtype=bool)
     for box in ndimage.find_objects(tc.view(np.uint8)):  # one box, none if tc is empty
-        ids, sizes = _label(~tc[box], config.hole_connectivity)
+        ids, sizes = connected_components(~tc[box], config.hole_connectivity)
         enclosed = np.ones(len(sizes), dtype=bool)
         enclosed[0] = False  # the core itself
         for axis in range(3):

@@ -39,10 +39,13 @@ fused label depends only on the tuple of member labels there, so
 fuse_labels folds the members once into their T distinct label tuples,
 fuses each region on those T columns weighted by their voxel counts, and
 writes the output as one gather of the T fused labels. Majority vote
-takes the same path. Each region's EM outcome is logged on the
-glioseg.staple logger, at INFO when it converged and at WARNING when it
-stopped at max_iterations, with the iterations, the tolerance and each
-member's estimated sensitivity and specificity.
+takes the same path. staple_binary and majority_vote work on plain vote
+columns and return one value per column; fuse_labels alone wraps each
+region's fused columns as the (T, 1, 1) mask reconstruct_labels takes.
+Each region's EM outcome is logged on the glioseg.staple logger, at INFO
+when it converged and at WARNING when it stopped at max_iterations, with
+the iterations, the tolerance and each member's estimated sensitivity
+and specificity.
 """
 
 from __future__ import annotations
@@ -101,18 +104,14 @@ class StapleConfig:
 
 @dataclass(frozen=True)
 class RaterDecisions:
-    """Complete binary votes of J raters over the C columns of one grid.
+    """Complete binary votes of J raters over C columns.
 
     Column c stands for counts[c] voxels that share its votes; by default
     every column is one voxel. fuse_labels passes one column per distinct
-    member label tuple with its voxel count, which is all EM needs, on a
-    (C, 1, 1) grid.
+    member label tuple with its voxel count, which is all EM needs.
     """
 
     decisions: np.ndarray  # bool [J, C], one row per rater
-    dims: tuple[int, int, int]
-    spacing: tuple[float, float, float]
-    region: Region
     counts: np.ndarray | None = None  # integer [C] >= 1, voxels per column
 
     def __post_init__(self):
@@ -121,18 +120,14 @@ class RaterDecisions:
             raise ValueError(f"decisions must be 2-D (raters, columns), got {decisions.shape}")
         if decisions.shape[0] < 1:
             raise ValueError("need at least one rater")
-        expected = int(np.prod(self.dims))
-        if decisions.shape[1] != expected:
-            raise ValueError(
-                f"decision columns {decisions.shape[1]} do not match grid size {expected}"
-            )
         if self.counts is None:
             counts = np.broadcast_to(np.int64(1), decisions.shape[1:])
         else:
             counts = np.asarray(self.counts)
             if counts.shape != decisions.shape[1:]:
                 raise ValueError(
-                    f"counts shape {counts.shape} does not match {expected} decision columns"
+                    f"counts shape {counts.shape} does not match "
+                    f"{decisions.shape[1]} decision columns"
                 )
             if counts.dtype.kind not in "iu" or not np.all(counts >= 1):
                 raise ValueError("counts must be positive integers")
@@ -147,60 +142,13 @@ class RaterDecisions:
     def num_voxels(self) -> int:
         return int(self.counts.sum())
 
-    @classmethod
-    def from_masks(cls, masks: list[RegionMask]) -> "RaterDecisions":
-        if not masks:
-            raise ValueError("need at least one rater mask")
-        first = masks[0]
-        for other in masks[1:]:
-            require_same_grid(first, other, "rater masks")
-            if other.region is not first.region:
-                raise ValueError(
-                    f"rater masks mix regions {first.region} and {other.region}"
-                )
-        rows = np.stack([m.data.ravel() for m in masks])
-        return cls(rows, first.dims, first.spacing, first.region)
-
-    def to_mask(self, flat_foreground: np.ndarray) -> RegionMask:
-        data = np.asarray(flat_foreground, dtype=bool).reshape(self.dims)
-        return RegionMask(self.region, self.dims, self.spacing, data)
-
-
-@dataclass(frozen=True)
-class RaterPerformance:
-    sensitivity: np.ndarray  # float64 [J], strictly inside (0,1)
-    specificity: np.ndarray  # float64 [J]
-
-    def __post_init__(self):
-        p = np.ascontiguousarray(self.sensitivity, dtype=np.float64)
-        q = np.ascontiguousarray(self.specificity, dtype=np.float64)
-        if p.shape != q.shape or p.ndim != 1:
-            raise ValueError(f"per-rater vectors disagree: {p.shape} vs {q.shape}")
-        for name, values in (("sensitivity", p), ("specificity", q)):
-            if not np.all((values > 0.0) & (values < 1.0)):
-                raise ValueError(f"{name} must lie strictly inside (0,1)")
-        object.__setattr__(self, "sensitivity", p)
-        object.__setattr__(self, "specificity", q)
-
-
-@dataclass(frozen=True)
-class ConsensusWeights:
-    values: np.ndarray  # float64 [C], foreground posterior per decision column
-
-    def __post_init__(self):
-        values = np.ascontiguousarray(self.values, dtype=np.float64)
-        if values.ndim != 1:
-            raise ValueError(f"weights must be flat, got shape {values.shape}")
-        if not np.all((values >= 0.0) & (values <= 1.0)):
-            raise ValueError("weights must lie in [0,1]")
-        object.__setattr__(self, "values", values)
-
 
 @dataclass(frozen=True)
 class StapleResult:
-    mask: RegionMask
-    performance: RaterPerformance
-    weights: ConsensusWeights
+    foreground: np.ndarray  # bool [C], W >= decision_threshold
+    weights: np.ndarray  # float64 [C], foreground posterior W per column
+    sensitivity: np.ndarray  # float64 [J], strictly inside (0,1)
+    specificity: np.ndarray  # float64 [J]
     iterations: int
     converged: bool
     degenerate: bool  # auto prior hit 0 or 1, EM skipped
@@ -293,36 +241,38 @@ def staple_binary(decisions: RaterDecisions, config: StapleConfig = StapleConfig
             )
 
     return StapleResult(
-        mask=decisions.to_mask((w >= config.decision_threshold)[ids]),
-        performance=RaterPerformance(p, q),
-        weights=ConsensusWeights(w[ids]),
+        foreground=(w >= config.decision_threshold)[ids],
+        weights=w[ids],
+        sensitivity=p,
+        specificity=q,
         iterations=iterations,
         converged=converged,
         degenerate=degenerate,
     )
 
 
-def majority_vote(decisions: RaterDecisions) -> RegionMask:
-    """Foreground where strictly more than half the raters vote; ties lose."""
-    counts = decisions.decisions.sum(axis=0)
-    return decisions.to_mask(2 * counts > decisions.num_raters)
+def majority_vote(decisions: RaterDecisions) -> np.ndarray:
+    """Bool [C]: foreground where strictly more than half the raters vote; ties lose."""
+    return 2 * decisions.decisions.sum(axis=0) > decisions.num_raters
 
 
-def _staple_mask(decisions: RaterDecisions, config: StapleConfig) -> RegionMask:
-    """staple_binary's mask, with the region's EM outcome logged (INFO, or
-    WARNING if EM stopped before converging)."""
+def _staple_foreground(
+    decisions: RaterDecisions, region: Region, config: StapleConfig
+) -> np.ndarray:
+    """staple_binary's foreground, with the region's EM outcome logged (INFO,
+    or WARNING if EM stopped before converging)."""
     result = staple_binary(decisions, config)
     logger.log(
         logging.INFO if result.converged else logging.WARNING,
         "STAPLE %s %s after %d iteration(s) (tolerance %g); sensitivity [%s], specificity [%s]",
-        decisions.region.name,
+        region.name,
         "converged" if result.converged else "stopped without converging",
         result.iterations,
         config.tolerance,
-        ", ".join(f"{v:.4f}" for v in result.performance.sensitivity),
-        ", ".join(f"{v:.4f}" for v in result.performance.specificity),
+        ", ".join(f"{v:.4f}" for v in result.sensitivity),
+        ", ".join(f"{v:.4f}" for v in result.specificity),
     )
-    return result.mask
+    return result.foreground
 
 
 def fuse_labels(
@@ -334,9 +284,9 @@ def fuse_labels(
 
     The members are folded once into their T distinct label tuples, a
     J x T table. Each region's votes are one extraction from that table,
-    fused on a (T, 1, 1) grid weighted by the tuples' voxel counts, and
-    the output is one gather of the fused labels of the T tuples, on the
-    grid and orientation of the first member.
+    fused on the T columns weighted by the tuples' voxel counts, and the
+    output is one gather of the fused labels of the T tuples, on the grid
+    and orientation of the first member.
     """
     if not predictions:
         raise ValueError("need at least one prediction to fuse")
@@ -349,11 +299,14 @@ def fuse_labels(
     table = LabelVolume.from_array(tuples[:, :, None], first.spacing)
     fused = {}
     for region in Region:
-        votes = extract_region(table, region).data[:, :, 0]
-        decisions = RaterDecisions(votes, (len(counts), 1, 1), first.spacing, region, counts)
+        decisions = RaterDecisions(extract_region(table, region).data[:, :, 0], counts)
         if method == "majority":
-            fused[region] = majority_vote(decisions)
+            foreground = majority_vote(decisions)
         else:
-            fused[region] = _staple_mask(decisions, config)
+            foreground = _staple_foreground(decisions, region, config)
+        # reconstruct_labels takes one (T, 1, 1) mask per region
+        fused[region] = RegionMask(
+            region, (len(counts), 1, 1), first.spacing, foreground[:, None, None]
+        )
     lut = reconstruct_labels(fused[Region.ET], fused[Region.TC], fused[Region.WT])
     return first.with_data(lut.data.ravel()[ids].reshape(first.dims))

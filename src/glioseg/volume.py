@@ -86,6 +86,8 @@ def check_field_types(settings, error: type[Exception] = TypeError) -> None:
 
 SPACING_TOL = 1e-6  # mm; spacings closer than this count as equal
 
+_FINITE_BLOCK = 1 << 20  # voxels per finiteness pass, so no grid-sized bool is made
+
 
 def same_grid(a, b) -> bool:
     """Whether two volumes/masks share dims and (within SPACING_TOL) spacing."""
@@ -147,8 +149,10 @@ class ScalarVolume(_GridVolume):
 
     def _checked_data(self, data):
         data = np.ascontiguousarray(data, dtype=np.float64)
-        if not np.all(np.isfinite(data)):
-            raise ValueError("volume data contains non-finite values")
+        flat = data.reshape(-1)
+        for start in range(0, flat.size, _FINITE_BLOCK):
+            if not np.isfinite(flat[start : start + _FINITE_BLOCK]).all():
+                raise ValueError("volume data contains non-finite values")
         return data
 
 

@@ -59,10 +59,6 @@ def criterion(number: int, description: str):
     return wrap
 
 
-def wt_decisions(rows: np.ndarray, dims) -> RaterDecisions:
-    return RaterDecisions(rows, dims, (1.0, 1.0, 1.0), Region.WT)
-
-
 def wt_mask(data: np.ndarray, spacing=(1.0, 1.0, 1.0)) -> RegionMask:
     data = np.asarray(data, dtype=bool)
     return RegionMask(Region.WT, data.shape, spacing, data)
@@ -88,11 +84,11 @@ def test_criterion_01_staple_oracle_equivalence():
         # reaches the exact fixed point further passes are no-ops
         passes = int(rng.integers(10, 61))
         config = StapleConfig(tolerance=1e-300, max_iterations=passes)
-        result = staple_binary(wt_decisions(rows, (voxels, 1, 1)), config)
+        result = staple_binary(RaterDecisions(rows), config)
         w_oracle, _, _ = em_consensus_oracle(
             rows, rows.mean(), 0.99999, 0.99999, max_iterations=passes, tol=0.0
         )
-        assert np.max(np.abs(result.weights.values - w_oracle)) < 1e-9
+        assert np.max(np.abs(result.weights - w_oracle)) < 1e-9
         checked += 1
     elapsed = time.monotonic() - started
     assert checked == 200
@@ -107,8 +103,8 @@ def test_criterion_02_staple_consensus_fixed_point():
         mask = rng.random(voxels) < rng.uniform(0.0, 1.0)
         raters = int(rng.integers(2, 6))
         rows = np.tile(mask, (raters, 1))
-        result = staple_binary(wt_decisions(rows, (voxels, 1, 1)))
-        assert np.array_equal(result.mask.data.ravel(), mask)
+        result = staple_binary(RaterDecisions(rows))
+        assert np.array_equal(result.foreground, mask)
 
 
 @criterion(3, "STAPLE fusion beats the mean rater Dice in >=95/100 noisy trials")
@@ -124,7 +120,7 @@ def test_criterion_03_ensemble_improves():
         rows = np.stack([
             np.where(rng.random(flat.size) < 0.1, ~flat, flat) for _ in range(3)
         ])
-        fused = staple_binary(wt_decisions(rows, truth.shape)).mask
+        fused = wt_mask(staple_binary(RaterDecisions(rows)).foreground.reshape(truth.shape))
         truth_mask = wt_mask(truth)
         fused_dice = dice(fused, truth_mask)
         rater_dice = [
@@ -184,11 +180,10 @@ def test_criterion_06_connected_components_oracle():
     rng = np.random.default_rng(1006)
     for _ in range(100):
         mask = rng.random((16, 16, 16)) < rng.uniform(0.15, 0.85)
-        region = wt_mask(mask)
         for connectivity in (6, 18, 26):
-            labeling = connected_components(region, connectivity)
+            ids, _ = connected_components(mask, connectivity)
             oracle = flood_fill_components(mask, connectivity)
-            assert np.array_equal(labeling.component_ids, oracle)
+            assert np.array_equal(ids, oracle)
 
 
 @criterion(7, "z-score statistics and percentile rescale meet 1e-6 bounds")

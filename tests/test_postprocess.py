@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from glioseg.postprocess import (
-    ComponentLabeling,
     PostprocessConfig,
     connected_components,
     filter_small_et,
@@ -12,14 +11,14 @@ from glioseg.postprocess import (
     postprocess_case,
     repair_tc_holes,
 )
-from glioseg.volume import LabelVolume, Region, RegionMask, extract_region
+from glioseg.volume import LabelVolume, Region, extract_region
 
 from oracles import flood_fill_components
 
 
-def mask_of(data):
-    data = np.asarray(data, dtype=bool)
-    return RegionMask(Region.ET, data.shape, (1.0, 1.0, 1.0), data)
+def component_count(mask, connectivity):
+    _, sizes = connected_components(mask, connectivity)
+    return len(sizes) - 1
 
 
 def labels_of(data):
@@ -31,27 +30,26 @@ def test_two_isolated_voxels():
     m[0, 0, 0] = True
     m[5, 5, 5] = True
     for conn in (6, 18, 26):
-        cc = connected_components(mask_of(m), conn)
-        assert cc.count == 2
-        assert cc.component_sizes == {1: 1, 2: 1}
+        _, sizes = connected_components(m, conn)
+        assert sizes[1:].tolist() == [1, 1]
 
 
 def test_corner_adjacency_by_connectivity():
     m = np.zeros((3, 3, 3), dtype=bool)
     m[0, 0, 0] = True
     m[1, 1, 1] = True  # corner neighbor: adjacent only under 26
-    assert connected_components(mask_of(m), 26).count == 1
-    assert connected_components(mask_of(m), 18).count == 2
-    assert connected_components(mask_of(m), 6).count == 2
+    assert component_count(m, 26) == 1
+    assert component_count(m, 18) == 2
+    assert component_count(m, 6) == 2
 
 
 def test_edge_adjacency_by_connectivity():
     m = np.zeros((3, 3, 3), dtype=bool)
     m[0, 0, 0] = True
     m[0, 1, 1] = True  # edge neighbor: adjacent under 18 and 26
-    assert connected_components(mask_of(m), 26).count == 1
-    assert connected_components(mask_of(m), 18).count == 1
-    assert connected_components(mask_of(m), 6).count == 2
+    assert component_count(m, 26) == 1
+    assert component_count(m, 18) == 1
+    assert component_count(m, 6) == 2
 
 
 def test_components_match_flood_fill_oracle():
@@ -59,22 +57,10 @@ def test_components_match_flood_fill_oracle():
     for trial in range(30):
         m = rng.random((16, 16, 16)) < rng.uniform(0.05, 0.6)
         for conn in (6, 18, 26):
-            cc = connected_components(mask_of(m), conn)
+            ids, sizes = connected_components(m, conn)
             expected = flood_fill_components(m, conn)
-            assert np.array_equal(cc.component_ids, expected), f"trial {trial} conn {conn}"
-            counts = np.bincount(expected.ravel())
-            assert cc.component_sizes == {
-                i: int(counts[i]) for i in range(1, len(counts))
-            }
-
-
-def test_component_partition_is_validated():
-    ids = np.zeros((2, 2, 2), dtype=np.int32)
-    ids[0, 0, 0] = 2  # id 1 missing
-    with pytest.raises(ValueError, match="contiguous"):
-        ComponentLabeling(ids, {2: 1}, 26)
-    with pytest.raises(ValueError, match="sum"):
-        ComponentLabeling(np.ones((2, 2, 2), dtype=np.int32), {1: 3}, 26)
+            assert np.array_equal(ids, expected), f"trial {trial} conn {conn}"
+            assert np.array_equal(sizes[1:], np.bincount(expected.ravel())[1:])
 
 
 def et_blob(dims, size, start=(0, 0, 0)):
@@ -390,4 +376,4 @@ def test_config_validation():
         with pytest.raises(TypeError, match=field):
             PostprocessConfig(**{field: value})
     with pytest.raises(ValueError):
-        connected_components(mask_of(np.zeros((2, 2, 2), dtype=bool)), 10)
+        connected_components(np.zeros((2, 2, 2), dtype=bool), 10)

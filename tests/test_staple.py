@@ -7,12 +7,10 @@ import numpy as np
 import pytest
 
 from glioseg.staple import (
-    ConsensusWeights,
     RaterDecisions,
-    RaterPerformance,
     StapleConfig,
     _distinct_columns,
-    _staple_mask,
+    _staple_foreground,
     fuse_labels,
     majority_vote,
     staple_binary,
@@ -30,13 +28,6 @@ from oracles import em_consensus_oracle
 TIGHT = StapleConfig(tolerance=1e-13, max_iterations=500)
 
 
-def decisions_from_rows(rows, dims=None, region=Region.WT):
-    rows = np.asarray(rows, dtype=bool)
-    if dims is None:
-        dims = (rows.shape[1], 1, 1)
-    return RaterDecisions(rows, dims, (1.0, 1.0, 1.0), region)
-
-
 def test_consensus_fixed_point():
     # all raters agree on a non-trivial mask: fused output is that mask
     rng = np.random.default_rng(400)
@@ -45,11 +36,11 @@ def test_consensus_fixed_point():
         if not mask.any() or mask.all():
             continue
         rows = np.stack([mask] * 4)
-        result = staple_binary(decisions_from_rows(rows))
-        assert np.array_equal(result.mask.data.ravel(), mask)
+        result = staple_binary(RaterDecisions(rows))
+        assert np.array_equal(result.foreground, mask)
         # unanimously correct raters ride the upper clamp
-        assert np.all(result.performance.sensitivity >= 1.0 - 2e-6)
-        assert np.all(result.performance.specificity >= 1.0 - 2e-6)
+        assert np.all(result.sensitivity >= 1.0 - 2e-6)
+        assert np.all(result.specificity >= 1.0 - 2e-6)
 
 
 def test_spec_worked_instance_matches_oracle():
@@ -58,16 +49,16 @@ def test_spec_worked_instance_matches_oracle():
     rows[0, 0:4] = True
     rows[1, 0:4] = True
     rows[2, 2:6] = True
-    decisions = decisions_from_rows(rows)
+    decisions = RaterDecisions(rows)
     result = staple_binary(decisions, TIGHT)
     prior = rows.mean()
     w_oracle, p_oracle, q_oracle = em_consensus_oracle(
         rows, prior, 0.99999, 0.99999, max_iterations=5000
     )
-    assert np.max(np.abs(result.weights.values - w_oracle)) < 1e-9
-    assert np.max(np.abs(result.performance.sensitivity - p_oracle)) < 1e-9
-    assert np.max(np.abs(result.performance.specificity - q_oracle)) < 1e-9
-    assert np.array_equal(result.mask.data.ravel(), w_oracle >= 0.5)
+    assert np.max(np.abs(result.weights - w_oracle)) < 1e-9
+    assert np.max(np.abs(result.sensitivity - p_oracle)) < 1e-9
+    assert np.max(np.abs(result.specificity - q_oracle)) < 1e-9
+    assert np.array_equal(result.foreground, w_oracle >= 0.5)
 
 
 def test_random_instances_match_oracle_trajectory():
@@ -84,13 +75,13 @@ def test_random_instances_match_oracle_trajectory():
             return
         passes = int(rng.integers(3, 120))
         config = StapleConfig(tolerance=1e-300, max_iterations=passes)
-        result = staple_binary(decisions_from_rows(rows), config)
+        result = staple_binary(RaterDecisions(rows), config)
         w_oracle, p_oracle, q_oracle = em_consensus_oracle(
             rows, rows.mean(), 0.99999, 0.99999, max_iterations=passes, tol=0.0
         )
-        assert np.max(np.abs(result.weights.values - w_oracle)) < 1e-9, f"trial {trial}"
-        assert np.max(np.abs(result.performance.sensitivity - p_oracle)) < 1e-9
-        assert np.max(np.abs(result.performance.specificity - q_oracle)) < 1e-9
+        assert np.max(np.abs(result.weights - w_oracle)) < 1e-9, f"trial {trial}"
+        assert np.max(np.abs(result.sensitivity - p_oracle)) < 1e-9
+        assert np.max(np.abs(result.specificity - q_oracle)) < 1e-9
 
     for trial in range(25):
         check(int(rng.integers(1, 7)), trial)
@@ -106,14 +97,14 @@ def test_memory_is_bounded_by_vote_patterns():
     rng = np.random.default_rng(415)
     patterns = rng.random((16, 64)) < 0.5
     rows = patterns[:, rng.integers(0, 64, size=1 << 20)]
-    decisions = decisions_from_rows(rows, dims=(128, 128, 64))
+    decisions = RaterDecisions(rows)
     tracemalloc.start()
     try:
         result = staple_binary(decisions)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert result.weights.values.shape == (1 << 20,)
+    assert result.weights.shape == (1 << 20,)
     assert peak < 48 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
@@ -151,24 +142,17 @@ def test_staple_on_column_counts_equals_expanded_voxels():
     configs = (StapleConfig(), StapleConfig(prior=0.3, max_iterations=7), TIGHT)
     for trial, (columns, counts) in enumerate(instances):
         config = configs[trial % len(configs)]
-        folded = staple_binary(
-            RaterDecisions(columns, (columns.shape[1], 1, 1), (1, 1, 1), Region.WT, counts),
-            config,
-        )
+        folded = staple_binary(RaterDecisions(columns, counts), config)
         voxels = np.repeat(columns, counts, axis=1)
-        expanded = staple_binary(decisions_from_rows(voxels), config)
+        expanded = staple_binary(RaterDecisions(voxels), config)
         first_voxel = np.cumsum(counts) - counts
         assert folded.iterations == expanded.iterations, trial
         assert folded.converged == expanded.converged, trial
         assert folded.degenerate == expanded.degenerate, trial
         for name in ("sensitivity", "specificity"):
-            assert np.array_equal(
-                getattr(folded.performance, name), getattr(expanded.performance, name)
-            ), trial
-        assert np.array_equal(folded.weights.values, expanded.weights.values[first_voxel])
-        assert np.array_equal(
-            np.repeat(folded.mask.data.ravel(), counts), expanded.mask.data.ravel()
-        )
+            assert np.array_equal(getattr(folded, name), getattr(expanded, name)), trial
+        assert np.array_equal(folded.weights, expanded.weights[first_voxel])
+        assert np.array_equal(np.repeat(folded.foreground, counts), expanded.foreground)
 
 
 def test_structured_instances_reach_oracle_fixed_point():
@@ -188,13 +172,13 @@ def test_structured_instances_reach_oracle_fixed_point():
         if rows.mean() in (0.0, 1.0):
             continue
         config = StapleConfig(tolerance=1e-300, max_iterations=3000)
-        result = staple_binary(decisions_from_rows(rows), config)
+        result = staple_binary(RaterDecisions(rows), config)
         if not result.converged:
             continue  # rare slow instance; covered by the trajectory test
         w_oracle, _, _ = em_consensus_oracle(
             rows, rows.mean(), 0.99999, 0.99999, max_iterations=30000, tol=1e-300
         )
-        assert np.max(np.abs(result.weights.values - w_oracle)) < 1e-9
+        assert np.max(np.abs(result.weights - w_oracle)) < 1e-9
         checked += 1
     assert checked >= 10
 
@@ -202,65 +186,61 @@ def test_structured_instances_reach_oracle_fixed_point():
 def test_single_rater_returns_own_mask():
     rng = np.random.default_rng(402)
     mask = rng.random(40) < 0.4
-    result = staple_binary(decisions_from_rows(mask[None, :]))
-    assert np.array_equal(result.mask.data.ravel(), mask)
+    result = staple_binary(RaterDecisions(mask[None, :]))
+    assert np.array_equal(result.foreground, mask)
 
 
 def test_explicit_prior_matches_oracle():
     rng = np.random.default_rng(403)
     rows = rng.random((3, 50)) < 0.5
     config = StapleConfig(prior=0.3, tolerance=1e-300, max_iterations=80)
-    result = staple_binary(decisions_from_rows(rows), config)
+    result = staple_binary(RaterDecisions(rows), config)
     w_oracle, _, _ = em_consensus_oracle(rows, 0.3, 0.99999, 0.99999, 80, tol=0.0)
-    assert np.max(np.abs(result.weights.values - w_oracle)) < 1e-9
+    assert np.max(np.abs(result.weights - w_oracle)) < 1e-9
 
 
 def test_degenerate_all_empty():
     rows = np.zeros((3, 20), dtype=bool)
     config = StapleConfig(initial_sensitivity=0.9999999, initial_specificity=0.3)
-    result = staple_binary(decisions_from_rows(rows), config)
+    result = staple_binary(RaterDecisions(rows), config)
     assert result.degenerate
-    assert not result.mask.data.any()
-    assert np.all(result.weights.values == 0.0)
+    assert not result.foreground.any()
+    assert np.all(result.weights == 0.0)
     assert result.iterations == 0 and result.converged
     # the initial performance, clamped into [1e-6, 1 - 1e-6]
-    assert np.array_equal(result.performance.sensitivity, np.full(3, 1.0 - 1e-6))
-    assert np.array_equal(result.performance.specificity, np.full(3, 0.3))
+    assert np.array_equal(result.sensitivity, np.full(3, 1.0 - 1e-6))
+    assert np.array_equal(result.specificity, np.full(3, 0.3))
 
 
 def test_degenerate_all_full():
     rows = np.ones((2, 15), dtype=bool)
-    result = staple_binary(decisions_from_rows(rows))
+    result = staple_binary(RaterDecisions(rows))
     assert result.degenerate
-    assert result.mask.data.all()
-    assert np.all(result.weights.values == 1.0)
+    assert result.foreground.all()
+    assert np.all(result.weights == 1.0)
     assert result.iterations == 0 and result.converged
-    assert np.array_equal(result.performance.sensitivity, np.full(2, 0.99999))
-    assert np.array_equal(result.performance.specificity, np.full(2, 0.99999))
+    assert np.array_equal(result.sensitivity, np.full(2, 0.99999))
+    assert np.array_equal(result.specificity, np.full(2, 0.99999))
 
 
 def test_rater_order_invariance():
     rng = np.random.default_rng(404)
     rows = rng.random((4, 80)) < 0.45
-    base = staple_binary(decisions_from_rows(rows), TIGHT)
+    base = staple_binary(RaterDecisions(rows), TIGHT)
     perm = rng.permutation(4)
-    permuted = staple_binary(decisions_from_rows(rows[perm]), TIGHT)
-    assert np.array_equal(base.mask.data, permuted.mask.data)
-    assert np.allclose(
-        base.performance.sensitivity[perm], permuted.performance.sensitivity, atol=1e-12
-    )
-    assert np.allclose(
-        base.performance.specificity[perm], permuted.performance.specificity, atol=1e-12
-    )
+    permuted = staple_binary(RaterDecisions(rows[perm]), TIGHT)
+    assert np.array_equal(base.foreground, permuted.foreground)
+    assert np.allclose(base.sensitivity[perm], permuted.sensitivity, atol=1e-12)
+    assert np.allclose(base.specificity[perm], permuted.specificity, atol=1e-12)
 
 
 def test_determinism():
     rng = np.random.default_rng(405)
     rows = rng.random((5, 100)) < 0.5
-    r1 = staple_binary(decisions_from_rows(rows))
-    r2 = staple_binary(decisions_from_rows(rows))
-    assert np.array_equal(r1.weights.values, r2.weights.values)
-    assert np.array_equal(r1.mask.data, r2.mask.data)
+    r1 = staple_binary(RaterDecisions(rows))
+    r2 = staple_binary(RaterDecisions(rows))
+    assert np.array_equal(r1.weights, r2.weights)
+    assert np.array_equal(r1.foreground, r2.foreground)
     assert r1.iterations == r2.iterations
 
 
@@ -274,15 +254,13 @@ def _log_likelihood(rows, prior, p, q):
 def test_monotone_log_likelihood():
     rng = np.random.default_rng(406)
     rows = rng.random((4, 60)) < 0.4
-    decisions = decisions_from_rows(rows)
+    decisions = RaterDecisions(rows)
     prior = rows.mean()
     previous = -np.inf
     for k in range(1, 12):
         config = StapleConfig(tolerance=1e-16, max_iterations=k)
         result = staple_binary(decisions, config)
-        ll = _log_likelihood(
-            rows, prior, result.performance.sensitivity, result.performance.specificity
-        )
+        ll = _log_likelihood(rows, prior, result.sensitivity, result.specificity)
         assert ll >= previous - 1e-9, f"likelihood dropped at iteration {k}"
         previous = ll
 
@@ -293,14 +271,14 @@ def test_agreement_preservation():
     rng = np.random.default_rng(407)
     for _ in range(10):
         rows = rng.random((3, 120)) < 0.5
-        result = staple_binary(decisions_from_rows(rows), TIGHT)
+        result = staple_binary(RaterDecisions(rows), TIGHT)
         if result.degenerate:
             continue
-        p, q = result.performance.sensitivity, result.performance.specificity
+        p, q = result.sensitivity, result.specificity
         if not (np.all(p > 0.5) and np.all(q > 0.5)):
             continue
         votes = rows.sum(axis=0)
-        fused = result.mask.data.ravel()
+        fused = result.foreground
         assert np.all(fused[votes == 3])
         assert not np.any(fused[votes == 0])
 
@@ -308,11 +286,11 @@ def test_agreement_preservation():
 def test_convergence_reporting():
     rng = np.random.default_rng(408)
     rows = rng.random((3, 50)) < 0.5
-    relaxed = staple_binary(decisions_from_rows(rows), StapleConfig(tolerance=1e-3))
+    relaxed = staple_binary(RaterDecisions(rows), StapleConfig(tolerance=1e-3))
     assert relaxed.converged
     assert relaxed.iterations <= 100
     starved = staple_binary(
-        decisions_from_rows(rows), StapleConfig(tolerance=1e-16, max_iterations=2)
+        RaterDecisions(rows), StapleConfig(tolerance=1e-16, max_iterations=2)
     )
     assert not starved.converged
     assert starved.iterations == 2
@@ -327,12 +305,12 @@ def test_majority_vote_rules():
         ]
     )
     # votes per voxel: 2, 1, 0 of J=3
-    fused = majority_vote(decisions_from_rows(rows))
-    assert fused.data.ravel().tolist() == [True, False, False]
+    fused = majority_vote(RaterDecisions(rows))
+    assert fused.tolist() == [True, False, False]
     # J=2 tie goes to background
     tie = np.array([[True, True], [True, False]])
-    fused2 = majority_vote(decisions_from_rows(tie))
-    assert fused2.data.ravel().tolist() == [True, False]
+    fused2 = majority_vote(RaterDecisions(tie))
+    assert fused2.tolist() == [True, False]
 
 
 def test_majority_equals_staple_on_unanimous_raters():
@@ -342,10 +320,8 @@ def test_majority_equals_staple_on_unanimous_raters():
         mask[0] = True
         mask[1] = False
     rows = np.stack([mask] * 3)
-    decisions = decisions_from_rows(rows)
-    assert np.array_equal(
-        majority_vote(decisions).data, staple_binary(decisions).mask.data
-    )
+    decisions = RaterDecisions(rows)
+    assert np.array_equal(majority_vote(decisions), staple_binary(decisions).foreground)
 
 
 def random_label_volume(rng, dims=(6, 6, 6)):
@@ -422,14 +398,19 @@ def test_fuse_logs_each_region_and_member_performance(caplog):
 
 def fuse_reference(predictions, config, method):
     """Region-wise fusion over every voxel: one vote column per voxel."""
+    first = predictions[0]
     fused = {}
     for region in Region:
-        decisions = RaterDecisions.from_masks([extract_region(p, region) for p in predictions])
+        decisions = RaterDecisions(
+            np.stack([extract_region(p, region).data.ravel() for p in predictions])
+        )
         if method == "majority":
-            fused[region] = majority_vote(decisions)
+            foreground = majority_vote(decisions)
         else:
-            fused[region] = _staple_mask(decisions, config)
-    return predictions[0].with_data(
+            foreground = _staple_foreground(decisions, region, config)
+        mask = foreground.reshape(first.dims)
+        fused[region] = RegionMask(region, first.dims, first.spacing, mask)
+    return first.with_data(
         reconstruct_labels(fused[Region.ET], fused[Region.TC], fused[Region.WT]).data
     )
 
@@ -546,25 +527,10 @@ def test_max_iterations_must_be_an_integer():
 
 def test_decisions_validation():
     with pytest.raises(ValueError, match="2-D"):
-        RaterDecisions(np.zeros(5, dtype=bool), (5, 1, 1), (1, 1, 1), Region.WT)
+        RaterDecisions(np.zeros(5, dtype=bool))
     with pytest.raises(ValueError, match="at least one rater"):
-        RaterDecisions(np.zeros((0, 5), dtype=bool), (5, 1, 1), (1, 1, 1), Region.WT)
-    with pytest.raises(ValueError, match="grid size"):
-        RaterDecisions(np.zeros((2, 5), dtype=bool), (2, 2, 2), (1, 1, 1), Region.WT)
-    with pytest.raises(ValueError, match="at least one rater mask"):
-        RaterDecisions.from_masks([])
-    m1 = RegionMask(Region.ET, (2, 2, 2), (1, 1, 1), np.zeros((2, 2, 2), dtype=bool))
-    m2 = RegionMask(Region.TC, (2, 2, 2), (1, 1, 1), np.zeros((2, 2, 2), dtype=bool))
-    with pytest.raises(ValueError, match="regions"):
-        RaterDecisions.from_masks([m1, m2])
+        RaterDecisions(np.zeros((0, 5), dtype=bool))
     rows = np.zeros((2, 3), dtype=bool)
     for bad in ([1, 2], [[1, 2, 3]], [1, 0, 2], [1, -2, 2], [1.0, 2.5, 1.0], [1.0, 2.0, 1.0]):
         with pytest.raises(ValueError, match="counts"):
-            RaterDecisions(rows, (3, 1, 1), (1, 1, 1), Region.WT, np.array(bad))
-
-
-def test_result_type_validation():
-    with pytest.raises(ValueError):
-        RaterPerformance(np.array([0.5, 1.0]), np.array([0.5, 0.5]))
-    with pytest.raises(ValueError):
-        ConsensusWeights(np.array([0.5, 1.2]))
+            RaterDecisions(rows, np.array(bad))

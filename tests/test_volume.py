@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,27 @@ def test_scalar_volume_validation():
         orientation[1, 3] = bad
         with pytest.raises(ValueError, match="orientation"):
             ScalarVolume((2, 2, 2), (1, 1, 1), orientation, np.zeros((2, 2, 2)))
+    # finiteness is checked in blocks of 2^20 voxels: a NaN on either side of
+    # a block boundary, or in the last voxel, is still found
+    data = np.zeros((128, 128, 65))  # just over one block
+    for index in (2**20 - 1, 2**20, data.size - 1):
+        data.flat[index] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            ScalarVolume.from_array(data)
+        data.flat[index] = 0.0
+
+
+def test_finiteness_check_holds_no_grid_sized_bool():
+    data = np.zeros((256, 128, 128))  # four 2^20-voxel blocks, 32 MiB of float64
+    tracemalloc.start()
+    try:
+        volume = ScalarVolume.from_array(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.shares_memory(volume.data, data)
+    # one block's bools plus slack; a whole-grid np.isfinite takes 4 MiB
+    assert peak < 2**20 + 2**18, f"peak {peak / 2**20:.2f} MiB"
 
 
 def test_label_volume_rejects_out_of_range():
