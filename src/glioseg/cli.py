@@ -11,7 +11,6 @@ failure, 2 configuration or usage errors.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import logging
 import os
@@ -43,7 +42,6 @@ from glioseg.nifti import (
 from glioseg.postprocess import CONNECTIVITIES, postprocess_case
 from glioseg.preprocess import preprocess_volume
 from glioseg.staple import FUSION_METHODS, fuse_labels
-from glioseg.volume import Region
 
 logger = logging.getLogger("glioseg")
 
@@ -214,31 +212,6 @@ def cmd_postprocess(config: PipelineConfig, input_dir, output_dir) -> int:
     return _close_stage("postprocess", cases, failures, output_dir)
 
 
-def _report_payload(reports, missing, failed, config) -> dict:
-    cases = []
-    for report in sorted(reports, key=lambda r: r.case):
-        regions = {
-            score.region.name: {"dice": score.dice, "hd95_mm": score.hd95_mm}
-            for score in report.scores
-        }
-        cases.append({"case": report.case, "regions": regions})
-    payload = {
-        "cases": cases,
-        "summary": {},
-        "missing": missing,
-        "failed": failed,
-        "config": config_to_dict(config),
-    }
-    if reports:
-        cohort = aggregate(list(reports))
-        for region in Region:
-            payload["summary"][region.name] = {
-                "dice": dataclasses.asdict(cohort.dice[region]),
-                "hd95_mm": dataclasses.asdict(cohort.hd95_mm[region]),
-            }
-    return payload
-
-
 def cmd_evaluate(config: PipelineConfig, pred_dir, truth_dir, report_path) -> int:
     """Score predictions against references and write one JSON report."""
     pred_dir, truth_dir = Path(pred_dir), Path(truth_dir)
@@ -248,6 +221,8 @@ def cmd_evaluate(config: PipelineConfig, pred_dir, truth_dir, report_path) -> in
         return EXIT_USAGE
     preds = _cases_by_suffix(pred_dir, config.label_suffix)
     truths = _cases_by_suffix(truth_dir, config.label_suffix)
+    if not truths:
+        logger.warning("no *%s files under %s", config.label_suffix, truth_dir)
     missing = sorted(set(truths) - set(preds))
     for case in missing:
         logger.error("case %s has no prediction", case)
@@ -258,13 +233,20 @@ def cmd_evaluate(config: PipelineConfig, pred_dir, truth_dir, report_path) -> in
     def evaluate_one(case: str):
         pred = read_label_volume(preds[case])
         truth = read_label_volume(truths[case])
-        reports[case] = evaluate_case(pred, truth, config.metrics, case=case)
+        reports[case] = evaluate_case(pred, truth, config.metrics)
 
     shared = sorted(set(truths) & set(preds))
     failures = _run_cases("evaluate", shared, evaluate_one, config.parallel_cases)
 
     failed = dict(sorted(failures.items()))
-    payload = _report_payload(list(reports.values()), missing, failed, config)
+    scored = sorted(reports)  # case order, not completion order, so the summary is reproducible
+    payload = {
+        "cases": [{"case": case, "regions": reports[case]} for case in scored],
+        "summary": aggregate([reports[case] for case in scored]) if scored else {},
+        "missing": missing,
+        "failed": failed,
+        "config": config_to_dict(config),
+    }
     report_path = Path(report_path)
     try:
         with _staged([report_path], report_path.parent) as (tmp,):

@@ -7,6 +7,11 @@ work is scored on: both masks empty scores a perfect dice of 1.0 and an
 hd95 of 0.0, while exactly one empty mask scores dice 0.0 and a fixed
 distance penalty (373.13 mm by default). Both are configurable.
 
+Both steps return the JSON report's own mappings, regions in ``Region``
+order and values plain floats: ``evaluate_case`` gives ``{region:
+{"dice", "hd95_mm"}}`` and ``aggregate`` gives ``{region: {metric:
+{"mean", "std", "median"}}}``.
+
 hd95 details, since published implementations disagree: the surface of a
 mask is the set of foreground voxels with at least one face neighbor
 (6-adjacency) outside the mask, the volume border counting as outside.
@@ -61,54 +66,6 @@ class MetricConfig:
             raise ValueError(
                 f"empty_empty_hd95 must be >= 0 and finite, got {self.empty_empty_hd95}"
             )
-
-
-@dataclass(frozen=True)
-class RegionScore:
-    region: Region
-    dice: float
-    hd95_mm: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.dice) and 0.0 <= self.dice <= 1.0):
-            raise ValueError(f"dice must be in [0, 1], got {self.dice}")
-        if not (np.isfinite(self.hd95_mm) and self.hd95_mm >= 0.0):
-            raise ValueError(f"hd95_mm must be >= 0, got {self.hd95_mm}")
-
-
-@dataclass(frozen=True)
-class CaseReport:
-    case: str
-    scores: tuple[RegionScore, ...]
-
-    def __post_init__(self):
-        regions = [s.region for s in self.scores]
-        if sorted(r.name for r in regions) != ["ET", "TC", "WT"]:
-            raise ValueError(f"need exactly one score per region, got {regions}")
-
-    def score(self, region: Region) -> RegionScore:
-        for s in self.scores:
-            if s.region is region:
-                return s
-        raise KeyError(region)
-
-
-@dataclass(frozen=True)
-class MetricStats:
-    mean: float
-    std: float  # sample standard deviation, 0 for a single case
-    median: float
-
-
-@dataclass(frozen=True)
-class CohortSummary:
-    count: int
-    dice: dict[Region, MetricStats]
-    hd95_mm: dict[Region, MetricStats]
-
-    def __post_init__(self):
-        if self.count < 1:
-            raise ValueError("cohort summary needs at least one case")
 
 
 def dice(a: RegionMask, b: RegionMask, config: MetricConfig = MetricConfig()) -> float:
@@ -196,37 +153,35 @@ def hd95(a: RegionMask, b: RegionMask, config: MetricConfig = MetricConfig()) ->
 
 
 def evaluate_case(
-    pred: LabelVolume,
-    truth: LabelVolume,
-    config: MetricConfig = MetricConfig(),
-    case: str = "",
-) -> CaseReport:
+    pred: LabelVolume, truth: LabelVolume, config: MetricConfig = MetricConfig()
+) -> dict[str, dict[str, float]]:
     """Score one prediction against its reference, all three regions."""
     require_same_grid(pred, truth, "label maps")
-    scores = []
+    report = {}
     for region in Region:
         mask_p = extract_region(pred, region)
         mask_t = extract_region(truth, region)
-        scores.append(
-            RegionScore(region, dice(mask_p, mask_t, config), hd95(mask_p, mask_t, config=config))
-        )
-    return CaseReport(case, tuple(scores))
+        report[region.name] = {
+            "dice": float(dice(mask_p, mask_t, config)),
+            "hd95_mm": float(hd95(mask_p, mask_t, config=config)),
+        }
+    return report
 
 
-def _stats(values) -> MetricStats:
+def _stats(values) -> dict[str, float]:
     arr = np.asarray(values, dtype=np.float64)
-    std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-    return MetricStats(float(arr.mean()), std, float(np.median(arr)))
+    std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0  # sample std, 0 for one case
+    return {"mean": float(arr.mean()), "std": std, "median": float(np.median(arr))}
 
 
-def aggregate(reports: list[CaseReport]) -> CohortSummary:
+def aggregate(reports: list[dict]) -> dict[str, dict[str, dict[str, float]]]:
     """Cohort mean / sample std / median per region and metric."""
     if not reports:
         raise ValueError("cannot aggregate an empty report list")
-    dice_stats = {}
-    hd95_stats = {}
-    for region in Region:
-        scores = [r.score(region) for r in reports]
-        dice_stats[region] = _stats([s.dice for s in scores])
-        hd95_stats[region] = _stats([s.hd95_mm for s in scores])
-    return CohortSummary(len(reports), dice_stats, hd95_stats)
+    return {
+        region.name: {
+            metric: _stats([report[region.name][metric] for report in reports])
+            for metric in ("dice", "hd95_mm")
+        }
+        for region in Region
+    }

@@ -344,20 +344,10 @@ def test_criterion_10_end_to_end(tmp_path):
         cleaned = postprocess_case(fused)
         stored = read_label_volume(clean_dir / f"{case}-seg.nii.gz")
         assert np.array_equal(stored.data, cleaned.data)
-        reports.append(evaluate_case(cleaned, truths[case], case=case))
+        reports.append(evaluate_case(cleaned, truths[case]))
     assert [entry["case"] for entry in report["cases"]] == cases
-    for entry, want in zip(report["cases"], reports):
-        for score in want.scores:
-            got = entry["regions"][score.region.name]
-            assert got["dice"] == score.dice
-            assert got["hd95_mm"] == score.hd95_mm
-    cohort = aggregate(reports)
-    for region in Region:
-        summary = report["summary"][region.name]
-        assert summary["dice"]["mean"] == cohort.dice[region].mean
-        assert summary["dice"]["std"] == cohort.dice[region].std
-        assert summary["dice"]["median"] == cohort.dice[region].median
-        assert summary["hd95_mm"]["mean"] == cohort.hd95_mm[region].mean
+    assert [entry["regions"] for entry in report["cases"]] == reports
+    assert report["summary"] == aggregate(reports)
     assert report["missing"] == []
     elapsed = time.monotonic() - started
     assert elapsed < 30.0, f"took {elapsed:.2f}s"

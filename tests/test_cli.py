@@ -22,7 +22,7 @@ from glioseg.config import (
     config_to_dict,
     load_config,
 )
-from glioseg.metrics import evaluate_case
+from glioseg.metrics import MetricConfig, aggregate, evaluate_case
 from glioseg.netkit import build_vnet, graph
 from glioseg.nifti import read_label_volume, read_scalar_volume, write_label_volume, write_scalar_volume
 from glioseg.preprocess import RescaleSpec, preprocess_volume
@@ -441,11 +441,23 @@ def test_evaluate_matches_module_scores_exactly(tmp_path):
     report_path = tmp_path / "report.json"
     main(["evaluate", str(preds), str(truth), str(report_path)])
     report = json.loads(report_path.read_text())
-    want = evaluate_case(pred_labels, truth_labels, case="caseA")
-    for score in want.scores:
-        entry = report["cases"][0]["regions"][score.region.name]
-        assert entry["dice"] == score.dice
-        assert entry["hd95_mm"] == score.hd95_mm
+    want = evaluate_case(pred_labels, truth_labels)
+    assert report["cases"][0]["regions"] == want
+    assert report["summary"] == aggregate([want])
+
+
+def test_evaluate_warns_when_no_truth_file_is_found(tmp_path, caplog):
+    rng = np.random.default_rng(536)
+    preds = seg_dir(tmp_path, "preds", {"caseA": random_labels(rng)})
+    truth = tmp_path / "truth"
+    truth.mkdir()
+    report_path = tmp_path / "report.json"
+    with caplog.at_level("INFO", logger="glioseg"):
+        assert main(["evaluate", str(preds), str(truth), str(report_path)]) == 0
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert f"no *{SEG} files under {truth}" in warnings
+    report = json.loads(report_path.read_text())
+    assert (report["cases"], report["summary"], report["missing"], report["failed"]) == ([], {}, [], {})
 
 
 def test_evaluate_report_schema(tmp_path):
@@ -467,18 +479,25 @@ def test_evaluate_report_schema(tmp_path):
 def test_evaluate_report_holds_numpy_settings_as_plain_numbers(tmp_path):
     # the settings types accept NumPy scalars; the report must still be JSON
     rng = np.random.default_rng(534)
-    truth = seg_dir(tmp_path, "truth", {"caseA": random_labels(rng)})
+    empty = LabelVolume.from_array(np.zeros((6, 6, 6), dtype=np.uint8))
+    truth = seg_dir(tmp_path, "truth", {"caseA": random_labels(rng), "caseB": empty})
     report_path = tmp_path / "report.json"
     config = dataclasses.replace(
         PipelineConfig(),
         staple=StapleConfig(max_iterations=np.int64(5)),
         rescale=RescaleSpec(out_min=np.float32(0.0)),
+        # caseB's regions are all empty, so its scores are these two settings
+        metrics=MetricConfig(empty_empty_dice=np.int64(1), empty_empty_hd95=np.int64(0)),
     )
     assert cli.cmd_evaluate(config, truth, truth, report_path) == 0
     snapshot = config_to_dict(config)
     assert type(snapshot["staple"]["max_iterations"]) is int
     assert type(snapshot["rescale"]["out_min"]) is float
-    assert json.loads(report_path.read_text())["config"] == json.loads(json.dumps(snapshot))
+    report = json.loads(report_path.read_text())
+    assert report["config"] == json.loads(json.dumps(snapshot))
+    for scores in report["cases"][1]["regions"].values():
+        assert scores == {"dice": 1.0, "hd95_mm": 0.0}
+        assert all(type(value) is float for value in scores.values())
 
 
 # ---------------------------------------------------- config and parallel
@@ -687,6 +706,25 @@ def test_readme_config_example_is_accepted():
     config = config_from_dict(json.loads(blocks[0]))
     assert config.postprocess.foreground_connectivity == 26
     assert config.modality_suffixes["t1gd"] == "_t1ce.nii.gz"
+
+
+def test_readme_library_example_runs(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    library = readme[readme.index("\n## Library\n"):]
+    snippet = re.search(r"```python\n(.*?)```", library, flags=re.DOTALL).group(1)
+    rng = np.random.default_rng(537)
+    member_paths = []
+    for index in range(3):
+        member_paths.append(tmp_path / f"member{index}{SEG}")
+        write_label_volume(random_labels(rng), member_paths[-1])
+    truth_path = tmp_path / f"truth{SEG}"
+    write_label_volume(random_labels(rng), truth_path)
+    scope = {"member_paths": member_paths, "truth_path": truth_path}
+    exec(snippet, scope)
+    assert list(scope["report"]) == ["ET", "TC", "WT"]
+    for region, scores in scope["report"].items():
+        for metric, value in scores.items():
+            assert scope["summary"][region][metric] == {"mean": value, "std": 0.0, "median": value}
 
 
 def test_readme_flag_table_matches_flag_fields():

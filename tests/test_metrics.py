@@ -7,9 +7,7 @@ import pytest
 from scipy import ndimage
 
 from glioseg.metrics import (
-    CaseReport,
     MetricConfig,
-    RegionScore,
     _directed_p95,
     aggregate,
     dice,
@@ -398,11 +396,10 @@ def test_evaluate_identical_case():
     data[1:6, 1:6, 1:6] = 2
     data[2:5, 2:5, 2:5] = 1
     data[3, 3, 3] = 3
-    report = evaluate_case(labels_of(data), labels_of(data), case="case0")
-    assert report.case == "case0"
+    report = evaluate_case(labels_of(data), labels_of(data))
+    assert list(report) == ["ET", "TC", "WT"]
     for region in Region:
-        assert report.score(region).dice == 1.0
-        assert report.score(region).hd95_mm == 0.0
+        assert report[region.name] == {"dice": 1.0, "hd95_mm": 0.0}
 
 
 def test_evaluate_empty_prediction_gets_penalties():
@@ -413,8 +410,8 @@ def test_evaluate_empty_prediction_gets_penalties():
     pred = np.zeros((8, 8, 8), dtype=np.uint8)
     report = evaluate_case(labels_of(pred), labels_of(truth))
     for region in Region:
-        assert report.score(region).dice == 0.0
-        assert report.score(region).hd95_mm == 373.13
+        assert report[region.name]["dice"] == 0.0
+        assert report[region.name]["hd95_mm"] == 373.13
 
 
 def test_evaluate_crafted_overlaps():
@@ -428,9 +425,9 @@ def test_evaluate_crafted_overlaps():
     pred[4, 4, 0:2] = 2
     report = evaluate_case(labels_of(pred), labels_of(truth))
     # ET: 2*2/(4+4); TC: 2*6/(8+8); WT: 2*8/(10+10)
-    assert report.score(Region.ET).dice == pytest.approx(0.5)
-    assert report.score(Region.TC).dice == pytest.approx(0.75)
-    assert report.score(Region.WT).dice == pytest.approx(0.8)
+    assert report["ET"]["dice"] == pytest.approx(0.5)
+    assert report["TC"]["dice"] == pytest.approx(0.75)
+    assert report["WT"]["dice"] == pytest.approx(0.8)
 
 
 def test_evaluate_rejects_grid_mismatch():
@@ -443,55 +440,52 @@ def test_evaluate_rejects_grid_mismatch():
         evaluate_case(a, c)
 
 
-def report_with(case, values):
-    scores = tuple(
-        RegionScore(region, d, h) for region, (d, h) in zip(Region, values)
-    )
-    return CaseReport(case, scores)
+def report_with(values):
+    return {region.name: {"dice": d, "hd95_mm": h} for region, (d, h) in zip(Region, values)}
 
 
 def test_aggregate_single_report():
-    rep = report_with("a", [(0.8, 2.0), (0.7, 3.0), (0.9, 1.0)])
+    rep = report_with([(0.8, 2.0), (0.7, 3.0), (0.9, 1.0)])
     summary = aggregate([rep])
-    assert summary.count == 1
+    assert list(summary) == ["ET", "TC", "WT"]
     for region, (d, h) in zip(Region, [(0.8, 2.0), (0.7, 3.0), (0.9, 1.0)]):
-        assert summary.dice[region].mean == d
-        assert summary.dice[region].std == 0.0
-        assert summary.dice[region].median == d
-        assert summary.hd95_mm[region].mean == h
+        assert summary[region.name]["dice"] == {"mean": d, "std": 0.0, "median": d}
+        assert summary[region.name]["hd95_mm"]["mean"] == h
+        assert all(
+            type(value) is float
+            for stats in summary[region.name].values() for value in stats.values()
+        )
 
 
 def test_aggregate_two_reports_mean():
     reps = [
-        report_with("a", [(0.8, 2.0), (0.8, 2.0), (0.8, 2.0)]),
-        report_with("b", [(0.9, 4.0), (0.9, 4.0), (0.9, 4.0)]),
+        report_with([(0.8, 2.0), (0.8, 2.0), (0.8, 2.0)]),
+        report_with([(0.9, 4.0), (0.9, 4.0), (0.9, 4.0)]),
     ]
     summary = aggregate(reps)
     for region in Region:
-        assert summary.dice[region].mean == pytest.approx(0.85)
-        assert summary.hd95_mm[region].mean == pytest.approx(3.0)
+        assert summary[region.name]["dice"]["mean"] == pytest.approx(0.85)
+        assert summary[region.name]["hd95_mm"]["mean"] == pytest.approx(3.0)
 
 
 def test_aggregate_matches_independent_recomputation():
     rng = np.random.default_rng(304)
-    reps = []
-    for i in range(5):
-        vals = [(rng.uniform(0, 1), rng.uniform(0, 50)) for _ in range(3)]
-        reps.append(report_with(f"c{i}", vals))
-    summary = aggregate(reps)
+    values = [[(rng.uniform(0, 1), rng.uniform(0, 50)) for _ in range(3)] for _ in range(5)]
+    summary = aggregate([report_with(vals) for vals in values])
     for idx, region in enumerate(Region):
-        dices = [r.scores[idx].dice for r in reps]
-        hds = [r.scores[idx].hd95_mm for r in reps]
+        dices = [vals[idx][0] for vals in values]
+        hds = [vals[idx][1] for vals in values]
         n = len(dices)
         mean_d = sum(dices) / n
         var_d = sum((x - mean_d) ** 2 for x in dices) / (n - 1)
-        assert summary.dice[region].mean == pytest.approx(mean_d, abs=1e-12)
-        assert summary.dice[region].std == pytest.approx(var_d**0.5, abs=1e-12)
-        assert summary.dice[region].median == pytest.approx(
+        stats = summary[region.name]
+        assert stats["dice"]["mean"] == pytest.approx(mean_d, abs=1e-12)
+        assert stats["dice"]["std"] == pytest.approx(var_d**0.5, abs=1e-12)
+        assert stats["dice"]["median"] == pytest.approx(
             percentile_linear(np.array(dices), 50.0), abs=1e-12
         )
         mean_h = sum(hds) / n
-        assert summary.hd95_mm[region].mean == pytest.approx(mean_h, abs=1e-12)
+        assert stats["hd95_mm"]["mean"] == pytest.approx(mean_h, abs=1e-12)
 
 
 def test_aggregate_empty_rejected():
@@ -499,14 +493,9 @@ def test_aggregate_empty_rejected():
         aggregate([])
 
 
-def test_case_report_needs_all_regions():
-    scores = (RegionScore(Region.ET, 1.0, 0.0), RegionScore(Region.TC, 1.0, 0.0))
-    with pytest.raises(ValueError, match="region"):
-        CaseReport("x", scores)
-
-
 @pytest.mark.parametrize("field, value", [
     ("empty_pred_penalty_mm", np.inf),
+    ("empty_pred_penalty_mm", 0.0),
     ("empty_empty_dice", -0.1),
     ("empty_empty_dice", 1.5),
     ("empty_empty_dice", np.nan),
@@ -527,12 +516,3 @@ def test_metric_config_rejects_conventions_no_score_can_hold(field, value):
 def test_metric_config_takes_only_reals(field, value):
     with pytest.raises(TypeError, match=field):
         MetricConfig(**{field: value})
-
-
-def test_region_score_validation():
-    with pytest.raises(ValueError):
-        RegionScore(Region.ET, 1.5, 0.0)
-    with pytest.raises(ValueError):
-        RegionScore(Region.ET, 0.5, -1.0)
-    with pytest.raises(ValueError):
-        MetricConfig(empty_pred_penalty_mm=0.0)
