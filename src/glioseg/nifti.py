@@ -16,18 +16,20 @@ go through it.
 On disk the first voxel axis varies fastest; in memory volumes are
 C-ordered ``[i, j, k]`` arrays (see glioseg.volume), so read/write
 transposes between the two. Each read copies the voxels once, a block
-of disk planes at a time, into an array the volume owns: labels keep
-their stored integers (float-coded or scaled labels must be integral),
-intensities become float64. The value checks (label range, finiteness, a finite orientation) belong to
-LabelVolume and ScalarVolume; the reader reports their failures as
-NiftiFormatError. Labels are written
-as uint8 and scalars as float32, with the orientation as the sform; a
-``.gz`` path gets one gzip member with no file name and mtime 0, so the
-bytes depend only on the volume. Labels are compressed at gzip level 9,
-scalars at level 1: a float32 intensity volume comes out ~5 % larger than
-at level 9 and compresses several times faster. Both kinds of file are
-written by one loop that casts one slab of disk planes at a time, so a
-write never holds a copy of the image.
+of disk planes at a time, into a native-byte-order array the volume
+owns: labels keep their stored integers (float-coded or scaled labels
+must be integral), and so do intensities, which become float64 only
+when scl_slope/scl_inter scale them. The value checks (label range,
+finiteness, a finite orientation) belong to LabelVolume and
+ScalarVolume; the reader reports their failures as NiftiFormatError.
+Labels are written as uint8 and scalars as float32, with the
+orientation as the sform; a ``.gz`` path gets one gzip member with no
+file name and mtime 0, so the bytes depend only on the volume. Labels
+are compressed at gzip level 9, scalars at level 1: a float32 intensity
+volume comes out ~5 % larger than at level 9 and compresses several
+times faster. Both kinds of file are written by one loop that casts one
+slab of disk planes at a time, so a write never holds a copy of the
+image.
 """
 
 from __future__ import annotations
@@ -216,10 +218,10 @@ def parse_header(raw: bytes) -> NiftiHeader:
     return NiftiHeader(**fields, byte_order=order)
 
 
-def _read_voxels(path, dtype=None):
+def _read_voxels(path):
     """Header and voxels of one file, copied once into an owned C-order array.
 
-    The values keep their stored dtype unless ``dtype`` is given; when
+    The values keep their stored dtype in native byte order; when
     scl_slope/scl_inter apply they become float64. The copy is the
     transpose from disk order, filled _READ_PLANES disk planes at a time.
     """
@@ -247,9 +249,7 @@ def _read_voxels(path, dtype=None):
     scaled = slope != 1.0 or inter != 0.0
     # Disk layout is first-axis-fastest; transpose into C-order [i, j, k].
     disk = flat.reshape((nz, ny, nx)).transpose(2, 1, 0)
-    if scaled:
-        dtype = np.float64
-    data = np.empty((nx, ny, nz), dtype=stored if dtype is None else dtype)
+    data = np.empty((nx, ny, nz), dtype=np.float64 if scaled else stored.newbyteorder("="))
     for k in range(0, nz, _READ_PLANES):
         data[:, :, k:k + _READ_PLANES] = disk[:, :, k:k + _READ_PLANES]
     if scaled:
@@ -266,8 +266,8 @@ def _volume(volume_type, header: NiftiHeader, data: np.ndarray):
 
 
 def read_scalar_volume(path) -> ScalarVolume:
-    """Read an intensity volume as float64, applying scl_slope/scl_inter."""
-    header, data = _read_voxels(path, np.float64)
+    """Read an intensity volume in its stored dtype; scl_slope/scl_inter make it float64."""
+    header, data = _read_voxels(path)
     return _volume(ScalarVolume, header, data)
 
 

@@ -8,11 +8,14 @@ are excluded, since skull-stripped volumes are dominated by zero
 background. Excluded voxels do not enter the statistics and are written
 as 0 (z-score) or out_min (rescale) in the output.
 
-Every function writes one output grid and does its arithmetic on the
-included values: it gathers them once, works on that 1-D copy in place
-and scatters it into the output, whose excluded voxels already hold their
-fill value. Each formula lives in one value-level helper that all three
-functions share. The input volume is never modified.
+Every function writes one float64 output grid and does its arithmetic on
+the included values: it gathers them once into a float64 1-D copy, works
+on that copy in place and scatters it into the output, whose excluded
+voxels already hold their fill value. Only that copy is widened; the
+input keeps its stored dtype, and since the copy holds the same numbers
+in the same order, an int16 volume and a float64 copy of it give
+bit-identical results. Each formula lives in one value-level helper that
+all three functions share. The input volume is never modified.
 """
 
 from __future__ import annotations
@@ -62,10 +65,15 @@ def _included_mask(volume: ScalarVolume, policy: NormalizationPolicy) -> np.ndar
     """The policy's included set; an empty one raises ValueError."""
     if policy.include_background:
         return np.ones(volume.dims, dtype=bool)
-    mask = volume.data != 0.0
+    mask = volume.data != 0
     if not mask.any():
         raise ValueError("no voxels in the included set; volume is all background")
     return mask
+
+
+def _included_values(volume: ScalarVolume, mask: np.ndarray) -> np.ndarray:
+    """A float64 copy of the included values, in C order."""
+    return volume.data[mask].astype(np.float64, copy=False)
 
 
 def _zscore_values(values: np.ndarray, policy: NormalizationPolicy) -> None:
@@ -116,7 +124,7 @@ def zscore_normalize(
     than two voxels or its spread is at or below policy.epsilon.
     """
     mask = _included_mask(volume, policy)
-    values = volume.data[mask]
+    values = _included_values(volume, mask)
     _zscore_values(values, policy)
     out = np.zeros(volume.dims, dtype=np.float64)
     out[mask] = values
@@ -136,8 +144,8 @@ def rescale_percentiles(
     degenerate (P_lo == P_hi).
     """
     mask = _included_mask(volume, policy)
-    window = _percentile_window(volume.data[mask], spec)
-    values = volume.data[mask]
+    window = _percentile_window(_included_values(volume, mask), spec)
+    values = _included_values(volume, mask)
     _rescale_values(values, window, spec)
     out = np.full(volume.dims, spec.out_min, dtype=np.float64)
     out[mask] = values
@@ -158,7 +166,7 @@ def preprocess_volume(
     back.
     """
     mask = _included_mask(volume, policy)
-    values = volume.data[mask]
+    values = _included_values(volume, mask)
     _zscore_values(values, policy)
     out = np.full(volume.dims, spec.out_min, dtype=np.float64)
     out[mask] = values

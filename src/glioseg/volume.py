@@ -145,14 +145,18 @@ class _GridVolume:
 
 @dataclass(frozen=True, eq=False)
 class ScalarVolume(_GridVolume):
-    """3D grid of float64 intensities with spacing and orientation."""
+    """3D grid of finite intensities with spacing and orientation.
+
+    Integer and float data keep their dtype; any other data becomes float64.
+    """
 
     def _checked_data(self, data):
-        data = np.ascontiguousarray(data, dtype=np.float64)
-        flat = data.reshape(-1)
-        for start in range(0, flat.size, _FINITE_BLOCK):
-            if not np.isfinite(flat[start : start + _FINITE_BLOCK]).all():
-                raise ValueError("volume data contains non-finite values")
+        data = np.ascontiguousarray(data, dtype=data.dtype if data.dtype.kind in "iuf" else np.float64)
+        if data.dtype.kind == "f":  # integers are always finite
+            flat = data.reshape(-1)
+            for start in range(0, flat.size, _FINITE_BLOCK):
+                if not np.isfinite(flat[start : start + _FINITE_BLOCK]).all():
+                    raise ValueError("volume data contains non-finite values")
         return data
 
 

@@ -24,6 +24,12 @@ from glioseg.nifti import (
     write_label_volume,
     write_scalar_volume,
 )
+from glioseg.preprocess import (
+    NormalizationPolicy,
+    preprocess_volume,
+    rescale_percentiles,
+    zscore_normalize,
+)
 from glioseg.volume import LabelVolume, ScalarVolume
 
 
@@ -214,8 +220,37 @@ def test_scalar_read_uint16(tmp_path):
     values = np.array([[[0, 1], [40000, 65535]], [[7, 300], [32768, 2]]])
     blob = build_nifti_bytes(values, 512, 16, order=">", np_dtype="u2")
     vol = read_scalar_volume(write_fixture(tmp_path, "mri.nii.gz", blob))
-    assert vol.data.dtype == np.float64
+    assert vol.data.dtype == np.uint16 and vol.data.dtype.isnative
     assert np.array_equal(vol.data, values)
+
+
+@pytest.mark.parametrize("order", "<>")
+@pytest.mark.parametrize("datatype", sorted(nifti._DTYPES))
+def test_stored_dtype_reads_and_normalizes_like_float64(tmp_path, datatype, order):
+    code, bitpix = nifti._DTYPES[datatype]
+    rng = np.random.default_rng(datatype)
+    values = rng.integers(0 if code[0] == "u" else -60, 100, size=(6, 5, 4))
+    values[rng.random(values.shape) < 0.3] = 0
+    stored = (values * 0.75 if code[0] == "f" else values).astype(code)
+    for slope, inter in ((1.0, 0.0), (0.5, -3.0)):
+        blob = build_nifti_bytes(
+            stored, datatype, bitpix, order=order, np_dtype=code, scl_slope=slope, scl_inter=inter
+        )
+        vol = read_scalar_volume(write_fixture(tmp_path, "stored.nii", blob))
+        assert vol.data.dtype == (np.float64 if slope != 1.0 else np.dtype(code))
+        assert vol.data.dtype.isnative and vol.data.flags.c_contiguous
+        assert np.array_equal(vol.data, stored.astype(np.float64) * slope + inter)
+
+        wide = ScalarVolume.from_array(vol.data.astype(np.float64))
+        before = vol.data.copy()
+        for policy in (NormalizationPolicy(True), NormalizationPolicy(False)):
+            for step in (preprocess_volume, zscore_normalize):
+                assert np.array_equal(step(vol, policy).data, step(wide, policy).data)
+            assert np.array_equal(
+                rescale_percentiles(vol, policy=policy).data,
+                rescale_percentiles(wide, policy=policy).data,
+            )
+        assert vol.data.dtype == before.dtype and np.array_equal(vol.data, before)
 
 
 def test_label_rejects_fractional_value(tmp_path):
@@ -527,6 +562,22 @@ def test_label_read_allocates_no_wide_copy(tmp_path):
     assert peak < 5 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
+def test_scalar_read_allocates_no_wide_copy(tmp_path):
+    # an int16 modality stays int16: the file's bytes and one grid, where a
+    # float64 read would add a grid four times the stored one
+    values = np.random.default_rng(16).integers(-2000, 2000, (128, 128, 64)).astype(np.int16)
+    path = write_fixture(tmp_path, "mri.nii", build_nifti_bytes(values, 4, 16))
+    tracemalloc.start()
+    try:
+        vol = read_scalar_volume(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert vol.data.dtype == np.int16 and np.array_equal(vol.data, values)
+    bound = path.stat().st_size + 2 * values.nbytes
+    assert peak < bound, f"peak {peak / 2**20:.1f} MiB, bound {bound / 2**20:.1f} MiB"
+
+
 def test_reads_of_line_shaped_grids_own_writable_data(tmp_path):
     for shape in [(1, 1, 5), (5, 1, 1)]:
         labels = np.arange(5, dtype=np.uint8).reshape(shape) % 4
@@ -548,7 +599,7 @@ def test_blocked_read_transpose_equals_the_whole_image_transpose(tmp_path):
     slope, inter = 0.5, -7.25
     cases = [
         (read_label_volume, build_nifti_bytes(labels, 2, 8), np.uint8, 1.0, 0.0),
-        (read_scalar_volume, build_nifti_bytes(intensities, 4, 16), np.float64, 1.0, 0.0),
+        (read_scalar_volume, build_nifti_bytes(intensities, 4, 16), np.int16, 1.0, 0.0),
         (read_scalar_volume,
          build_nifti_bytes(intensities, 4, 16, scl_slope=slope, scl_inter=inter),
          np.float64, slope, inter),

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from glioseg.volume import (
+    _FINITE_BLOCK,
     LabelVolume,
     Region,
     RegionMask,
@@ -26,8 +27,9 @@ def test_region_label_sets_are_nested():
 
 
 def test_scalar_volume_validation():
-    with pytest.raises(ValueError):
-        ScalarVolume.from_array(np.full((2, 2, 2), np.nan))
+    for dtype in (np.float64, np.float32):
+        with pytest.raises(ValueError):
+            ScalarVolume.from_array(np.full((2, 2, 2), np.nan, dtype=dtype))
     with pytest.raises(ValueError):
         ScalarVolume.from_array(np.zeros((2, 2, 2)), spacing=(1.0, 0.0, 1.0))
     with pytest.raises(ValueError):
@@ -58,6 +60,18 @@ def test_finiteness_check_holds_no_grid_sized_bool():
     assert np.shares_memory(volume.data, data)
     # one block's bools plus slack; a whole-grid np.isfinite takes 4 MiB
     assert peak < 2**20 + 2**18, f"peak {peak / 2**20:.2f} MiB"
+
+
+def test_integer_intensities_are_kept_without_a_finiteness_pass():
+    data = np.zeros((256, 128, 128), dtype=np.int16)  # 8 MiB, four finiteness blocks
+    tracemalloc.start()
+    try:
+        volume = ScalarVolume.from_array(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert volume.data.dtype == np.int16 and np.shares_memory(volume.data, data)
+    assert peak < _FINITE_BLOCK, f"peak {peak / 2**20:.2f} MiB"
 
 
 def test_label_volume_rejects_out_of_range():
