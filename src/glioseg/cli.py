@@ -171,6 +171,9 @@ def cmd_fuse(config: PipelineConfig, strict: bool = False) -> int:
         if not _require_directory(directory, "member"):
             return EXIT_USAGE
     per_member = [_cases_by_suffix(d, config.label_suffix) for d in member_dirs]
+    for directory, cases in zip(member_dirs, per_member):
+        if not cases:
+            logger.warning("no *%s files under %s", config.label_suffix, directory)
     shared = set(per_member[0])
     for cases in per_member[1:]:
         shared &= set(cases)

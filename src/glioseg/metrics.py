@@ -159,8 +159,8 @@ def evaluate_case(
     require_same_grid(pred, truth, "label maps")
     report = {}
     for region in Region:
-        mask_p = extract_region(pred, region)
-        mask_t = extract_region(truth, region)
+        mask_p = RegionMask(extract_region(pred.data, region), pred.spacing)
+        mask_t = RegionMask(extract_region(truth.data, region), truth.spacing)
         report[region.name] = {
             "dice": float(dice(mask_p, mask_t, config)),
             "hd95_mm": float(hd95(mask_p, mask_t, config=config)),

@@ -260,7 +260,7 @@ def _read_voxels(path):
 
 def _volume(volume_type, header: NiftiHeader, data: np.ndarray):
     try:
-        return volume_type(header.shape, header.spacing, header.orientation, data)
+        return volume_type(data, header.spacing, header.orientation)
     except ValueError as exc:
         raise NiftiFormatError(str(exc)) from exc
 

@@ -127,7 +127,7 @@ def find_tc_hole_voxels(
     has a face neighbor outside it or lies on a volume face, and a
     component that touches no box face has no neighbor outside the box.
     """
-    tc = extract_region(labels, Region.TC).data
+    tc = extract_region(labels.data, Region.TC)
     holes = np.zeros(labels.dims, dtype=bool)
     for box in ndimage.find_objects(tc.view(np.uint8)):  # one box, none if tc is empty
         ids, sizes = connected_components(~tc[box], config.hole_connectivity)

@@ -40,8 +40,9 @@ fuse_labels folds the members once into their T distinct label tuples,
 fuses each region on those T columns weighted by their voxel counts, and
 writes the output as one gather of the T fused labels. Majority vote
 takes the same path. staple_binary and majority_vote work on plain vote
-columns and return one value per column; fuse_labels alone wraps each
-region's fused columns as the (T, 1, 1) mask reconstruct_labels takes.
+columns and return one value per column, and extract_region and
+reconstruct_labels work on the J x T table and the T fused columns as
+they are.
 Each region's EM outcome is logged on the glioseg.staple logger, at INFO
 when it converged and at WARNING when it stopped at max_iterations, with
 the iterations, the tolerance and each member's estimated sensitivity
@@ -58,7 +59,6 @@ import numpy as np
 from glioseg.volume import (
     LabelVolume,
     Region,
-    RegionMask,
     check_field_types,
     extract_region,
     reconstruct_labels,
@@ -120,6 +120,8 @@ class RaterDecisions:
             raise ValueError(f"decisions must be 2-D (raters, columns), got {decisions.shape}")
         if decisions.shape[0] < 1:
             raise ValueError("need at least one rater")
+        if decisions.shape[1] < 1:
+            raise ValueError("need at least one column")
         if self.counts is None:
             counts = np.broadcast_to(np.int64(1), decisions.shape[1:])
         else:
@@ -296,17 +298,12 @@ def fuse_labels(
     for other in predictions[1:]:
         require_same_grid(first, other, "predictions")
     tuples, counts, ids = _distinct_columns([p.data.ravel() for p in predictions], 4)
-    table = LabelVolume.from_array(tuples[:, :, None], first.spacing)
     fused = {}
     for region in Region:
-        decisions = RaterDecisions(extract_region(table, region).data[:, :, 0], counts)
+        decisions = RaterDecisions(extract_region(tuples, region), counts)
         if method == "majority":
-            foreground = majority_vote(decisions)
+            fused[region] = majority_vote(decisions)
         else:
-            foreground = _staple_foreground(decisions, region, config)
-        # reconstruct_labels takes one (T, 1, 1) mask per region
-        fused[region] = RegionMask(
-            region, (len(counts), 1, 1), first.spacing, foreground[:, None, None]
-        )
+            fused[region] = _staple_foreground(decisions, region, config)
     lut = reconstruct_labels(fused[Region.ET], fused[Region.TC], fused[Region.WT])
-    return first.with_data(lut.data.ravel()[ids].reshape(first.dims))
+    return first.with_data(lut[ids].reshape(first.dims))

@@ -8,8 +8,9 @@ Evaluation regions are overlapping label sets: ET = {3}, TC = {1, 3},
 WT = {1, 2, 3}, so ET <= TC <= WT voxel-wise by construction.
 
 Voxel data is kept in C-contiguous arrays indexed ``[i, j, k]`` with the
-last axis fastest in memory; ``dims[a]`` pairs with ``spacing[a]`` (mm).
-All types are immutable values and all operations are pure.
+last axis fastest in memory; a volume's ``dims`` is its ``data.shape``, and
+``dims[a]`` pairs with ``spacing[a]`` (mm). All types are immutable values
+and all operations are pure.
 """
 
 from __future__ import annotations
@@ -56,14 +57,14 @@ def default_orientation(spacing) -> np.ndarray:
     return out
 
 
-def _validate_grid(dims, spacing):
-    dims = tuple(int(d) for d in dims)
+def _validate_grid(dims, spacing) -> tuple[float, float, float]:
+    """The spacing as 3 floats, once dims and spacing are checked."""
     spacing = tuple(float(s) for s in np.atleast_1d(spacing))
     if len(dims) != 3 or any(d <= 0 for d in dims):
         raise ValueError(f"dims must be 3 positive integers, got {dims}")
     if len(spacing) != 3 or any(not np.isfinite(s) or s <= 0 for s in spacing):
         raise ValueError(f"spacing must be 3 positive finite reals, got {spacing}")
-    return dims, spacing
+    return spacing
 
 
 def check_field_types(settings, error: type[Exception] = TypeError) -> None:
@@ -91,7 +92,7 @@ _FINITE_BLOCK = 1 << 20  # voxels per finiteness pass, so no grid-sized bool is 
 
 def same_grid(a, b) -> bool:
     """Whether two volumes/masks share dims and (within SPACING_TOL) spacing."""
-    return a.dims == b.dims and all(
+    return a.data.shape == b.data.shape and all(
         abs(sa - sb) <= SPACING_TOL for sa, sb in zip(a.spacing, b.spacing)
     )
 
@@ -99,7 +100,7 @@ def same_grid(a, b) -> bool:
 def require_same_grid(a, b, what: str = "volumes") -> None:
     if not same_grid(a, b):
         raise ValueError(
-            f"{what} disagree on grid: dims {a.dims} vs {b.dims}, "
+            f"{what} disagree on grid: dims {a.data.shape} vs {b.data.shape}, "
             f"spacing {a.spacing} vs {b.spacing}"
         )
 
@@ -108,39 +109,38 @@ def require_same_grid(a, b, what: str = "volumes") -> None:
 class _GridVolume:
     """Voxel data on a validated grid; subclasses check the data itself."""
 
-    dims: tuple[int, int, int]
-    spacing: tuple[float, float, float]
-    orientation: np.ndarray  # (3, 4) voxel-to-world affine rows
-    data: np.ndarray  # [dims], C-order
+    data: np.ndarray  # 3-D, C-order
+    spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)
+    orientation: np.ndarray | None = None  # (3, 4) voxel-to-world affine rows
 
     def __post_init__(self):
-        dims, spacing = _validate_grid(self.dims, self.spacing)
-        object.__setattr__(self, "dims", dims)
+        data = np.asarray(self.data)
+        spacing = _validate_grid(data.shape, self.spacing)
         object.__setattr__(self, "spacing", spacing)
-        orientation = np.ascontiguousarray(self.orientation, dtype=np.float64)
+        orientation = np.ascontiguousarray(
+            default_orientation(spacing) if self.orientation is None else self.orientation,
+            dtype=np.float64,
+        )
         if orientation.shape != (3, 4):
             raise ValueError(f"orientation must be 3x4, got {orientation.shape}")
         if not np.all(np.isfinite(orientation)):
             raise ValueError("orientation contains non-finite values")
         object.__setattr__(self, "orientation", orientation)
-        data = np.asarray(self.data)
-        if data.shape != dims:
-            raise ValueError(f"data shape {data.shape} does not match dims {dims}")
         object.__setattr__(self, "data", self._checked_data(data))
 
     def _checked_data(self, data: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    @classmethod
-    def from_array(cls, data, spacing=(1.0, 1.0, 1.0), orientation=None):
-        data = np.asarray(data)
-        if orientation is None:
-            orientation = default_orientation(spacing)
-        return cls(data.shape, tuple(spacing), orientation, data)
+    @property
+    def dims(self) -> tuple[int, int, int]:
+        return self.data.shape
 
     def with_data(self, data):
         """Same grid and orientation, new voxel values."""
-        return type(self)(self.dims, self.spacing, self.orientation, data)
+        data = np.asarray(data)
+        if data.shape != self.dims:
+            raise ValueError(f"data shape {data.shape} does not match dims {self.dims}")
+        return type(self)(data, self.spacing, self.orientation)
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,46 +176,33 @@ class LabelVolume(_GridVolume):
 
 @dataclass(frozen=True, eq=False)
 class RegionMask:
-    """Binary mask of one evaluation region over a label grid."""
+    """Binary mask of one evaluation region with its grid spacing."""
 
-    region: Region
-    dims: tuple[int, int, int]
-    spacing: tuple[float, float, float]
-    data: np.ndarray = field(repr=False)  # bool [dims]
+    data: np.ndarray = field(repr=False)  # bool, 3-D
+    spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)
 
     def __post_init__(self):
-        dims, spacing = _validate_grid(self.dims, self.spacing)
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "spacing", spacing)
         data = np.ascontiguousarray(self.data, dtype=bool)
-        if data.shape != dims:
-            raise ValueError(f"mask shape {data.shape} does not match dims {dims}")
+        object.__setattr__(self, "spacing", _validate_grid(data.shape, self.spacing))
         object.__setattr__(self, "data", data)
 
-    @property
-    def voxel_count(self) -> int:
-        return int(self.data.sum())
+
+def extract_region(labels: np.ndarray, region: Region) -> np.ndarray:
+    """Bool array, of the shape of ``labels``, of the labels in ``region``."""
+    return np.isin(labels, region.labels)
 
 
-def extract_region(labels: LabelVolume, region: Region) -> RegionMask:
-    """Binary mask of the voxels whose label belongs to ``region``."""
-    mask = np.isin(labels.data, region.labels)
-    return RegionMask(region, labels.dims, labels.spacing, mask)
-
-
-def reconstruct_labels(et: RegionMask, tc: RegionMask, wt: RegionMask) -> LabelVolume:
-    """Rebuild a label volume from per-region masks.
+def reconstruct_labels(et: np.ndarray, tc: np.ndarray, wt: np.ndarray) -> np.ndarray:
+    """Rebuild uint8 labels, of the masks' common shape, from per-region bool masks.
 
     Nesting is enforced first (ET within TC within WT) by intersection, so
-    independently fused masks never produce an invalid labeling. Masks carry
-    no orientation, so the output gets a spacing-scaled identity affine.
+    independently fused masks never produce an invalid labeling.
     """
-    require_same_grid(et, tc, "region masks")
-    require_same_grid(et, wt, "region masks")
-    et_n = et.data & tc.data & wt.data
-    tc_n = tc.data & wt.data
-    out = np.zeros(wt.dims, dtype=np.uint8)
-    out[wt.data] = LABEL_ED
-    out[tc_n] = LABEL_NCR
-    out[et_n] = LABEL_ET
-    return LabelVolume(wt.dims, wt.spacing, default_orientation(wt.spacing), out)
+    et, tc, wt = (np.asarray(mask, dtype=bool) for mask in (et, tc, wt))
+    if not et.shape == tc.shape == wt.shape:
+        raise ValueError(f"region masks disagree on shape: {et.shape}, {tc.shape}, {wt.shape}")
+    out = np.zeros(wt.shape, dtype=np.uint8)
+    out[wt] = LABEL_ED
+    out[tc & wt] = LABEL_NCR
+    out[et & tc & wt] = LABEL_ET
+    return out

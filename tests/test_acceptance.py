@@ -32,7 +32,7 @@ from glioseg.nifti import parse_header, read_label_volume, write_label_volume
 from glioseg.postprocess import connected_components, postprocess_case
 from glioseg.preprocess import rescale_percentiles, zscore_normalize
 from glioseg.staple import RaterDecisions, StapleConfig, fuse_labels, staple_binary
-from glioseg.volume import LabelVolume, Region, RegionMask, ScalarVolume
+from glioseg.volume import LabelVolume, RegionMask, ScalarVolume
 
 from oracles import (
     central_difference_grad,
@@ -61,7 +61,7 @@ def criterion(number: int, description: str):
 
 def wt_mask(data: np.ndarray, spacing=(1.0, 1.0, 1.0)) -> RegionMask:
     data = np.asarray(data, dtype=bool)
-    return RegionMask(Region.WT, data.shape, spacing, data)
+    return RegionMask(data, spacing)
 
 
 @criterion(1, "STAPLE weights match the EM oracle to 1e-9 on 200 instances in <10s")
@@ -160,7 +160,7 @@ def test_criterion_05_postprocess_boundary():
     def rod_labels(size):
         data = np.zeros((10, 10, 10), dtype=np.uint8)
         data.ravel()[:size] = 3
-        return LabelVolume.from_array(data)
+        return LabelVolume(data)
 
     removed = postprocess_case(rod_labels(50))
     assert not np.any(removed.data == 3)
@@ -169,7 +169,7 @@ def test_criterion_05_postprocess_boundary():
 
     rng = np.random.default_rng(1005)
     for _ in range(100):
-        labels = LabelVolume.from_array(rng.integers(0, 4, size=(8, 8, 8)).astype(np.uint8))
+        labels = LabelVolume(rng.integers(0, 4, size=(8, 8, 8)).astype(np.uint8))
         once = postprocess_case(labels)
         twice = postprocess_case(once)
         assert np.array_equal(once.data, twice.data)
@@ -192,7 +192,7 @@ def test_criterion_07_preprocessing():
     for _ in range(20):
         data = rng.uniform(5.0, 250.0, size=(12, 11, 10))
         data[rng.random(data.shape) < 0.3] = 0.0  # background stays excluded
-        volume = ScalarVolume.from_array(data)
+        volume = ScalarVolume(data)
         normalized = zscore_normalize(volume)
         included = normalized.data[data != 0.0]
         assert abs(included.mean()) < 1e-6
@@ -205,7 +205,7 @@ def test_criterion_07_preprocessing():
         expected[data == 0.0] = 0.0
         assert np.max(np.abs(rescaled.data - expected)) < 1e-6
     # ramp where P2 and P98 land exactly on voxel values
-    ramp = ScalarVolume.from_array(np.arange(101, dtype=np.float64).reshape(101, 1, 1) + 1.0)
+    ramp = ScalarVolume(np.arange(101, dtype=np.float64).reshape(101, 1, 1) + 1.0)
     from glioseg.preprocess import NormalizationPolicy
 
     policy = NormalizationPolicy(include_background=True)
@@ -267,7 +267,7 @@ def test_criterion_08_netkit():
 def test_criterion_09_nifti(tmp_path):
     rng = np.random.default_rng(1009)
     for index in range(10):
-        labels = LabelVolume.from_array(
+        labels = LabelVolume(
             rng.integers(0, 4, size=(7, 6, 5)).astype(np.uint8),
             spacing=(0.9, 1.1, 1.3),
         )
@@ -315,7 +315,7 @@ def test_criterion_10_end_to_end(tmp_path):
         labels[distance <= 6.0] = 2
         labels[distance <= 4.5] = 1
         labels[distance <= 2.5] = 3
-        truth = LabelVolume.from_array(labels)
+        truth = LabelVolume(labels)
         truths[case] = truth
         write_label_volume(truth, truth_dir / f"{case}-seg.nii.gz")
         noisy = []
@@ -323,7 +323,7 @@ def test_criterion_10_end_to_end(tmp_path):
             data = labels.copy()
             flips = rng.random(data.shape) < 0.08
             data[flips] = rng.integers(0, 4, size=int(flips.sum()))
-            member = LabelVolume.from_array(data)
+            member = LabelVolume(data)
             noisy.append(member)
             write_label_volume(member, directory / f"{case}-seg.nii.gz")
         members[case] = noisy

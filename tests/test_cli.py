@@ -41,11 +41,11 @@ def write_case_modalities(root, case, rng, constant_t1=False):
             data = np.full((6, 5, 4), 3.0)
         else:
             data = rng.uniform(10.0, 90.0, size=(6, 5, 4))
-        write_scalar_volume(ScalarVolume.from_array(data), case_dir / f"{case}{suffix}")
+        write_scalar_volume(ScalarVolume(data), case_dir / f"{case}{suffix}")
 
 
 def random_labels(rng, dims=(6, 6, 6)):
-    return LabelVolume.from_array(rng.integers(0, 4, size=dims).astype(np.uint8))
+    return LabelVolume(rng.integers(0, 4, size=dims).astype(np.uint8))
 
 
 def write_member_dirs(root, members, case="caseA"):
@@ -107,7 +107,7 @@ def test_normalize_failed_case_leaves_no_outputs(tmp_path, fault):
     if fault == "missing":
         last.unlink()
     else:
-        write_scalar_volume(ScalarVolume.from_array(np.full((6, 5, 4), 3.0)), last)
+        write_scalar_volume(ScalarVolume(np.full((6, 5, 4), 3.0)), last)
     out = tmp_path / "norm"
     assert main(["normalize", str(tmp_path / "raw"), str(out)]) == 1
     written = sorted(str(p.relative_to(out)) for p in out.rglob("*"))
@@ -120,7 +120,7 @@ def test_normalize_keeps_one_modality_alive_at_a_time(tmp_path, monkeypatch):
         write_case_modalities(tmp_path / "raw", case, rng)
     # caseA fails on its last modality; that volume must not outlive the case
     write_scalar_volume(
-        ScalarVolume.from_array(np.full((6, 5, 4), 3.0)),
+        ScalarVolume(np.full((6, 5, 4), 3.0)),
         tmp_path / "raw" / "caseA" / f"caseA{MOD_SUFFIXES[-1]}",
     )
     volumes = []  # weak references to every volume read or normalized
@@ -197,6 +197,19 @@ def test_fuse_skips_case_missing_from_a_member(tmp_path):
     assert main(["fuse", "--members", *dirs, "--output-dir", str(out), "--strict"]) == 1
 
 
+def test_fuse_warns_for_each_member_without_a_label_file(tmp_path, caplog):
+    empty = [tmp_path / "member0", tmp_path / "member1"]
+    for directory in empty:
+        directory.mkdir()
+    out = tmp_path / "fused"
+    with caplog.at_level("INFO", logger="glioseg"):
+        assert main(["fuse", "--members", *map(str, empty), "--output-dir", str(out)]) == 0
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert warnings == [f"no *{SEG} files under {directory}" for directory in empty]
+    assert caplog.records[-1].getMessage().startswith("fuse: 0 case(s) written, 0 skipped, 0 failed")
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_fuse_dimension_mismatch_fails_case(tmp_path):
     rng = np.random.default_rng(514)
     dirs = write_member_dirs(tmp_path, [random_labels(rng), random_labels(rng, dims=(5, 5, 5))])
@@ -228,7 +241,7 @@ def et_island_labels(island_size, dims=(10, 10, 10)):
     # a straight rod is one 26-connected component
     data.ravel()[: island_size] = 3
     assert int((data == 3).sum()) == island_size
-    return LabelVolume.from_array(data), flat
+    return LabelVolume(data), flat
 
 
 def test_postprocess_removes_small_et_island(tmp_path):
@@ -479,7 +492,7 @@ def test_evaluate_report_schema(tmp_path):
 def test_evaluate_report_holds_numpy_settings_as_plain_numbers(tmp_path):
     # the settings types accept NumPy scalars; the report must still be JSON
     rng = np.random.default_rng(534)
-    empty = LabelVolume.from_array(np.zeros((6, 6, 6), dtype=np.uint8))
+    empty = LabelVolume(np.zeros((6, 6, 6), dtype=np.uint8))
     truth = seg_dir(tmp_path, "truth", {"caseA": random_labels(rng), "caseB": empty})
     report_path = tmp_path / "report.json"
     config = dataclasses.replace(

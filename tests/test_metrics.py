@@ -22,9 +22,8 @@ from oracles import hd95_oracle, percentile_linear, surface_coords
 CFG = MetricConfig()
 
 
-def mask_of(data, spacing=(1.0, 1.0, 1.0), region=Region.ET):
-    data = np.asarray(data, dtype=bool)
-    return RegionMask(region, data.shape, spacing, data)
+def mask_of(data, spacing=(1.0, 1.0, 1.0)):
+    return RegionMask(data, spacing)
 
 
 def box(dims, lo, hi, spacing=(1.0, 1.0, 1.0)):
@@ -388,7 +387,7 @@ def test_specks_against_a_blob_transform_less_than_the_joint_box(edt_sizes):
 
 
 def labels_of(data, spacing=(1.0, 1.0, 1.0)):
-    return LabelVolume.from_array(np.asarray(data, dtype=np.uint8), spacing)
+    return LabelVolume(np.asarray(data, dtype=np.uint8), spacing)
 
 
 def test_evaluate_identical_case():

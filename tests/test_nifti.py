@@ -241,7 +241,7 @@ def test_stored_dtype_reads_and_normalizes_like_float64(tmp_path, datatype, orde
         assert vol.data.dtype.isnative and vol.data.flags.c_contiguous
         assert np.array_equal(vol.data, stored.astype(np.float64) * slope + inter)
 
-        wide = ScalarVolume.from_array(vol.data.astype(np.float64))
+        wide = ScalarVolume(vol.data.astype(np.float64))
         before = vol.data.copy()
         for policy in (NormalizationPolicy(True), NormalizationPolicy(False)):
             for step in (preprocess_volume, zscore_normalize):
@@ -364,7 +364,7 @@ def test_label_round_trip_bit_exact(tmp_path):
     rng = np.random.default_rng(11)
     for trial in range(10):
         dims = tuple(int(d) for d in rng.integers(2, 9, size=3))
-        labels = LabelVolume.from_array(
+        labels = LabelVolume(
             rng.integers(0, 4, size=dims).astype(np.uint8),
             spacing=tuple(rng.uniform(0.5, 3.0, size=3)),
         )
@@ -378,7 +378,7 @@ def test_label_round_trip_bit_exact(tmp_path):
 
 def test_scalar_round_trip_float32_values(tmp_path):
     rng = np.random.default_rng(12)
-    vol = ScalarVolume.from_array(rng.normal(size=(5, 6, 7)), spacing=(1.0, 1.0, 2.5))
+    vol = ScalarVolume(rng.normal(size=(5, 6, 7)), spacing=(1.0, 1.0, 2.5))
     for name in ("vol.nii", "vol.nii.gz"):
         path = tmp_path / name
         write_scalar_volume(vol, path)
@@ -409,7 +409,7 @@ def test_non_finite_orientation_rejected(tmp_path, geometry):
 
 
 def test_written_header_bytes(tmp_path):
-    labels = LabelVolume.from_array(
+    labels = LabelVolume(
         np.zeros((3, 4, 5), dtype=np.uint8), spacing=(1.0, 1.5, 2.0)
     )
     lpath = tmp_path / "seg.nii"
@@ -428,7 +428,7 @@ def test_written_header_bytes(tmp_path):
     orientation = np.array(
         [[0.0, -1.5, 0.0, 12.0], [2.0, 0.0, 0.0, -7.5], [0.0, 0.0, 0.5, 3.25]]
     )
-    turned = LabelVolume((3, 4, 5), (2.0, 1.5, 0.5), orientation, np.zeros((3, 4, 5), np.uint8))
+    turned = LabelVolume(np.zeros((3, 4, 5), np.uint8), (2.0, 1.5, 0.5), orientation)
     write_label_volume(turned, lpath)
     raw = lpath.read_bytes()
     for offset, row in zip((280, 296, 312), orientation):
@@ -438,7 +438,7 @@ def test_written_header_bytes(tmp_path):
     assert struct.unpack_from("<f", raw, 112)[0] == 1.0  # scl_slope
     assert struct.unpack_from("<f", raw, 116)[0] == 0.0  # scl_inter
 
-    vol = ScalarVolume.from_array(np.zeros((2, 2, 2)))
+    vol = ScalarVolume(np.zeros((2, 2, 2)))
     spath = tmp_path / "vol.nii"
     write_scalar_volume(vol, spath)
     raw = spath.read_bytes()
@@ -448,7 +448,7 @@ def test_written_header_bytes(tmp_path):
 
 def test_header_reads_xyzt_units(tmp_path):
     path = tmp_path / "units.nii"
-    write_label_volume(LabelVolume.from_array(np.zeros((2, 2, 2), np.uint8)), path)
+    write_label_volume(LabelVolume(np.zeros((2, 2, 2), np.uint8)), path)
     assert parse_header(path.read_bytes()).xyzt_units == 2  # millimeters
 
 
@@ -456,14 +456,14 @@ def test_written_disk_order_is_x_fastest(tmp_path):
     labels = np.zeros((2, 2, 2), dtype=np.uint8)
     labels[1, 0, 0] = 1  # second voxel on disk when x varies fastest
     lpath = tmp_path / "order.nii"
-    write_label_volume(LabelVolume.from_array(labels), lpath)
+    write_label_volume(LabelVolume(labels), lpath)
     raw = lpath.read_bytes()
     assert raw[352:360] == bytes([0, 1, 0, 0, 0, 0, 0, 0])
 
 
 def test_write_preserves_orientation(tmp_path):
     srows = np.array([[0.0, 0.0, 2.0, 1.0], [0.0, 1.0, 0.0, -2.0], [3.0, 0.0, 0.0, 0.0]])
-    vol = ScalarVolume((2, 2, 2), (1.0, 1.0, 1.0), srows, np.zeros((2, 2, 2)))
+    vol = ScalarVolume(np.zeros((2, 2, 2)), (1.0, 1.0, 1.0), srows)
     path = tmp_path / "orient.nii"
     write_scalar_volume(vol, path)
     back = read_scalar_volume(path)
@@ -471,8 +471,8 @@ def test_write_preserves_orientation(tmp_path):
 
 
 def test_gzip_bytes_depend_only_on_the_volume(tmp_path):
-    labels = LabelVolume.from_array(np.random.default_rng(13).integers(0, 4, (5, 6, 7)).astype(np.uint8))
-    scalars = ScalarVolume.from_array(np.random.default_rng(14).normal(size=(5, 6, 7)))
+    labels = LabelVolume(np.random.default_rng(13).integers(0, 4, (5, 6, 7)).astype(np.uint8))
+    scalars = ScalarVolume(np.random.default_rng(14).normal(size=(5, 6, 7)))
     (tmp_path / "sub").mkdir()
     for write, volume in [(write_label_volume, labels), (write_scalar_volume, scalars)]:
         first, second = tmp_path / "a.nii.gz", tmp_path / "sub" / ".tmp-123-other-name.nii.gz"
@@ -483,8 +483,8 @@ def test_gzip_bytes_depend_only_on_the_volume(tmp_path):
 
 def test_gzip_level_is_fixed_per_datatype(tmp_path):
     # XFL, byte 8 of the gzip header: 2 marks level 9, 4 marks level 1
-    labels = LabelVolume.from_array(np.random.default_rng(16).integers(0, 4, (5, 6, 7)).astype(np.uint8))
-    scalars = ScalarVolume.from_array(np.random.default_rng(17).normal(size=(5, 6, 7)))
+    labels = LabelVolume(np.random.default_rng(16).integers(0, 4, (5, 6, 7)).astype(np.uint8))
+    scalars = ScalarVolume(np.random.default_rng(17).normal(size=(5, 6, 7)))
     write_label_volume(labels, tmp_path / "seg.nii.gz")
     write_scalar_volume(scalars, tmp_path / "t1.nii.gz")
     assert (tmp_path / "seg.nii.gz").read_bytes()[8] == 0x02
@@ -500,8 +500,8 @@ def test_written_bytes_are_header_voxels_and_one_gzip_member(tmp_path, monkeypat
     for slab, shape in [(2**20, (5, 6, 7)), (1, (5, 6, 7)), (100, (5, 6, 7)), (250, (5, 6, 7)),
                         (2**20, (128, 128, 70))]:
         monkeypatch.setattr(nifti, "_GZIP_SLICE", slab)
-        labels = LabelVolume.from_array(rng.integers(0, 4, shape).astype(np.uint8))
-        scalars = ScalarVolume.from_array(rng.normal(size=shape))
+        labels = LabelVolume(rng.integers(0, 4, shape).astype(np.uint8))
+        scalars = ScalarVolume(rng.normal(size=shape))
         for write, volume, dtype, level in [
             (write_label_volume, labels, "<u1", 9),
             (write_scalar_volume, scalars, "<f4", 1),
@@ -520,7 +520,7 @@ def test_scalar_write_holds_one_image(tmp_path):
     # the voxels are cast one slab of disk planes at a time: no image-sized copy
     data = np.zeros((128, 128, 64))
     data[40:72, 40:72, 16:48] = np.random.default_rng(20).normal(size=(32, 32, 32))
-    volume = ScalarVolume.from_array(data)
+    volume = ScalarVolume(data)
     image = data.size * 4  # a float32 disk-order copy would be 4 MiB
     for name in ("big.nii", "big.nii.gz"):
         tracemalloc.start()
@@ -537,7 +537,7 @@ def test_incompressible_gzip_write_holds_one_image(tmp_path):
     # whole would cost about one more image; streamed, the extra over one
     # slab is one slice of output (held twice while zlib joins its blocks)
     # and zlib's state
-    volume = ScalarVolume.from_array(np.random.default_rng(21).normal(size=(128, 128, 128)))
+    volume = ScalarVolume(np.random.default_rng(21).normal(size=(128, 128, 128)))
     image = volume.data.size * 4
     tracemalloc.start()
     try:

@@ -22,7 +22,7 @@ def component_count(mask, connectivity):
 
 
 def labels_of(data):
-    return LabelVolume.from_array(np.asarray(data, dtype=np.uint8))
+    return LabelVolume(np.asarray(data, dtype=np.uint8))
 
 
 def test_two_isolated_voxels():
@@ -346,8 +346,8 @@ def test_postprocess_invariants_on_random_volumes():
 
         repaired = repair_tc_holes(filtered, config)
         # hole repair only adds core voxels, never touches edema
-        tc_before = extract_region(filtered, Region.TC).data
-        tc_after = extract_region(repaired, Region.TC).data
+        tc_before = extract_region(filtered.data, Region.TC)
+        tc_after = extract_region(repaired.data, Region.TC)
         assert np.all(tc_after[tc_before])
         assert np.array_equal(repaired.data == 2, filtered.data == 2)
 

@@ -21,7 +21,7 @@ FG = NormalizationPolicy()
 
 
 def vol(data, spacing=(1.0, 1.0, 1.0)):
-    return ScalarVolume.from_array(np.asarray(data, dtype=np.float64), spacing)
+    return ScalarVolume(np.asarray(data, dtype=np.float64), spacing)
 
 
 def test_two_values_forced():

@@ -18,7 +18,6 @@ from glioseg.staple import (
 from glioseg.volume import (
     LabelVolume,
     Region,
-    RegionMask,
     extract_region,
     reconstruct_labels,
 )
@@ -326,7 +325,7 @@ def test_majority_equals_staple_on_unanimous_raters():
 
 def random_label_volume(rng, dims=(6, 6, 6)):
     data = rng.integers(0, 4, size=dims).astype(np.uint8)
-    return LabelVolume.from_array(data)
+    return LabelVolume(data)
 
 
 def test_fuse_identical_predictions():
@@ -352,9 +351,9 @@ def test_fuse_output_is_nested():
     rng = np.random.default_rng(412)
     vols = [random_label_volume(rng, (8, 8, 8)) for _ in range(3)]
     fused = fuse_labels(vols)
-    et = extract_region(fused, Region.ET).data
-    tc = extract_region(fused, Region.TC).data
-    wt = extract_region(fused, Region.WT).data
+    et = extract_region(fused.data, Region.ET)
+    tc = extract_region(fused.data, Region.TC)
+    wt = extract_region(fused.data, Region.WT)
     assert np.all(tc[et])
     assert np.all(wt[tc])
 
@@ -380,7 +379,7 @@ def test_fuse_logs_each_region_and_member_performance(caplog):
     vols = []
     for _ in range(3):  # members that each relabel ~10% of the voxels
         noisy = np.where(rng.random(truth.shape) < 0.1, rng.integers(0, 4, truth.shape), truth)
-        vols.append(LabelVolume.from_array(noisy.astype(np.uint8)))
+        vols.append(LabelVolume(noisy.astype(np.uint8)))
     with caplog.at_level("INFO", logger="glioseg.staple"):
         fuse_labels(vols, method="majority")
         assert not caplog.records
@@ -402,16 +401,15 @@ def fuse_reference(predictions, config, method):
     fused = {}
     for region in Region:
         decisions = RaterDecisions(
-            np.stack([extract_region(p, region).data.ravel() for p in predictions])
+            np.stack([extract_region(p.data, region).ravel() for p in predictions])
         )
         if method == "majority":
             foreground = majority_vote(decisions)
         else:
             foreground = _staple_foreground(decisions, region, config)
-        mask = foreground.reshape(first.dims)
-        fused[region] = RegionMask(region, first.dims, first.spacing, mask)
+        fused[region] = foreground.reshape(first.dims)
     return first.with_data(
-        reconstruct_labels(fused[Region.ET], fused[Region.TC], fused[Region.WT]).data
+        reconstruct_labels(fused[Region.ET], fused[Region.TC], fused[Region.WT])
     )
 
 
@@ -428,7 +426,7 @@ def test_fuse_matches_region_wise_voxel_reference(caplog):
         for _ in range(num):
             relabel = rng.random(dims) < noise
             data = np.where(relabel, rng.choice(labels, size=dims), truth)
-            out.append(LabelVolume.from_array(data.astype(np.uint8), spacing, orientation))
+            out.append(LabelVolume(data.astype(np.uint8), spacing, orientation))
         return out
 
     cases = [members(num, (6, 5, 7)) for num in (1, 2, 3, 5)]
@@ -465,7 +463,7 @@ def test_fuse_memory_is_bounded_by_label_tuples():
     vols = []
     for _ in range(5):
         noisy = np.where(rng.random(dims) < 0.02, rng.integers(0, 4, dims), truth)
-        vols.append(LabelVolume.from_array(noisy.astype(np.uint8)))
+        vols.append(LabelVolume(noisy.astype(np.uint8)))
     for method in ("staple", "majority"):
         tracemalloc.start()
         try:
@@ -485,7 +483,7 @@ def test_fuse_validation():
     b = random_label_volume(rng, (4, 4, 5))
     with pytest.raises(ValueError):
         fuse_labels([a, b])
-    c = LabelVolume.from_array(a.data, spacing=(1.0, 1.0, 2.0))
+    c = LabelVolume(a.data, spacing=(1.0, 1.0, 2.0))
     with pytest.raises(ValueError, match="grid"):
         fuse_labels([a, c])
     with pytest.raises(ValueError, match="method"):
@@ -530,6 +528,8 @@ def test_decisions_validation():
         RaterDecisions(np.zeros(5, dtype=bool))
     with pytest.raises(ValueError, match="at least one rater"):
         RaterDecisions(np.zeros((0, 5), dtype=bool))
+    with pytest.raises(ValueError, match="at least one column"):
+        RaterDecisions(np.zeros((3, 0), dtype=bool))
     rows = np.zeros((2, 3), dtype=bool)
     for bad in ([1, 2], [[1, 2, 3]], [1, 0, 2], [1, -2, 2], [1.0, 2.5, 1.0], [1.0, 2.0, 1.0]):
         with pytest.raises(ValueError, match="counts"):

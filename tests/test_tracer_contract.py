@@ -72,6 +72,22 @@ def test_traced_pipeline_records_every_layer_and_uninstall_restores(tmp_path, ca
         "netkit.forward", "netkit.summary", "netkit.conv3d",
     ):
         assert name in names, name
+    # each stage still calls the traced region helpers, so their spans
+    # measure the stage's own work
+    inside = {}
+    for span in tracer.spans:
+        if span[0].startswith("volume."):
+            parent = span[3]
+            while parent != -1:
+                inside.setdefault(tracer.spans[parent][0], set()).add(span[0])
+                parent = tracer.spans[parent][3]
+    for stage, helpers in (
+        ("staple.fuse_labels", {"volume.extract_region", "volume.reconstruct_labels"}),
+        ("postprocess.case", {"volume.extract_region"}),
+        ("metrics.evaluate_case", {"volume.extract_region"}),
+    ):
+        assert inside.get(stage) == helpers, stage
+
     counters = {}
     for span in tracer.spans:
         counters.setdefault(span[0], {}).update(span[5])
