@@ -27,7 +27,6 @@ from glioseg.config import (
     MODALITIES,
     ConfigError,
     PipelineConfig,
-    apply_overrides,
     config_to_dict,
     load_config,
 )
@@ -338,8 +337,8 @@ def main(argv=None) -> int:
     try:
         if args.command == "demo-net":
             return cmd_demo_net(args.architecture, args.size)
-        overrides = {k: getattr(args, k) for k in FLAG_FIELDS if hasattr(args, k)}
-        config = apply_overrides(load_config(args.config), **overrides)
+        flags = {k: getattr(args, k) for k in FLAG_FIELDS if hasattr(args, k)}
+        config = load_config(args.config, flags)
         if args.command == "fuse":
             return cmd_fuse(config, strict=args.strict)
         if args.command == "normalize":

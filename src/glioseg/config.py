@@ -1,11 +1,13 @@
-"""Pipeline configuration: one JSON document, overridable by CLI flags.
+"""Pipeline configuration: one JSON document, with CLI flags written into it.
 
 The file is a flat object of optional sections; anything omitted keeps
-its default. Section names mirror the dataclasses they configure. Each
-settings class checks its own field types (volume.check_field_types) and
-ranges however it is built; the loader only refuses unknown keys and
-non-object sections, and turns every refusal into a ConfigError.
-FLAG_FIELDS names the field each CLI flag overrides:
+its default. Section names mirror the dataclasses they configure.
+load_config writes each given flag into the parsed payload at its
+FLAG_FIELDS key, then one builder checks the effective settings: each
+settings class, PipelineConfig included, checks its own field types
+(volume.check_field_types) and ranges, raising TypeError or ValueError;
+the builder refuses unknown keys and non-object sections, and turns every
+refusal into a ConfigError:
 
     {
       "modality_suffixes": {"t1": "-t1n.nii.gz", ...},
@@ -29,8 +31,6 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from glioseg.metrics import MetricConfig
 from glioseg.postprocess import PostprocessConfig
 from glioseg.preprocess import NormalizationPolicy, RescaleSpec
@@ -53,7 +53,7 @@ class ConfigError(ValueError):
     """Invalid configuration file or flag combination."""
 
 
-# argparse dest -> (section, field); section None is a top-level field
+# argparse dest -> (section, field) it is written to; section None is a top-level field
 FLAG_FIELDS = {
     "parallel": (None, "parallel_cases"),
     "members": (None, "prediction_dirs"),
@@ -81,26 +81,29 @@ class PipelineConfig:
     metrics: MetricConfig = field(default_factory=MetricConfig)
 
     def __post_init__(self):
-        check_field_types(self, ConfigError)
+        check_field_types(self)
         if set(self.modality_suffixes) != set(MODALITIES):
-            raise ConfigError(
+            raise ValueError(
                 f"modality_suffixes must map exactly {sorted(MODALITIES)}, "
                 f"got {sorted(self.modality_suffixes)}"
             )
         for key, suffix in self.modality_suffixes.items():
             if not isinstance(suffix, str) or not suffix:
-                raise ConfigError(f"suffix for {key!r} must be a non-empty string")
+                raise ValueError(f"suffix for {key!r} must be a non-empty string")
+        if len(set(self.modality_suffixes.values())) < len(MODALITIES):
+            # the modalities of a case would be written to one file
+            raise ValueError(f"modality_suffixes must differ, got {self.modality_suffixes}")
         if not self.label_suffix:
-            raise ConfigError("label_suffix must be a non-empty string")
+            raise ValueError("label_suffix must be a non-empty string")
         if not all(isinstance(d, str) for d in self.prediction_dirs):
-            raise ConfigError("prediction_dirs must be a list of strings")
+            raise ValueError("prediction_dirs must be a list of strings")
         object.__setattr__(self, "prediction_dirs", tuple(self.prediction_dirs))
         if self.fusion_method not in FUSION_METHODS:
-            raise ConfigError(
+            raise ValueError(
                 f"fusion_method must be one of {FUSION_METHODS}, got {self.fusion_method!r}"
             )
         if self.parallel_cases < 1:
-            raise ConfigError(f"parallel_cases must be at least 1, got {self.parallel_cases!r}")
+            raise ValueError(f"parallel_cases must be at least 1, got {self.parallel_cases!r}")
 
 
 def _build(cls, payload, where: str):
@@ -129,50 +132,33 @@ def config_from_dict(payload: dict) -> PipelineConfig:
     return _build(PipelineConfig, payload, "configuration")
 
 
-def load_config(path: str | Path | None) -> PipelineConfig:
-    """Parse a JSON config file; None yields the defaults."""
-    if path is None:
-        return PipelineConfig()
-    path = Path(path)
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+def load_config(path: str | Path | None, flags: dict | None = None) -> PipelineConfig:
+    """Parse a JSON config file (None: no file) with flags, keyed by FLAG_FIELDS dest, written in.
+
+    A flag whose value is None was not given. A flag replaces the file's
+    value before anything is checked, so a bad file value it replaces is
+    never refused.
+    """
+    payload = {}
+    if path is not None:
+        path = Path(path)
+        try:
+            payload = json.loads(path.read_text(encoding="utf-8"))
+        except FileNotFoundError as exc:
+            raise ConfigError(f"config file not found: {path}") from exc
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    if isinstance(payload, dict):  # a payload or section that is no object is _build's to refuse
+        for dest, value in (flags or {}).items():
+            section, name = FLAG_FIELDS[dest]
+            target = payload if section is None else payload.setdefault(section, {})
+            if value is not None and isinstance(target, dict):
+                target[name] = value
     return config_from_dict(payload)
 
 
-def apply_overrides(config: PipelineConfig, **overrides) -> PipelineConfig:
-    """Return a copy with non-None flag values, keyed by FLAG_FIELDS dest, folded in."""
-    updates = {}
-    try:
-        for dest, value in overrides.items():
-            section, name = FLAG_FIELDS[dest]
-            if value is None:
-                continue
-            if section is None:
-                updates[name] = value
-            else:
-                current = updates.get(section, getattr(config, section))
-                updates[section] = dataclasses.replace(current, **{name: value})
-        return dataclasses.replace(config, **updates)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def config_to_dict(config: PipelineConfig) -> dict:
-    """JSON-serializable snapshot of the effective configuration.
-
-    The settings types accept NumPy scalars; the snapshot holds them as the
-    Python numbers ``json`` can write.
-    """
-    return dataclasses.asdict(
-        config,
-        dict_factory=lambda items: {
-            name: value.item() if isinstance(value, np.generic) else value
-            for name, value in items
-        },
-    )
+    """JSON-serializable snapshot of the effective configuration."""
+    return dataclasses.asdict(config)

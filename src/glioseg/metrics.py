@@ -162,8 +162,8 @@ def evaluate_case(
         mask_p = RegionMask(extract_region(pred.data, region), pred.spacing)
         mask_t = RegionMask(extract_region(truth.data, region), truth.spacing)
         report[region.name] = {
-            "dice": float(dice(mask_p, mask_t, config)),
-            "hd95_mm": float(hd95(mask_p, mask_t, config=config)),
+            "dice": dice(mask_p, mask_t, config),
+            "hd95_mm": hd95(mask_p, mask_t, config=config),
         }
     return report
 

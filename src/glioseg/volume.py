@@ -67,22 +67,32 @@ def _validate_grid(dims, spacing) -> tuple[float, float, float]:
     return spacing
 
 
-def check_field_types(settings, error: type[Exception] = TypeError) -> None:
-    """Raise ``error`` naming the first field of a settings dataclass that does not fit its type.
+def check_field_types(settings) -> None:
+    """Raise TypeError naming the first field of a settings dataclass that does not fit its type.
 
     bool takes only a bool, int a non-bool integer (NumPy's included), float a
-    non-bool real, any other type its instances. Ranges are each class's own checks.
+    non-bool real, any other type its instances. An accepted real is stored as
+    a Python int in an int field and a float otherwise, so settings hold the
+    plain numbers ``json`` writes. Ranges are each class's own checks.
     """
     for name, hint in typing.get_type_hints(type(settings)).items():
         types, value = typing.get_args(hint) or (hint,), getattr(settings, name)
         if isinstance(value, bool):
             fits = bool in types
         elif isinstance(value, Real):
-            fits = float in types or (int in types and isinstance(value, Integral))
+            integer = int in types and isinstance(value, Integral)
+            fits = integer or float in types
+            if integer:
+                object.__setattr__(settings, name, int(value))
+            elif fits:
+                try:
+                    object.__setattr__(settings, name, float(value))
+                except OverflowError:  # an integer past float range, never a setting
+                    raise ValueError(f"{name} is too large for a float") from None
         else:
             fits = isinstance(value, types)
         if not fits:
-            raise error(f"{name} must be {' or '.join(t.__name__ for t in types)}, got {value!r}")
+            raise TypeError(f"{name} must be {' or '.join(t.__name__ for t in types)}, got {value!r}")
 
 
 SPACING_TOL = 1e-6  # mm; spacings closer than this count as equal

@@ -17,7 +17,6 @@ from glioseg.config import (
     FLAG_FIELDS,
     ConfigError,
     PipelineConfig,
-    apply_overrides,
     config_from_dict,
     config_to_dict,
     load_config,
@@ -143,6 +142,23 @@ def test_normalize_keeps_one_modality_alive_at_a_time(tmp_path, monkeypatch):
     assert main(["normalize", str(tmp_path / "raw"), str(tmp_path / "norm")]) == 1
     assert len(volumes) == 2 * (8 + 7)  # the failed modality has no result
     assert alive_at_read == [0] * 8
+
+
+def test_modalities_sharing_a_suffix_are_a_usage_error(tmp_path):
+    # two modalities would be staged and written to one file
+    rng = np.random.default_rng(542)
+    case_dir = tmp_path / "raw" / "c1"
+    case_dir.mkdir(parents=True)
+    for suffix in ("-a.nii.gz", "-t2w.nii.gz", "-t2f.nii.gz"):
+        write_scalar_volume(ScalarVolume(rng.uniform(10.0, 90.0, size=(6, 5, 4))), case_dir / f"c1{suffix}")
+    shared = {"modality_suffixes": {"t1": "-a.nii.gz", "t1gd": "-a.nii.gz"}}
+    with pytest.raises(ConfigError, match="modality_suffixes must differ"):
+        config_from_dict(shared)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(shared))
+    out = tmp_path / "out"
+    assert main(["normalize", str(tmp_path / "raw"), str(out), "--config", str(path)]) == 2
+    assert not out.exists()
 
 
 def test_normalize_rejects_missing_input_dir(tmp_path):
@@ -579,6 +595,7 @@ def test_mistyped_config_value_is_a_usage_error(tmp_path, section):
     {"normalization": {"epsilon": float("inf")}},
     {"staple": {"tolerance": float("inf")}},
     {"rescale": {"out_max": float("inf")}},
+    {"staple": {"tolerance": 10**400}},  # an integer no float can hold
 ])
 def test_non_finite_or_out_of_range_config_real_is_a_usage_error(tmp_path, section):
     path = tmp_path / "config.json"
@@ -700,16 +717,18 @@ def test_config_round_trip_and_validation():
         config_from_dict({"fusion_method": "average"})
     with pytest.raises(ConfigError, match="parallel"):
         config_from_dict({"parallel_cases": 0})
-    with pytest.raises(ConfigError, match="suffix"):
-        PipelineConfig(label_suffix="")
-    with pytest.raises(ConfigError, match="modality"):
-        PipelineConfig(modality_suffixes={"t1": "-t1.nii.gz"})
-    with pytest.raises(ConfigError, match="staple"):
-        PipelineConfig(staple={"tolerance": 1e-3})
-    with pytest.raises(ConfigError, match="normalization"):
-        PipelineConfig(normalization=None)
+    # PipelineConfig raises like every section; only the loader raises ConfigError
+    for error, match, kwargs in [
+        (ValueError, "suffix", {"label_suffix": ""}),
+        (ValueError, "modality", {"modality_suffixes": {"t1": "-t1.nii.gz"}}),
+        (TypeError, "staple", {"staple": {"tolerance": 1e-3}}),
+        (TypeError, "normalization", {"normalization": None}),
+    ]:
+        with pytest.raises(error, match=match) as refused:
+            PipelineConfig(**kwargs)
+        assert not isinstance(refused.value, ConfigError)
     with pytest.raises(ConfigError, match="tolerance"):
-        apply_overrides(config, staple_tol="1e-3")
+        load_config(None, {"staple_tol": "1e-3"})
 
 
 def test_readme_config_example_is_accepted():
@@ -756,27 +775,104 @@ def test_config_partial_modality_merge():
     assert config.modality_suffixes["flair"] == "-t2f.nii.gz"
 
 
-def test_apply_overrides_updates_sections():
-    config = load_config(None)
-    updated = apply_overrides(
-        config,
-        et_min_volume=70,
-        connectivity=6,
-        staple_tol=1e-9,
-        staple_max_iter=500,
-        method="majority",
-        parallel=4,
-    )
+def test_load_config_writes_flags_into_sections():
+    updated = load_config(None, {
+        "et_min_volume": 70,
+        "connectivity": 6,
+        "staple_tol": 1e-9,
+        "staple_max_iter": 500,
+        "method": "majority",
+        "parallel": 4,
+        "members": None,  # not given: the default stays
+    })
     assert updated.postprocess.et_min_volume == 70
     assert updated.postprocess.foreground_connectivity == 6
     assert updated.staple.tolerance == 1e-9
     assert updated.staple.max_iterations == 500
     assert updated.fusion_method == "majority"
     assert updated.parallel_cases == 4
-    # original untouched
-    assert config.postprocess.et_min_volume == 50
+    assert updated.prediction_dirs == ()
+    # the rest of each section keeps its defaults
+    assert updated.postprocess.hole_connectivity == 6 and updated.staple.prior == "auto"
     with pytest.raises(ConfigError):
-        apply_overrides(config, et_min_volume=-1)
+        load_config(None, {"et_min_volume": -1})
+
+
+def test_flags_replace_config_file_values(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "fusion_method": "majority",
+        "postprocess": {"et_min_volume": 5, "fill_holes": False},
+    }))
+    config = load_config(path, {"et_min_volume": 7, "parallel": 2})
+    assert config.postprocess.et_min_volume == 7
+    assert config.postprocess.fill_holes is False
+    assert config.fusion_method == "majority"
+    assert config.parallel_cases == 2
+    # a payload or section that is no object is refused as it was without flags
+    for payload, where in [([], "configuration"), ({"postprocess": 3}, "section 'postprocess'")]:
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ConfigError, match=f"{where} must be a JSON object"):
+            load_config(path, {"et_min_volume": 7})
+
+
+# out-of-range flags argparse lets through, and the config key each one sets
+BAD_FLAGS = [
+    (["--parallel", "0"], {"parallel_cases": 0}),
+    (["--staple-tol", "-1"], {"staple": {"tolerance": -1.0}}),
+    (["--staple-max-iter", "0"], {"staple": {"max_iterations": 0}}),
+    (["--et-min-volume", "-1"], {"postprocess": {"et_min_volume": -1}}),
+]
+
+
+@pytest.mark.parametrize("flag, payload", BAD_FLAGS, ids=[f"{flag[0][2:]}={flag[1]}" for flag, _ in BAD_FLAGS])
+def test_bad_flag_and_bad_config_key_log_the_same_error(tmp_path, caplog, flag, payload):
+    stage = ["fuse", "--members", str(tmp_path), "--output-dir", str(tmp_path / "out")]
+    if flag[0] == "--et-min-volume":
+        stage = ["postprocess", str(tmp_path), str(tmp_path / "out")]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(payload))
+    errors = []
+    for argv in (stage + flag, stage + ["--config", str(path)]):
+        caplog.clear()
+        with caplog.at_level("ERROR", logger="glioseg"):
+            assert main(argv) == 2
+        errors.append([r.getMessage() for r in caplog.records if r.levelname == "ERROR"])
+    assert errors[0] == errors[1] and len(errors[0]) == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_flag_replaces_a_bad_config_value_before_it_is_checked(tmp_path):
+    # only the effective settings are checked: the file's -5 never takes effect
+    labels, _ = et_island_labels(40)
+    src = tmp_path / "pred"
+    src.mkdir()
+    write_label_volume(labels, src / f"caseA{SEG}")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"postprocess": {"et_min_volume": -5}}))
+    out = tmp_path / "out"
+    argv = ["postprocess", str(src), str(out), "--config", str(path)]
+    assert main(argv) == 2
+    assert main([*argv, "--et-min-volume", "10"]) == 0
+    assert int((read_label_volume(out / f"caseA{SEG}").data == 3).sum()) == 40
+
+
+def test_settings_hold_plain_numbers():
+    staple = StapleConfig(max_iterations=np.int64(5), tolerance=1)
+    assert type(staple.max_iterations) is int and type(staple.tolerance) is float
+    config = dataclasses.replace(
+        PipelineConfig(prediction_dirs=["a", "b"]),
+        parallel_cases=np.int32(2),
+        staple=staple,
+        rescale=RescaleSpec(out_min=np.float32(0.5), out_max=2),
+        metrics=MetricConfig(empty_empty_hd95=np.int64(0)),
+    )
+    snapshot = config_to_dict(config)
+    restored = json.loads(json.dumps(snapshot))
+    restored["prediction_dirs"] = tuple(restored["prediction_dirs"])  # json has no tuple
+    assert restored == snapshot
+    assert repr(restored) == repr(snapshot)  # the same types too, not only equal values
+    assert type(snapshot["rescale"]["out_max"]) is float and type(snapshot["parallel_cases"]) is int
 
 
 # flag -> (argv that sets it, value it must land on); one row per FLAG_FIELDS key
@@ -807,9 +903,9 @@ def _config_leaves(config):
 def test_each_flag_sets_its_config_field(dest):
     argv, expected = FLAG_SAMPLES[dest]
     args = _build_parser().parse_args(argv)
-    overrides = {k: getattr(args, k) for k in FLAG_FIELDS if hasattr(args, k)}
+    flags = {k: getattr(args, k) for k in FLAG_FIELDS if hasattr(args, k)}
     before = _config_leaves(load_config(None))
-    after = _config_leaves(apply_overrides(load_config(None), **overrides))
+    after = _config_leaves(load_config(None, flags))
     section, name = FLAG_FIELDS[dest]
     key = f"{section}.{name}" if section else name
     assert {k for k in after if after[k] != before[k]} == {key}
