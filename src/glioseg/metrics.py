@@ -159,8 +159,8 @@ def evaluate_case(
     require_same_grid(pred, truth, "label maps")
     report = {}
     for region in Region:
-        mask_p = RegionMask(extract_region(pred.data, region), pred.spacing)
-        mask_t = RegionMask(extract_region(truth.data, region), truth.spacing)
+        mask_p = RegionMask(extract_region(pred.data, region), pred.spacing, pred.orientation)
+        mask_t = RegionMask(extract_region(truth.data, region), truth.spacing, truth.orientation)
         report[region.name] = {
             "dice": dice(mask_p, mask_t, config),
             "hd95_mm": hd95(mask_p, mask_t, config=config),

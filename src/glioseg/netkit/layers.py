@@ -40,7 +40,10 @@ LAYER_KINDS = {
     "attention_gate": 2,
 }
 
-ACTIVATIONS = ("relu", "prelu", "sigmoid")
+ACTIVATIONS = ("relu", "prelu")
+
+# LayerSpec's optional parameter arrays
+_PARAMETER_FIELDS = ("weights", "bias", "gate_weights", "gate_bias", "psi_weights", "psi_bias")
 
 PRELU_INITIAL_SLOPE = 0.25
 
@@ -95,7 +98,7 @@ class LayerSpec:
             raise ValueError(f"kernel and stride must be >= 1, got {self.kernel}, {self.stride}")
         if any(p < 0 for p in self.padding):
             raise ValueError(f"padding must be >= 0, got {self.padding}")
-        for name in ("weights", "bias", "gate_weights", "gate_bias", "psi_weights", "psi_bias"):
+        for name in _PARAMETER_FIELDS:
             value = getattr(self, name)
             if value is not None:
                 object.__setattr__(self, name, np.ascontiguousarray(value, dtype=np.float64))
@@ -160,7 +163,7 @@ class LayerSpec:
     @property
     def num_parameters(self) -> int:
         total = 0
-        for name in ("weights", "bias", "gate_weights", "gate_bias", "psi_weights", "psi_bias"):
+        for name in _PARAMETER_FIELDS:
             value = getattr(self, name)
             if value is not None:
                 total += value.size
@@ -307,10 +310,8 @@ def activation_forward(x: np.ndarray, layer: LayerSpec) -> np.ndarray:
     x = require_tensor5(x)
     if layer.activation == "relu":
         return np.maximum(x, 0.0)
-    if layer.activation == "prelu":
-        slope = layer.weights[0]
-        return np.where(x > 0.0, x, slope * x)
-    return expit(x)
+    slope = layer.weights[0]  # prelu
+    return np.where(x > 0.0, x, slope * x)
 
 
 def normalization_forward(x: np.ndarray, layer: LayerSpec) -> np.ndarray:

@@ -8,7 +8,7 @@ scl_slope/scl_inter rescaling (none when the slope is zero or
 non-finite), and both byte orders (resolved by checking that sizeof_hdr
 decodes to 348). Orientation comes from the sform when sform_code > 0,
 else from the qform quaternion, offsets and qfac (pixdim[0]) when
-qform_code > 0, else it is a spacing-scaled identity affine. .hdr/.img
+qform_code > 0; with neither code it is the volume's default. .hdr/.img
 pairs, NIfTI-2 and header extensions are out of scope. One table gives
 every header field's offset and format; the reader and the writer both
 go through it.
@@ -23,13 +23,14 @@ when scl_slope/scl_inter scale them. The value checks (label range,
 finiteness, a finite orientation) belong to LabelVolume and
 ScalarVolume; the reader reports their failures as NiftiFormatError.
 Labels are written as uint8 and scalars as float32, with the
-orientation as the sform; a ``.gz`` path gets one gzip member with no
-file name and mtime 0, so the bytes depend only on the volume. Labels
-are compressed at gzip level 9, scalars at level 1: a float32 intensity
-volume comes out ~5 % larger than at level 9 and compresses several
-times faster. Both kinds of file are written by one loop that casts one
-slab of disk planes at a time, so a write never holds a copy of the
-image.
+orientation as the sform; an intensity, spacing or affine entry beyond
+float32's range is refused with ValueError before the path is created.
+A ``.gz`` path gets one gzip member with no file name and mtime 0, so
+the bytes depend only on the volume. Labels are compressed at gzip
+level 9, scalars at level 1: a float32 intensity volume comes out ~5 %
+larger than at level 9 and compresses several times faster. Both kinds
+of file are written by one loop that casts one slab of disk planes at a
+time, so a write never holds a copy of the image.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from glioseg.volume import LabelVolume, ScalarVolume, default_orientation
+from glioseg.volume import LabelVolume, ScalarVolume
 
 HEADER_SIZE = 348
 MAGIC_SINGLE = b"n+1\x00"
@@ -138,13 +139,13 @@ class NiftiHeader:
         return self.pixdim[1], self.pixdim[2], self.pixdim[3]
 
     @property
-    def orientation(self) -> np.ndarray:
-        """Voxel-to-world affine rows: the sform, else the qform, else spacing."""
+    def orientation(self) -> np.ndarray | None:
+        """Voxel-to-world affine rows: the sform, else the qform, else None (the volume's default)."""
         if self.sform_code > 0:
             return self.srow.copy()
         if self.qform_code > 0:
             return _qform_affine(self)
-        return default_orientation(self.spacing)
+        return None
 
 
 def _qform_affine(header: NiftiHeader) -> np.ndarray:
@@ -298,7 +299,10 @@ def _build_header(volume, datatype) -> bytearray:
     }
     for name, value in fields.items():
         offset, fmt = _FIELDS[name]
-        struct.pack_into("<" + fmt, raw, offset, *(value if isinstance(value, tuple) else (value,)))
+        try:
+            struct.pack_into("<" + fmt, raw, offset, *(value if isinstance(value, tuple) else (value,)))
+        except OverflowError:
+            raise ValueError(f"header field {name} {value} does not fit the file's float32") from None
     return raw
 
 
@@ -318,8 +322,9 @@ def _write_file(volume, path, datatype) -> None:
     if str(path).endswith(".gz"):
         stream = zlib.compressobj(_GZIP_LEVEL[datatype], zlib.DEFLATED, 31)
     encode = stream.compress if stream else (lambda chunk: chunk)
+    header = _build_header(volume, datatype)  # before open, so a refused header leaves no file
     with open(path, "wb") as fh:
-        fh.write(encode(_build_header(volume, datatype)))
+        fh.write(encode(header))
         for start in range(0, len(planes), step):
             fh.write(encode(np.ascontiguousarray(planes[start : start + step], dtype=dtype)))
         if stream:
@@ -333,4 +338,8 @@ def write_label_volume(labels: LabelVolume, path) -> None:
 
 def write_scalar_volume(volume: ScalarVolume, path) -> None:
     """Write intensities as float32, gzip-compressed for .gz paths."""
+    data = volume.data
+    if data.dtype.kind == "f" and max(-data.min(), data.max()) > np.finfo(np.float32).max:
+        # the cast would write inf, which no reader takes back
+        raise ValueError(f"intensities in [{data.min()}, {data.max()}] exceed float32's range")
     _write_file(volume, path, DT_FLOAT32)

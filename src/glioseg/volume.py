@@ -8,15 +8,18 @@ Evaluation regions are overlapping label sets: ET = {3}, TC = {1, 3},
 WT = {1, 2, 3}, so ET <= TC <= WT voxel-wise by construction.
 
 Voxel data is kept in C-contiguous arrays indexed ``[i, j, k]`` with the
-last axis fastest in memory; a volume's ``dims`` is its ``data.shape``, and
-``dims[a]`` pairs with ``spacing[a]`` (mm). All types are immutable values
-and all operations are pure.
+last axis fastest in memory. Volumes, label maps and region masks are
+built alike as ``(data, spacing=(1, 1, 1), orientation=None)``: ``dims`` is
+``data.shape``, ``dims[a]`` pairs with ``spacing[a]`` (mm), and a missing
+orientation is the spacing-scaled identity affine. ``require_same_grid`` is
+the one rule for two grids. All types are immutable values and all
+operations are pure.
 """
 
 from __future__ import annotations
 
 import typing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from numbers import Integral, Real
 
@@ -49,24 +52,6 @@ _REGION_LABELS = {
 }
 
 
-def default_orientation(spacing) -> np.ndarray:
-    """Identity voxel-to-world affine (3x4 rows) scaled by spacing."""
-    out = np.zeros((3, 4), dtype=np.float64)
-    for a in range(3):
-        out[a, a] = float(spacing[a])
-    return out
-
-
-def _validate_grid(dims, spacing) -> tuple[float, float, float]:
-    """The spacing as 3 floats, once dims and spacing are checked."""
-    spacing = tuple(float(s) for s in np.atleast_1d(spacing))
-    if len(dims) != 3 or any(d <= 0 for d in dims):
-        raise ValueError(f"dims must be 3 positive integers, got {dims}")
-    if len(spacing) != 3 or any(not np.isfinite(s) or s <= 0 for s in spacing):
-        raise ValueError(f"spacing must be 3 positive finite reals, got {spacing}")
-    return spacing
-
-
 def check_field_types(settings) -> None:
     """Raise TypeError naming the first field of a settings dataclass that does not fit its type.
 
@@ -97,21 +82,24 @@ def check_field_types(settings) -> None:
 
 SPACING_TOL = 1e-6  # mm; spacings closer than this count as equal
 
+# mm per affine entry: the sform is stored as float32, which rounds a
+# translation of a few hundred mm by up to ~1.5e-5 mm
+ORIENTATION_TOL = 1e-4
+
 _FINITE_BLOCK = 1 << 20  # voxels per finiteness pass, so no grid-sized bool is made
 
 
-def same_grid(a, b) -> bool:
-    """Whether two volumes/masks share dims and (within SPACING_TOL) spacing."""
-    return a.data.shape == b.data.shape and all(
-        abs(sa - sb) <= SPACING_TOL for sa, sb in zip(a.spacing, b.spacing)
-    )
-
-
 def require_same_grid(a, b, what: str = "volumes") -> None:
-    if not same_grid(a, b):
+    """Raise ValueError naming both grids unless dims, spacing and affine agree."""
+    if (
+        a.data.shape != b.data.shape
+        or any(abs(sa - sb) > SPACING_TOL for sa, sb in zip(a.spacing, b.spacing))
+        or np.abs(a.orientation - b.orientation).max() > ORIENTATION_TOL
+    ):
         raise ValueError(
             f"{what} disagree on grid: dims {a.data.shape} vs {b.data.shape}, "
-            f"spacing {a.spacing} vs {b.spacing}"
+            f"spacing {a.spacing} vs {b.spacing}, "
+            f"affine {a.orientation.tolist()} vs {b.orientation.tolist()}"
         )
 
 
@@ -125,10 +113,14 @@ class _GridVolume:
 
     def __post_init__(self):
         data = np.asarray(self.data)
-        spacing = _validate_grid(data.shape, self.spacing)
+        spacing = tuple(float(s) for s in np.atleast_1d(self.spacing))
+        if data.ndim != 3 or 0 in data.shape:
+            raise ValueError(f"dims must be 3 positive integers, got {data.shape}")
+        if len(spacing) != 3 or any(not np.isfinite(s) or s <= 0 for s in spacing):
+            raise ValueError(f"spacing must be 3 positive finite reals, got {spacing}")
         object.__setattr__(self, "spacing", spacing)
-        orientation = np.ascontiguousarray(
-            default_orientation(spacing) if self.orientation is None else self.orientation,
+        orientation = np.ascontiguousarray(  # by default the identity scaled by spacing
+            np.eye(3, 4) * (*spacing, 0.0) if self.orientation is None else self.orientation,
             dtype=np.float64,
         )
         if orientation.shape != (3, 4):
@@ -185,16 +177,11 @@ class LabelVolume(_GridVolume):
 
 
 @dataclass(frozen=True, eq=False)
-class RegionMask:
-    """Binary mask of one evaluation region with its grid spacing."""
+class RegionMask(_GridVolume):
+    """3D grid of bools: one evaluation region's voxels."""
 
-    data: np.ndarray = field(repr=False)  # bool, 3-D
-    spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)
-
-    def __post_init__(self):
-        data = np.ascontiguousarray(self.data, dtype=bool)
-        object.__setattr__(self, "spacing", _validate_grid(data.shape, self.spacing))
-        object.__setattr__(self, "data", data)
+    def _checked_data(self, data):
+        return np.ascontiguousarray(data, dtype=bool)
 
 
 def extract_region(labels: np.ndarray, region: Region) -> np.ndarray:

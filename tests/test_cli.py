@@ -90,6 +90,19 @@ def test_normalize_constant_modality_fails_only_that_case(tmp_path, caplog):
     assert "normalize: 1 case(s) written, 1 failed" in caplog.text
 
 
+def test_normalize_output_beyond_float32_fails_the_case_and_writes_nothing(tmp_path, caplog):
+    rng = np.random.default_rng(505)
+    write_case_modalities(tmp_path / "raw", "caseA", rng)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"rescale": {"out_max": 1e39}}))  # finite, but not in float32
+    out = tmp_path / "norm"
+    with caplog.at_level("INFO", logger="glioseg"):
+        assert main(["normalize", str(tmp_path / "raw"), str(out), "--config", str(config)]) == 1
+    assert "case caseA failed" in caplog.text and "float32" in caplog.text
+    assert "normalize: 0 case(s) written, 1 failed" in caplog.text
+    assert list(out.iterdir()) == []
+
+
 def test_normalize_missing_modality_file_fails(tmp_path):
     rng = np.random.default_rng(502)
     write_case_modalities(tmp_path / "raw", "caseA", rng)
@@ -230,6 +243,22 @@ def test_fuse_dimension_mismatch_fails_case(tmp_path):
     rng = np.random.default_rng(514)
     dirs = write_member_dirs(tmp_path, [random_labels(rng), random_labels(rng, dims=(5, 5, 5))])
     assert main(["fuse", "--members", *dirs, "--output-dir", str(tmp_path / "fused")]) == 1
+
+
+MIRRORED = np.array([[-1.0, 0.0, 0.0, 5.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
+
+
+def test_fuse_refuses_a_mirrored_member_naming_both_affines(tmp_path, caplog):
+    labels = random_labels(np.random.default_rng(516))
+    mirrored = LabelVolume(labels.data, labels.spacing, MIRRORED)
+    dirs = write_member_dirs(tmp_path, [labels, labels, mirrored])
+    out = tmp_path / "fused"
+    with caplog.at_level("INFO", logger="glioseg"):
+        assert main(["fuse", "--members", *dirs, "--output-dir", str(out)]) == 1
+    (error,) = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert error.startswith("case caseA failed: predictions disagree on grid")
+    assert str(labels.orientation.tolist()) in error and str(MIRRORED.tolist()) in error
+    assert not (out / f"caseA{SEG}").exists()
 
 
 def test_fuse_counts_a_truncated_member_file_as_failed(tmp_path, caplog):
@@ -439,6 +468,22 @@ def test_evaluate_reports_unreadable_prediction_as_failed(tmp_path, caplog):
     assert [entry["case"] for entry in report["cases"]] == ["caseA"]
     assert report["missing"] == []
     assert list(report["failed"]) == ["caseB"] and report["failed"]["caseB"]
+    assert "1 case(s) evaluated, 0 missing, 1 failed" in caplog.text
+
+
+def test_evaluate_records_a_mirrored_prediction_as_failed(tmp_path, caplog):
+    rng = np.random.default_rng(536)
+    volumes = {"caseA": random_labels(rng), "caseB": random_labels(rng)}
+    truth = seg_dir(tmp_path, "truth", volumes)
+    mirrored = LabelVolume(volumes["caseB"].data, (1, 1, 1), MIRRORED)
+    preds = seg_dir(tmp_path, "preds", {"caseA": volumes["caseA"], "caseB": mirrored})
+    report_path = tmp_path / "report.json"
+    with caplog.at_level("INFO", logger="glioseg"):
+        assert main(["evaluate", str(preds), str(truth), str(report_path)]) == 1
+    report = json.loads(report_path.read_text())
+    assert [entry["case"] for entry in report["cases"]] == ["caseA"]
+    assert list(report["failed"]) == ["caseB"]
+    assert str(MIRRORED.tolist()) in report["failed"]["caseB"]
     assert "1 case(s) evaluated, 0 missing, 1 failed" in caplog.text
 
 

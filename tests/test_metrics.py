@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
+import glioseg.metrics as metrics
 from glioseg.metrics import (
     MetricConfig,
     _directed_p95,
@@ -66,6 +67,42 @@ def test_dice_empty_conventions():
 def test_dice_dim_mismatch():
     with pytest.raises(ValueError, match="dims"):
         dice(mask_of(np.zeros((4, 4, 4), dtype=bool)), mask_of(np.zeros((5, 4, 4), dtype=bool)))
+
+
+MIRRORED = np.array([[-1.0, 0.0, 0.0, 5.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
+
+
+@pytest.mark.parametrize("shift", [None, 0.5, 1e-3], ids=["mirrored", "shifted", "shifted-1e-3-mm"])
+def test_dice_and_hd95_refuse_masks_whose_affines_differ(shift):
+    data = box((6, 6, 6), (1, 1, 1), (4, 4, 4)).data
+    a = RegionMask(data)
+    if shift is None:
+        b = RegionMask(data, (1, 1, 1), MIRRORED)
+    else:
+        moved = np.eye(3, 4)
+        moved[1, 3] = shift
+        b = RegionMask(data, (1, 1, 1), moved)
+    for metric in (dice, hd95):
+        with pytest.raises(ValueError, match="affine") as raised:
+            metric(a, b)
+        assert str(a.orientation.tolist()) in str(raised.value)
+        assert str(b.orientation.tolist()) in str(raised.value)
+
+
+def test_region_mask_from_data_and_spacing_is_a_grid():
+    data = box((5, 4, 3), (1, 1, 0), (3, 3, 2)).data.astype(np.uint8)  # taken as bool
+    mask = RegionMask(data, (0.5, 2.0, 3.0))
+    assert mask.data.dtype == bool and mask.data.flags.c_contiguous
+    assert mask.dims == (5, 4, 3) and mask.spacing == (0.5, 2.0, 3.0)
+    assert np.array_equal(mask.orientation, [[0.5, 0, 0, 0], [0, 2.0, 0, 0], [0, 0, 3.0, 0]])
+    assert dice(mask, mask) == 1.0 and hd95(mask, mask) == 0.0
+    inverse = mask.with_data(~mask.data)
+    assert np.array_equal(inverse.orientation, mask.orientation) and inverse.spacing == mask.spacing
+    assert dice(mask, inverse) == 0.0
+    with pytest.raises(ValueError, match="spacing"):
+        RegionMask(data, (0.5, 0.0, 3.0))
+    with pytest.raises(ValueError, match="dims"):
+        RegionMask(np.zeros((4, 4), dtype=bool))
 
 
 def test_surface_of_solid_box_is_shell():
@@ -437,6 +474,18 @@ def test_evaluate_rejects_grid_mismatch():
     c = labels_of(np.zeros((4, 4, 4), dtype=np.uint8), spacing=(1.0, 1.0, 2.0))
     with pytest.raises(ValueError, match="spacing"):
         evaluate_case(a, c)
+
+
+def test_evaluate_refuses_a_mirrored_prediction_and_gives_masks_their_orientation(monkeypatch):
+    data = np.zeros((6, 6, 6), dtype=np.uint8)
+    data[1:4, 2:5, 1:3] = 2
+    truth = labels_of(data)
+    with pytest.raises(ValueError, match="affine"):
+        evaluate_case(LabelVolume(data, (1, 1, 1), MIRRORED), truth)
+    seen = []
+    monkeypatch.setattr(metrics, "dice", lambda a, b, config: seen.append(a.orientation) or 1.0)
+    evaluate_case(LabelVolume(data, (1, 1, 1), MIRRORED), LabelVolume(data, (1, 1, 1), MIRRORED))
+    assert len(seen) == 3 and all(np.array_equal(o, MIRRORED) for o in seen)
 
 
 def report_with(values):

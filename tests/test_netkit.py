@@ -327,10 +327,9 @@ def test_activations():
     assert np.allclose(
         activation_forward(x, prelu).ravel(), [-0.5, -0.125, 0.0, 0.5, 3.0]
     )
-    sigmoid = LayerSpec("activation", activation="sigmoid", in_channels=1, out_channels=1)
-    got = activation_forward(x, sigmoid).ravel()
-    assert np.all((got > 0.0) & (got < 1.0))
-    assert abs(got[2] - 0.5) < 1e-12
+    # no architecture has a sigmoid layer; the attention gate applies its own
+    with pytest.raises(ValueError, match="activation must be one of"):
+        LayerSpec("activation", activation="sigmoid", in_channels=1, out_channels=1)
 
 
 def test_instance_normalization_statistics():

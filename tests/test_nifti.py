@@ -30,7 +30,7 @@ from glioseg.preprocess import (
     rescale_percentiles,
     zscore_normalize,
 )
-from glioseg.volume import LabelVolume, ScalarVolume
+from glioseg.volume import LabelVolume, ScalarVolume, require_same_grid
 
 
 def build_nifti_bytes(
@@ -164,6 +164,7 @@ def test_no_sform_falls_back_to_spacing_identity(tmp_path):
     expected = np.diag([2.0, 3.0, 4.0])
     assert np.array_equal(vol.orientation[:, :3], expected)
     assert np.array_equal(vol.orientation[:, 3], np.zeros(3))
+    assert parse_header(blob).orientation is None  # the default is the volume's alone
 
 
 def test_qform_orientation_decoded_and_written_as_sform(tmp_path):
@@ -468,6 +469,35 @@ def test_write_preserves_orientation(tmp_path):
     write_scalar_volume(vol, path)
     back = read_scalar_volume(path)
     assert np.array_equal(back.orientation, srows)
+
+
+def test_oblique_affine_is_the_same_grid_after_a_float32_round_trip(tmp_path):
+    # a turned grid whose origin lies a few hundred mm out: the sform is
+    # stored as float32, so the translations come back rounded
+    angle = np.deg2rad(17.0)
+    turn = np.array([[np.cos(angle), -np.sin(angle), 0.0], [np.sin(angle), np.cos(angle), 0.0], [0.0, 0.0, 1.0]])
+    spacing = (0.9375, 0.9375, 1.2)
+    orientation = np.column_stack([turn * spacing, (-312.6137, 287.4521, -151.8093)])
+    source = LabelVolume(np.zeros((4, 5, 6), np.uint8), spacing, orientation)
+    write_label_volume(source, tmp_path / "oblique.nii.gz")
+    back = read_label_volume(tmp_path / "oblique.nii.gz")
+    assert not np.array_equal(back.orientation, source.orientation)
+    require_same_grid(source, back)
+    require_same_grid(back, source)
+
+
+@pytest.mark.parametrize("writer, volume", [
+    (write_scalar_volume, ScalarVolume(np.full((2, 2, 2), 1e39))),
+    (write_scalar_volume, ScalarVolume(np.full((2, 2, 2), -1e39))),
+    (write_scalar_volume, ScalarVolume(np.zeros((2, 2, 2)), (1.0, 1e39, 1.0), np.eye(3, 4))),
+    (write_label_volume, LabelVolume(np.zeros((2, 2, 2), np.uint8), (1.0, 1.0, 1e39))),
+    (write_label_volume, LabelVolume(np.zeros((2, 2, 2), np.uint8), (1.0, 1.0, 1.0), np.eye(3, 4) * 1e39)),
+], ids=["voxel", "negative-voxel", "spacing", "label-spacing", "affine"])
+@pytest.mark.parametrize("name", ["refused.nii", "refused.nii.gz"])
+def test_write_refuses_values_beyond_float32_before_creating_the_file(tmp_path, writer, volume, name):
+    with pytest.raises(ValueError, match="float32"):
+        writer(volume, tmp_path / name)
+    assert not (tmp_path / name).exists()
 
 
 def test_gzip_bytes_depend_only_on_the_volume(tmp_path):
