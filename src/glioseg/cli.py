@@ -73,11 +73,16 @@ def _staged(targets, directory: Path):
             tmp.unlink(missing_ok=True)
 
 
+def _entries(directory: Path) -> list[Path]:
+    """Entries in name order; a hidden name, such as a leftover staging temp, is no case."""
+    return [entry for entry in sorted(directory.iterdir()) if not entry.name.startswith(".")]
+
+
 def _cases_by_suffix(directory: Path, suffix: str) -> dict[str, Path]:
     cases = {}
-    for entry in sorted(directory.iterdir()):
-        name = entry.name  # a hidden name, such as a leftover staging temp, is no case
-        if entry.is_file() and not name.startswith(".") and name.endswith(suffix) and name != suffix:
+    for entry in _entries(directory):
+        name = entry.name
+        if entry.is_file() and name.endswith(suffix) and name != suffix:
             cases[name[: -len(suffix)]] = entry
     return cases
 
@@ -133,7 +138,7 @@ def cmd_normalize(config: PipelineConfig, input_dir, output_dir) -> int:
     input_dir, output_dir = Path(input_dir), Path(output_dir)
     if not _require_directory(input_dir, "input"):
         return EXIT_USAGE
-    cases = sorted(p.name for p in input_dir.iterdir() if p.is_dir() and not p.name.startswith("."))
+    cases = [entry.name for entry in _entries(input_dir) if entry.is_dir()]
     if not cases:
         logger.warning("no case directories under %s", input_dir)
         return EXIT_OK

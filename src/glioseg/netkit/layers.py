@@ -148,8 +148,14 @@ class LayerSpec:
         pass
 
     def _check_attention_gate(self):
-        if self.weights is None or self.weights.ndim != 5 or self.weights.shape[2:] != (1, 1, 1):
-            raise ValueError("attention_gate weights must be (inter, in, 1, 1, 1)")
+        if self.out_channels != self.in_channels:  # the gate only scales x
+            raise ValueError(
+                f"attention_gate out_channels must equal in_channels {self.in_channels}, "
+                f"got {self.out_channels}"
+            )
+        expected = (self.in_channels, 1, 1, 1)
+        if self.weights is None or self.weights.ndim != 5 or self.weights.shape[1:] != expected:
+            raise ValueError(f"attention_gate weights must be (inter, {self.in_channels}, 1, 1, 1)")
         inter = self.weights.shape[0]
         if self.gate_weights is None or self.gate_weights.shape[0] != inter or self.gate_weights.shape[2:] != (1, 1, 1):
             raise ValueError("attention_gate gate_weights must be (inter, gate_in, 1, 1, 1)")

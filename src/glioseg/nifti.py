@@ -70,6 +70,9 @@ _DTYPES = {
     DT_INT64: ("i8", 64),
 }
 
+# the largest magnitude a written intensity may have: scalars are stored as float32
+FLOAT32_MAX = float(np.finfo(np.float32).max)
+
 # gzip level per written datatype. Labels compress 3.4x better at level 9
 # for little time; float32 intensities are only ~5 % smaller at level 9 than
 # at level 1 and take several times as long to compress.
@@ -339,7 +342,7 @@ def write_label_volume(labels: LabelVolume, path) -> None:
 def write_scalar_volume(volume: ScalarVolume, path) -> None:
     """Write intensities as float32, gzip-compressed for .gz paths."""
     data = volume.data
-    if data.dtype.kind == "f" and max(-data.min(), data.max()) > np.finfo(np.float32).max:
+    if data.dtype.kind == "f" and max(-data.min(), data.max()) > FLOAT32_MAX:
         # the cast would write inf, which no reader takes back
         raise ValueError(f"intensities in [{data.min()}, {data.max()}] exceed float32's range")
     _write_file(volume, path, DT_FLOAT32)

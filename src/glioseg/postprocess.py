@@ -12,7 +12,11 @@ core other than true background are never rewritten.
 Both rules run on one labeller, connected_components, applied to a plain
 bool array cut to a bounding box: the ET components of the ET box, and
 the components of the core's complement within the core box, where a
-cavity is a component that touches no face of the box.
+cavity is a component that touches no face of the box. Cavities are
+found, counted and filled inside the core's box. With fill_holes=False
+hole repair counts and logs the holes and returns its input. Holes are 0
+and the fill label 1 or 3, so the hole mask is the repair's diff,
+repair_tc_holes(labels).data != labels.data.
 
 Foreground components use 26-adjacency and cavities 6-adjacency by
 default, the complementary pairing that keeps foreground/background
@@ -52,7 +56,7 @@ class PostprocessConfig:
     foreground_connectivity: int = 26
     hole_connectivity: int = 6
     hole_fill_label: int = LABEL_NCR
-    fill_holes: bool = True  # False: detect only, leave labels untouched
+    fill_holes: bool = True  # False: count and log only
 
     def __post_init__(self):
         check_field_types(self)
@@ -111,24 +115,28 @@ def filter_small_et(labels: LabelVolume, config: PostprocessConfig = Postprocess
     return out
 
 
-def find_tc_hole_voxels(
+def repair_tc_holes(
     labels: LabelVolume, config: PostprocessConfig = PostprocessConfig()
-) -> np.ndarray:
-    """Bool mask of background voxels enclosed by the tumor core.
+) -> LabelVolume:
+    """Relabel the background voxels enclosed by the tumor core to hole_fill_label.
 
     A cavity is a connected component of the core's complement (under
-    hole_connectivity) that touches no face of the volume. Only label-0
-    voxels inside cavities are reported; enclosed edema stays edema.
-
-    The complement is labelled on the core's bounding box only, and a
-    component is a cavity iff it touches no face of the box. This is
-    exact: every voxel outside the box reaches a volume face in a
+    hole_connectivity) that touches no face of the volume; its label-0
+    voxels are the holes, and enclosed edema stays edema. The complement
+    is labelled, and the holes counted and filled, on the core's bounding
+    box only, where a cavity is a component touching no face of the box.
+    This is exact: every voxel outside the box reaches a volume face in a
     straight line of non-core voxels, every voxel on the box's border
     has a face neighbor outside it or lies on a volume face, and a
     component that touches no box face has no neighbor outside the box.
+
+    With fill_holes=False the holes are counted and logged, and the input
+    itself is returned. Logs the hole voxels found and filled at INFO on
+    glioseg.postprocess.
     """
     tc = extract_region(labels.data, Region.TC)
-    holes = np.zeros(labels.dims, dtype=bool)
+    found = 0
+    out = labels
     for box in ndimage.find_objects(tc.view(np.uint8)):  # one box, none if tc is empty
         ids, sizes = connected_components(~tc[box], config.hole_connectivity)
         enclosed = np.ones(len(sizes), dtype=bool)
@@ -136,28 +144,15 @@ def find_tc_hole_voxels(
         for axis in range(3):
             enclosed[np.take(ids, [0, -1], axis=axis)] = False
         # the complement holds labels 0 and 2, so this keeps only background cavities
-        holes[box] = enclosed[ids] & (labels.data[box] == LABEL_BACKGROUND)
-    return holes
-
-
-def repair_tc_holes(
-    labels: LabelVolume, config: PostprocessConfig = PostprocessConfig()
-) -> LabelVolume:
-    """Relabel enclosed background cavities in the tumor core.
-
-    With fill_holes=False the input is returned unchanged; callers can
-    still inspect find_tc_hole_voxels for reporting. Logs the hole voxels
-    found and filled at INFO on glioseg.postprocess.
-    """
-    holes = find_tc_hole_voxels(labels, config)
-    found = int(np.count_nonzero(holes))
+        holes = enclosed[ids] & (labels.data[box] == LABEL_BACKGROUND)
+        found = int(np.count_nonzero(holes))
+        if found and config.fill_holes:
+            data = labels.data.copy()
+            data[box][holes] = config.hole_fill_label
+            out = labels.with_data(data)
     filled = found if config.fill_holes else 0
     logger.info("core hole repair found %d hole voxel(s), filled %d", found, filled)
-    if not filled:
-        return labels
-    out = labels.data.copy()
-    out[holes] = config.hole_fill_label
-    return labels.with_data(out)
+    return out
 
 
 def postprocess_case(

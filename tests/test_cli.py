@@ -3,7 +3,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 import threading
 import weakref
 from pathlib import Path
@@ -11,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import glioseg
 import glioseg.cli as cli
 from glioseg.cli import _build_parser, main
 from glioseg.config import (
@@ -23,7 +27,13 @@ from glioseg.config import (
 )
 from glioseg.metrics import MetricConfig, aggregate, evaluate_case
 from glioseg.netkit import build_vnet, graph
-from glioseg.nifti import read_label_volume, read_scalar_volume, write_label_volume, write_scalar_volume
+from glioseg.nifti import (
+    FLOAT32_MAX,
+    read_label_volume,
+    read_scalar_volume,
+    write_label_volume,
+    write_scalar_volume,
+)
 from glioseg.preprocess import RescaleSpec, preprocess_volume
 from glioseg.staple import StapleConfig, fuse_labels
 from glioseg.volume import LabelVolume, ScalarVolume
@@ -90,17 +100,31 @@ def test_normalize_constant_modality_fails_only_that_case(tmp_path, caplog):
     assert "normalize: 1 case(s) written, 1 failed" in caplog.text
 
 
-def test_normalize_output_beyond_float32_fails_the_case_and_writes_nothing(tmp_path, caplog):
+def test_normalize_output_beyond_float32_is_refused_before_any_case(tmp_path, caplog, monkeypatch):
     rng = np.random.default_rng(505)
     write_case_modalities(tmp_path / "raw", "caseA", rng)
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"rescale": {"out_max": 1e39}}))  # finite, but not in float32
+    reads = []
+    monkeypatch.setattr(cli, "read_scalar_volume", reads.append)
     out = tmp_path / "norm"
     with caplog.at_level("INFO", logger="glioseg"):
-        assert main(["normalize", str(tmp_path / "raw"), str(out), "--config", str(config)]) == 1
-    assert "case caseA failed" in caplog.text and "float32" in caplog.text
-    assert "normalize: 0 case(s) written, 1 failed" in caplog.text
-    assert list(out.iterdir()) == []
+        assert main(["normalize", str(tmp_path / "raw"), str(out), "--config", str(config)]) == 2
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and "out_max" in errors[0] and "float32" in errors[0], errors
+    assert reads == [] and not out.exists()
+
+
+def test_normalize_output_of_exactly_float32_max_is_accepted(tmp_path):
+    rng = np.random.default_rng(506)
+    write_case_modalities(tmp_path / "raw", "caseA", rng)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"rescale": {"out_min": -FLOAT32_MAX, "out_max": FLOAT32_MAX}}))
+    out = tmp_path / "norm"
+    assert main(["normalize", str(tmp_path / "raw"), str(out), "--config", str(config)]) == 0
+    for suffix in MOD_SUFFIXES:
+        got = read_scalar_volume(out / "caseA" / f"caseA{suffix}").data
+        assert np.all(np.isfinite(got)) and got.max() == FLOAT32_MAX and got.min() == -FLOAT32_MAX
 
 
 def test_normalize_missing_modality_file_fails(tmp_path):
@@ -641,6 +665,8 @@ def test_mistyped_config_value_is_a_usage_error(tmp_path, section):
     {"staple": {"tolerance": float("inf")}},
     {"rescale": {"out_max": float("inf")}},
     {"staple": {"tolerance": 10**400}},  # an integer no float can hold
+    {"rescale": {"out_max": 3.5e38}},  # finite, but no written float32 modality holds it
+    {"rescale": {"out_min": -3.5e38}},
 ])
 def test_non_finite_or_out_of_range_config_real_is_a_usage_error(tmp_path, section):
     path = tmp_path / "config.json"
@@ -975,3 +1001,17 @@ def test_config_snapshot_key_order_is_pinned():
         "fusion_method", "parallel_cases",
         "normalization", "rescale", "staple", "postprocess", "metrics",
     ]
+
+
+def test_cli_import_leaves_scipy_spatial_out():
+    # scipy.spatial is kept out on purpose: it would slow every command's start
+    # and add to its RSS. A fresh interpreter finds glioseg where this one did,
+    # installed or not.
+    source = str(Path(glioseg.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+    probe = "import sys, glioseg.cli; print([m for m in sys.modules if m.startswith('scipy.spatial')])"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    )
+    assert result.stdout.strip() == "[]"

@@ -377,6 +377,30 @@ def test_attention_gate_bounds_and_forcing():
     assert np.array_equal(attention_gate_forward(x, g, forced), x)
 
 
+def test_attention_gate_channels_are_checked_when_built():
+    rng = np.random.default_rng(86)
+    skip_ch, gate_ch, inter = 4, 6, 2
+
+    def gate(in_channels, out_channels, weights_in):
+        return LayerSpec(
+            "attention_gate",
+            in_channels=in_channels,
+            out_channels=out_channels,
+            weights=rng.standard_normal((inter, weights_in, 1, 1, 1)),
+            gate_weights=rng.standard_normal((inter, gate_ch, 1, 1, 1)),
+            gate_bias=rng.standard_normal(inter),
+            psi_weights=rng.standard_normal((1, inter, 1, 1, 1)),
+            psi_bias=rng.standard_normal(1),
+        )
+
+    # the gate only scales x, so it keeps x's channels, and Wx reads all of them
+    with pytest.raises(ValueError, match="out_channels must equal in_channels 4, got 9"):
+        gate(skip_ch, 9, skip_ch)
+    with pytest.raises(ValueError, match=r"weights must be \(inter, 4, 1, 1, 1\)"):
+        gate(skip_ch, skip_ch, 3)
+    gate(skip_ch, skip_ch, skip_ch)
+
+
 # -------------------------------------------------- layer spec validation
 
 

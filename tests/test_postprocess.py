@@ -7,7 +7,6 @@ from glioseg.postprocess import (
     PostprocessConfig,
     connected_components,
     filter_small_et,
-    find_tc_hole_voxels,
     postprocess_case,
     repair_tc_holes,
 )
@@ -213,15 +212,16 @@ def test_et_in_core_wall_counts_as_core():
     assert out.data[3, 3, 3] == 1
 
 
-def test_report_only_mode():
+def test_report_only_mode(caplog):
     data = np.zeros((7, 7, 7), dtype=np.uint8)
     data[1:6, 1:6, 1:6] = 1
     data[3, 3, 3] = 0
     lab = labels_of(data)
-    config = PostprocessConfig(fill_holes=False)
-    holes = find_tc_hole_voxels(lab, config)
+    holes = repair_tc_holes(lab).data != lab.data  # the hole mask is the repair's diff
     assert int(holes.sum()) == 1 and holes[3, 3, 3]
-    assert repair_tc_holes(lab, config) is lab
+    with caplog.at_level("INFO", logger="glioseg.postprocess"):
+        assert repair_tc_holes(lab, PostprocessConfig(fill_holes=False)) is lab
+    assert caplog.messages == ["core hole repair found 1 hole voxel(s), filled 0"]
 
 
 def hole_oracle(data, connectivity):
@@ -235,7 +235,7 @@ def hole_oracle(data, connectivity):
     return np.isin(ids, interior) & (data == 0)
 
 
-def test_hole_voxels_match_flood_fill_oracle():
+def test_hole_voxels_match_flood_fill_oracle(caplog):
     # porous cores in a larger grid, so the core's box is a crop; the box
     # holds a grid corner, the opposite corner or neither, by turns. Then
     # boxes 1, 2 and 3 voxels thick on one axis, whose two face planes
@@ -275,13 +275,27 @@ def test_hole_voxels_match_flood_fill_oracle():
         data[tuple(slice(c, c + 4) for c in corner)] = 1
         data[tuple(slice(c + 1, c + 3) for c in corner)] = 0
         cases.append(data)
+    # the holes are read as the repair's diff under either fill label; the
+    # report-only mode returns its input and logs the oracle's count
     filled = {6: 0, 18: 0, 26: 0}
+    caplog.set_level("INFO", logger="glioseg.postprocess")
     for trial, data in enumerate(cases):
         lab = labels_of(data)
         for conn in (6, 18, 26):
-            got = find_tc_hole_voxels(lab, PostprocessConfig(hole_connectivity=conn))
             want = hole_oracle(data, conn)
-            assert np.array_equal(got, want), f"case {trial} conn {conn}"
+            for fill_label in (1, 3):
+                config = PostprocessConfig(hole_connectivity=conn, hole_fill_label=fill_label)
+                repaired = repair_tc_holes(lab, config)
+                where = f"case {trial} conn {conn} fill {fill_label}"
+                assert np.array_equal(repaired.data != data, want), where
+                assert np.all(repaired.data[want] == fill_label), where
+                assert (repaired is lab) == (not want.any()), where
+            caplog.clear()
+            report = PostprocessConfig(hole_connectivity=conn, fill_holes=False)
+            assert repair_tc_holes(lab, report) is lab
+            assert caplog.messages == [
+                f"core hole repair found {int(want.sum())} hole voxel(s), filled 0"
+            ], f"case {trial} conn {conn}"
             filled[conn] += int(want.sum())
     assert all(filled.values()), filled
 
