@@ -133,10 +133,25 @@ def _require_directory(path: Path, what: str) -> bool:
     return True
 
 
+def _require_apart(output_dir: Path, input_dirs, what: str) -> bool:
+    """False, with one ERROR, when output_dir resolves to one of the input directories.
+
+    A stage writing there would replace the inputs it reads, and a rerun
+    would read its own outputs.
+    """
+    for directory in input_dirs:
+        if directory.resolve() == output_dir.resolve():
+            logger.error("output directory %s is the %s directory %s", output_dir, what, directory)
+            return False
+    return True
+
+
 def cmd_normalize(config: PipelineConfig, input_dir, output_dir) -> int:
     """Z-score and percentile-rescale every modality of every case."""
     input_dir, output_dir = Path(input_dir), Path(output_dir)
     if not _require_directory(input_dir, "input"):
+        return EXIT_USAGE
+    if not _require_apart(output_dir, [input_dir], "input"):
         return EXIT_USAGE
     cases = [entry.name for entry in _entries(input_dir) if entry.is_dir()]
     if not cases:
@@ -171,9 +186,12 @@ def cmd_fuse(config: PipelineConfig, strict: bool = False) -> int:
     if not config.output_dir:
         raise ConfigError("fuse requires an output dir (config or --output-dir)")
     member_dirs = [Path(d) for d in config.prediction_dirs]
+    output_dir = Path(config.output_dir)
     for directory in member_dirs:
         if not _require_directory(directory, "member"):
             return EXIT_USAGE
+    if not _require_apart(output_dir, member_dirs, "member"):
+        return EXIT_USAGE
     per_member = [_cases_by_suffix(d, config.label_suffix) for d in member_dirs]
     for directory, cases in zip(member_dirs, per_member):
         if not cases:
@@ -187,7 +205,6 @@ def cmd_fuse(config: PipelineConfig, strict: bool = False) -> int:
     if strict and skipped:
         logger.error("%d incomplete case(s) under --strict", len(skipped))
         return EXIT_CASE_FAILURE
-    output_dir = Path(config.output_dir)
 
     def fuse_case(case: str):
         members = [read_label_volume(cases[case]) for cases in per_member]

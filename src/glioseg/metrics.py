@@ -7,6 +7,11 @@ work is scored on: both masks empty scores a perfect dice of 1.0 and an
 hd95 of 0.0, while exactly one empty mask scores dice 0.0 and a fixed
 distance penalty (373.13 mm by default). Both are configurable.
 
+``evaluate_case`` scores the regions on the two label maps' joint box
+of labelled voxels, not the grid: outside it both maps are background,
+so no mask voxel, Dice count or surface voxel lies there, and the result
+is that of the whole grid.
+
 Both steps return the JSON report's own mappings, regions in ``Region``
 order and values plain floats: ``evaluate_case`` gives ``{region:
 {"dice", "hd95_mm"}}`` and ``aggregate`` gives ``{region: {metric:
@@ -41,6 +46,7 @@ from glioseg.volume import (
     RegionMask,
     check_field_types,
     extract_region,
+    label_box,
     require_same_grid,
 )
 
@@ -155,12 +161,21 @@ def hd95(a: RegionMask, b: RegionMask, config: MetricConfig = MetricConfig()) ->
 def evaluate_case(
     pred: LabelVolume, truth: LabelVolume, config: MetricConfig = MetricConfig()
 ) -> dict[str, dict[str, float]]:
-    """Score one prediction against its reference, all three regions."""
+    """Score one prediction against its reference, all three regions.
+
+    The region masks cover the two maps' joint label box
+    (volume.label_box), on the box's own grid: the prediction's spacing,
+    with the origin at the box's first voxel. Every region voxel of either
+    map lies inside it, so the Dice counts are those of the whole grid,
+    and hd95's own a|b box lies inside it too, its border rule unchanged.
+    """
     require_same_grid(pred, truth, "label maps")
+    box = label_box(pred.data, truth.data)
+    spacing, orientation = pred.spacing, pred.box_orientation(box)
     report = {}
     for region in Region:
-        mask_p = RegionMask(extract_region(pred.data, region), pred.spacing, pred.orientation)
-        mask_t = RegionMask(extract_region(truth.data, region), truth.spacing, truth.orientation)
+        mask_p = RegionMask(extract_region(pred.data[box], region), spacing, orientation)
+        mask_t = RegionMask(extract_region(truth.data[box], region), spacing, orientation)
         report[region.name] = {
             "dice": dice(mask_p, mask_t, config),
             "hd95_mm": hd95(mask_p, mask_t, config=config),

@@ -27,10 +27,13 @@ orientation as the sform; an intensity, spacing or affine entry beyond
 float32's range is refused with ValueError before the path is created.
 A ``.gz`` path gets one gzip member with no file name and mtime 0, so
 the bytes depend only on the volume. Labels are compressed at gzip
-level 9, scalars at level 1: a float32 intensity volume comes out ~5 %
-larger than at level 9 and compresses several times faster. Both kinds
-of file are written by one loop that casts one slab of disk planes at a
-time, so a write never holds a copy of the image.
+level 1 with the run-length strategy (zlib.Z_RLE), which suits their
+long runs of one value: on a fused BraTS-sized map it compresses 4.6-11x
+faster than level 9 for a file 20-31 % larger. Scalars are compressed
+at level 1 with the default strategy: a float32 intensity volume comes
+out ~5 % larger than at level 9 and compresses several times faster.
+Both kinds of file are written by one loop that casts one slab of disk
+planes at a time, so a write never holds a copy of the image.
 """
 
 from __future__ import annotations
@@ -73,10 +76,13 @@ _DTYPES = {
 # the largest magnitude a written intensity may have: scalars are stored as float32
 FLOAT32_MAX = float(np.finfo(np.float32).max)
 
-# gzip level per written datatype. Labels compress 3.4x better at level 9
-# for little time; float32 intensities are only ~5 % smaller at level 9 than
-# at level 1 and take several times as long to compress.
-_GZIP_LEVEL = {DT_UINT8: 9, DT_FLOAT32: 1}
+# gzip (level, strategy) per written datatype. A label map is long runs of
+# one byte, which Z_RLE's distance-1 matches code at level 1 several times
+# faster than level 9 does: on a fused 240x240x155 map, 4.6x on a compact
+# tumour and 11x on a diffuse one, for files 20-31 % larger that inflate
+# as fast. float32 intensities are only ~5 % smaller at level 9 than at
+# level 1 and take several times as long.
+_GZIP_LEVEL = {DT_UINT8: (1, zlib.Z_RLE), DT_FLOAT32: (1, zlib.Z_DEFAULT_STRATEGY)}
 
 # voxel bytes cast, transposed and written (or compressed) per slab, so
 # neither a disk-order image nor the compressed stream is held whole
@@ -315,15 +321,17 @@ def _write_file(volume, path, datatype) -> None:
     The voxels are cast and transposed one slab of whole disk planes at a
     time, at most _GZIP_SLICE bytes (one plane if a plane is larger), and
     each slab goes to the file, or for a .gz path through one gzip stream
-    with no file name and mtime 0 (wbits 31), byte-equal to
-    gzip.compress(header + voxels, level, mtime=0).
+    with no file name and mtime 0 (wbits 31) at the datatype's
+    _GZIP_LEVEL, byte-equal to that compressobj given header + voxels at
+    once.
     """
     dtype = np.dtype("<" + _DTYPES[datatype][0])
     planes = volume.data.T  # disk plane k is planes[k], a strided view
     step = max(1, _GZIP_SLICE // (planes[0].size * dtype.itemsize))
     stream = None
     if str(path).endswith(".gz"):
-        stream = zlib.compressobj(_GZIP_LEVEL[datatype], zlib.DEFLATED, 31)
+        level, strategy = _GZIP_LEVEL[datatype]
+        stream = zlib.compressobj(level, zlib.DEFLATED, 31, 8, strategy)
     encode = stream.compress if stream else (lambda chunk: chunk)
     header = _build_header(volume, datatype)  # before open, so a refused header leaves no file
     with open(path, "wb") as fh:

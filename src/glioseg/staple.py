@@ -38,11 +38,16 @@ repair, so the output always satisfies ET within TC within WT. A voxel's
 fused label depends only on the tuple of member labels there, so
 fuse_labels folds the members once into their T distinct label tuples,
 fuses each region on those T columns weighted by their voxel counts, and
-writes the output as one gather of the T fused labels. Majority vote
-takes the same path. staple_binary and majority_vote work on plain vote
-columns and return one value per column, and extract_region and
-reconstruct_labels work on the J x T table and the T fused columns as
-they are.
+writes the output as one gather of the T fused labels. Only the members'
+joint label box (volume.label_box) is folded: every voxel outside it has
+the all-zero tuple, whose count is column 0's, the first in lexicographic
+order (a column is added when the box holds none). EM thus sees the same
+columns and counts in the same order as a fold of the whole grid, so its
+floats, the fused labels and the log lines are the same, while the fold
+costs the tumour's size, not the grid's. Majority vote takes the same
+path. staple_binary and majority_vote work on plain vote columns and
+return one value per column, and extract_region and reconstruct_labels
+work on the J x T table and the T fused columns as they are.
 Each region's EM outcome is logged on the glioseg.staple logger, at INFO
 when it converged and at WARNING when it stopped at max_iterations, with
 the iterations, the tolerance and each member's estimated sensitivity
@@ -61,6 +66,7 @@ from glioseg.volume import (
     Region,
     check_field_types,
     extract_region,
+    label_box,
     reconstruct_labels,
     require_same_grid,
 )
@@ -161,17 +167,19 @@ def _clamp(values: np.ndarray) -> np.ndarray:
 
 
 def _distinct_columns(rows, base: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Distinct columns of J equal-length rows of digits in [0, base).
+    """Distinct columns of J equal-shape arrays ("rows") of digits in [0, base).
 
-    Returns (columns uint8 [J, K], counts [K], ids intp [N]): input column i
-    is columns[:, ids[i]], and the columns are in lexicographic order.
-    Folds in one row at a time (id = base * id + digit). After the last row,
-    and whenever the next fold could take the ids past N, the ids that occur
-    are renumbered to 0..K-1 in place, so they stay below max(N, base) for
-    any J, and no sort and no second id array over N is needed.
+    Returns (columns uint8 [J, K], counts [K], ids intp of the rows' shape):
+    the column at position i is columns[:, ids[i]], and the columns are in
+    lexicographic order. Folds in one row at a time (id = base * id +
+    digit), so a row may be a strided view and is never copied. After the
+    last row, and whenever the next fold could take the ids past the N
+    positions, the ids that occur are renumbered to 0..K-1 in place, so
+    they stay below max(N, base) for any J, and no sort and no second id
+    array over N is needed.
     """
-    num_rows, num_columns = len(rows), len(rows[0])
-    ids = np.zeros(num_columns, dtype=np.intp)
+    num_rows, num_columns = len(rows), rows[0].size
+    ids = np.zeros(rows[0].shape, dtype=np.intp)
     columns = np.zeros((0, 1), dtype=np.uint8)  # column of each renumbered id
     fresh = 0  # rows folded in since the last renumbering
     for j, row in enumerate(rows):
@@ -180,7 +188,7 @@ def _distinct_columns(rows, base: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
         fresh += 1
         if j + 1 < num_rows and columns.shape[1] * base ** (fresh + 1) <= num_columns:
             continue
-        hits = np.bincount(ids)
+        hits = np.bincount(ids.ravel())
         present = np.flatnonzero(hits)
         np.take(np.cumsum(hits > 0) - 1, ids, out=ids, mode="clip")
         digits = present // base ** np.arange(fresh - 1, -1, -1)[:, None] % base
@@ -284,11 +292,14 @@ def fuse_labels(
 ) -> LabelVolume:
     """Fuse label maps region by region into one consensus label map.
 
-    The members are folded once into their T distinct label tuples, a
-    J x T table. Each region's votes are one extraction from that table,
-    fused on the T columns weighted by the tuples' voxel counts, and the
-    output is one gather of the fused labels of the T tuples, on the grid
-    and orientation of the first member.
+    The members' joint label box is folded once into its distinct label
+    tuples, and the voxels outside the box, all background in every
+    member, are counted to the all-zero tuple: the T tuples of the grid,
+    a J x T table. Each region's votes are one extraction from that table,
+    fused on the T columns weighted by the tuples' voxel counts. The
+    output, on the grid and orientation of the first member, is the
+    all-zero tuple's fused label outside the box and one gather of the
+    fused labels of the T tuples inside it.
     """
     if not predictions:
         raise ValueError("need at least one prediction to fuse")
@@ -297,7 +308,16 @@ def fuse_labels(
     first = predictions[0]
     for other in predictions[1:]:
         require_same_grid(first, other, "predictions")
-    tuples, counts, ids = _distinct_columns([p.data.ravel() for p in predictions], 4)
+    box = label_box(*(p.data for p in predictions))
+    tuples, counts, ids = _distinct_columns([p.data[box] for p in predictions], 4)
+    # every voxel outside the box has the all-zero tuple, column 0 in
+    # lexicographic order; when the box holds none, that column is added
+    outside = first.data.size - ids.size
+    if outside and tuples[:, 0].any():
+        tuples = np.hstack([np.zeros((len(predictions), 1), dtype=np.uint8), tuples])
+        counts = np.concatenate([[0], counts])
+        ids += 1
+    counts[0] += outside
     fused = {}
     for region in Region:
         decisions = RaterDecisions(extract_region(tuples, region), counts)
@@ -306,4 +326,6 @@ def fuse_labels(
         else:
             fused[region] = _staple_foreground(decisions, region, config)
     lut = reconstruct_labels(fused[Region.ET], fused[Region.TC], fused[Region.WT])
-    return first.with_data(lut[ids].reshape(first.dims))
+    out = np.full(first.dims, lut[0])
+    out[box] = lut[ids]
+    return first.with_data(out)

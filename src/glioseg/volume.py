@@ -12,8 +12,9 @@ last axis fastest in memory. Volumes, label maps and region masks are
 built alike as ``(data, spacing=(1, 1, 1), orientation=None)``: ``dims`` is
 ``data.shape``, ``dims[a]`` pairs with ``spacing[a]`` (mm), and a missing
 orientation is the spacing-scaled identity affine. ``require_same_grid`` is
-the one rule for two grids. All types are immutable values and all
-operations are pure.
+the one rule for two grids. ``label_box`` gives the box of the labelled
+voxels, the only part of the grid that fusion and evaluation work on. All
+types are immutable values and all operations are pure.
 """
 
 from __future__ import annotations
@@ -144,6 +145,12 @@ class _GridVolume:
             raise ValueError(f"data shape {data.shape} does not match dims {self.dims}")
         return type(self)(data, self.spacing, self.orientation)
 
+    def box_orientation(self, box) -> np.ndarray:
+        """The affine of the sub-grid ``data[box]``: same axes, origin at the box's first voxel."""
+        orientation = self.orientation.copy()
+        orientation[:, 3] += orientation[:, :3] @ [s.start for s in box]
+        return orientation
+
 
 @dataclass(frozen=True, eq=False)
 class ScalarVolume(_GridVolume):
@@ -182,6 +189,28 @@ class RegionMask(_GridVolume):
 
     def _checked_data(self, data):
         return np.ascontiguousarray(data, dtype=bool)
+
+
+def _extent(hit: np.ndarray) -> slice:
+    where = np.flatnonzero(hit)
+    return slice(int(where[0]), int(where[-1]) + 1) if where.size else slice(0, 1)
+
+
+def label_box(*labels: np.ndarray) -> tuple[slice, slice, slice]:
+    """The smallest box holding every non-zero voxel of equal-shape 3-D label arrays.
+
+    Found from projections, with no grid-sized temporary: each array's
+    ``any`` over axis 0 gives its (j, k) footprint, and only the footprints'
+    joint (j, k) box is projected onto axis 0. All-background arrays give
+    the first voxel, ``[:1, :1, :1]``: a box is never empty (a RegionMask
+    refuses a zero-sized grid), and a one-voxel box of background leaves
+    every count that sees background whole: fusion adds the voxels outside
+    the box to the all-zero tuple, and evaluation still sees two empty masks.
+    """
+    footprint = np.logical_or.reduce([a.any(axis=0) for a in labels])
+    rows, cols = _extent(footprint.any(axis=1)), _extent(footprint.any(axis=0))
+    planes = np.logical_or.reduce([a[:, rows, cols].any(axis=(1, 2)) for a in labels])
+    return _extent(planes), rows, cols
 
 
 def extract_region(labels: np.ndarray, region: Region) -> np.ndarray:

@@ -202,6 +202,25 @@ def test_normalize_rejects_missing_input_dir(tmp_path):
     assert main(["normalize", str(tmp_path / "absent"), str(tmp_path / "out")]) == 2
 
 
+def file_bytes(root):
+    return {path: path.read_bytes() for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+@pytest.mark.parametrize("spelling", ["same", "dotted"])
+def test_normalize_refuses_to_write_over_its_input(tmp_path, monkeypatch, caplog, spelling):
+    raw = tmp_path / "raw"
+    write_case_modalities(raw, "caseA", np.random.default_rng(507))
+    before = file_bytes(tmp_path)
+    out = raw if spelling == "same" else raw / "caseA" / ".."
+    reads = []
+    monkeypatch.setattr(cli, "read_scalar_volume", reads.append)
+    with caplog.at_level("INFO", logger="glioseg"):
+        assert main(["normalize", str(raw), str(out)]) == 2
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and str(out) in errors[0], errors
+    assert reads == [] and file_bytes(tmp_path) == before
+
+
 # ------------------------------------------------------------------ fuse
 
 
@@ -235,6 +254,22 @@ def test_fuse_matches_module_level_fusion(tmp_path):
         got = read_label_volume(out / f"caseA{SEG}")
         want = fuse_labels(members, method=method)
         assert np.array_equal(got.data, want.data)
+
+
+@pytest.mark.parametrize("member, spelling", [(0, "same"), (2, "dotted")])
+def test_fuse_refuses_to_write_over_a_member(tmp_path, monkeypatch, caplog, member, spelling):
+    rng = np.random.default_rng(513)
+    dirs = write_member_dirs(tmp_path, [random_labels(rng) for _ in range(3)])
+    before = file_bytes(tmp_path)
+    target = Path(dirs[member])
+    out = target if spelling == "same" else target / ".." / target.name
+    reads = []
+    monkeypatch.setattr(cli, "read_label_volume", reads.append)
+    with caplog.at_level("INFO", logger="glioseg"):
+        assert main(["fuse", "--members", *dirs, "--output-dir", str(out)]) == 2
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and str(out) in errors[0], errors
+    assert reads == [] and file_bytes(tmp_path) == before
 
 
 def test_fuse_skips_case_missing_from_a_member(tmp_path):

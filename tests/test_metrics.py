@@ -466,6 +466,51 @@ def test_evaluate_crafted_overlaps():
     assert report["WT"]["dice"] == pytest.approx(0.8)
 
 
+def region_scores_oracle(pred, truth, spacing, config=CFG):
+    """Dice by plain counts and hd95_oracle over the whole grid, per region."""
+    report = {}
+    for region in Region:
+        a, b = np.isin(pred, region.labels), np.isin(truth, region.labels)
+        size = int(a.sum() + b.sum())
+        report[region.name] = {
+            "dice": 2.0 * int((a & b).sum()) / size if size else config.empty_empty_dice,
+            "hd95_mm": hd95_oracle(
+                a, b, spacing, config.empty_pred_penalty_mm, config.empty_empty_hd95
+            ),
+        }
+    return report
+
+
+def test_evaluate_on_the_joint_label_box_matches_the_whole_grid_oracles():
+    rng = np.random.default_rng(431)
+    dims, spacing = (9, 8, 7), (0.9, 1.1, 1.7)
+
+    def labels_in(lo, hi):
+        data = np.zeros(dims, dtype=np.uint8)
+        at = tuple(slice(l, h) for l, h in zip(lo, hi))
+        data[at] = rng.choice([0, 1, 2, 3], size=data[at].shape, p=[0.2, 0.2, 0.3, 0.3])
+        data[tuple(lo)] = 3
+        return data
+
+    empty = np.zeros(dims, dtype=np.uint8)
+    pairs = [
+        # the joint box touches the faces x = 0, y = 8 and z = 7
+        (labels_in((0, 2, 3), (4, 6, 7)), labels_in((1, 3, 2), (5, 8, 6))),
+        (labels_in((2, 1, 1), (7, 5, 4)), labels_in((3, 2, 2), (6, 6, 5))),  # strictly inside
+        (empty, labels_in((2, 0, 1), (6, 4, 5))),  # prediction all background
+        (labels_in((4, 4, 3), (9, 8, 6)), empty),  # truth all background
+        (empty, empty),  # both: the empty-mask conventions in every region
+    ]
+    for index, (pred, truth) in enumerate(pairs):
+        got = evaluate_case(labels_of(pred, spacing), labels_of(truth, spacing))
+        want = region_scores_oracle(pred, truth, spacing)
+        for region in Region:
+            name = region.name
+            assert got[name]["dice"] == want[name]["dice"], (index, name)
+            assert got[name]["hd95_mm"] == pytest.approx(want[name]["hd95_mm"], abs=1e-9), (index, name)
+    assert got == {r.name: {"dice": 1.0, "hd95_mm": 0.0} for r in Region}
+
+
 def test_evaluate_rejects_grid_mismatch():
     a = labels_of(np.zeros((4, 4, 4), dtype=np.uint8))
     b = labels_of(np.zeros((4, 4, 5), dtype=np.uint8))
@@ -483,9 +528,16 @@ def test_evaluate_refuses_a_mirrored_prediction_and_gives_masks_their_orientatio
     with pytest.raises(ValueError, match="affine"):
         evaluate_case(LabelVolume(data, (1, 1, 1), MIRRORED), truth)
     seen = []
-    monkeypatch.setattr(metrics, "dice", lambda a, b, config: seen.append(a.orientation) or 1.0)
+    monkeypatch.setattr(metrics, "dice", lambda a, b, config: seen.append(a) or 1.0)
     evaluate_case(LabelVolume(data, (1, 1, 1), MIRRORED), LabelVolume(data, (1, 1, 1), MIRRORED))
-    assert len(seen) == 3 and all(np.array_equal(o, MIRRORED) for o in seen)
+    # the masks cover the labels' box, whose first voxel (1, 2, 1) is the
+    # mirrored grid's world point (5 - 1, 2, 1)
+    box_affine = MIRRORED.copy()
+    box_affine[:, 3] = [4.0, 2.0, 1.0]
+    assert len(seen) == 3
+    for mask in seen:
+        assert mask.dims == (3, 3, 2)
+        assert np.array_equal(mask.orientation, box_affine)
 
 
 def report_with(values):

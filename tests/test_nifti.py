@@ -512,12 +512,13 @@ def test_gzip_bytes_depend_only_on_the_volume(tmp_path):
 
 
 def test_gzip_level_is_fixed_per_datatype(tmp_path):
-    # XFL, byte 8 of the gzip header: 2 marks level 9, 4 marks level 1
+    # XFL, byte 8 of the gzip header: 2 marks level 9, 4 level 1 (or a
+    # run-length or Huffman-only strategy); both datatypes are written at level 1
     labels = LabelVolume(np.random.default_rng(16).integers(0, 4, (5, 6, 7)).astype(np.uint8))
     scalars = ScalarVolume(np.random.default_rng(17).normal(size=(5, 6, 7)))
     write_label_volume(labels, tmp_path / "seg.nii.gz")
     write_scalar_volume(scalars, tmp_path / "t1.nii.gz")
-    assert (tmp_path / "seg.nii.gz").read_bytes()[8] == 0x02
+    assert (tmp_path / "seg.nii.gz").read_bytes()[8] == 0x04
     assert (tmp_path / "t1.nii.gz").read_bytes()[8] == 0x04
 
 
@@ -532,9 +533,9 @@ def test_written_bytes_are_header_voxels_and_one_gzip_member(tmp_path, monkeypat
         monkeypatch.setattr(nifti, "_GZIP_SLICE", slab)
         labels = LabelVolume(rng.integers(0, 4, shape).astype(np.uint8))
         scalars = ScalarVolume(rng.normal(size=shape))
-        for write, volume, dtype, level in [
-            (write_label_volume, labels, "<u1", 9),
-            (write_scalar_volume, scalars, "<f4", 1),
+        for write, volume, dtype, strategy in [
+            (write_label_volume, labels, "<u1", zlib.Z_RLE),
+            (write_scalar_volume, scalars, "<f4", zlib.Z_DEFAULT_STRATEGY),
         ]:
             write(volume, tmp_path / "plain.nii")
             write(volume, tmp_path / "packed.nii.gz")
@@ -543,7 +544,9 @@ def test_written_bytes_are_header_voxels_and_one_gzip_member(tmp_path, monkeypat
             assert len(plain) == 352 + len(voxels)
             assert plain[352:] == voxels
             packed = (tmp_path / "packed.nii.gz").read_bytes()
-            assert packed == zlib.compress(plain, level, wbits=31)
+            whole = zlib.compressobj(1, zlib.DEFLATED, 31, 8, strategy)  # level 1 for both
+            assert packed == whole.compress(plain) + whole.flush()
+            assert gzip.decompress(packed) == plain
 
 
 def test_scalar_write_holds_one_image(tmp_path):

@@ -19,6 +19,7 @@ from glioseg.volume import (
     LabelVolume,
     Region,
     extract_region,
+    label_box,
     reconstruct_labels,
 )
 
@@ -429,10 +430,40 @@ def test_fuse_matches_region_wise_voxel_reference(caplog):
             out.append(LabelVolume(data.astype(np.uint8), spacing, orientation))
         return out
 
+    def framed(inner, dims, corner):
+        """inner's members pasted at corner into background grids of dims."""
+        at = tuple(slice(c, c + n) for c, n in zip(corner, inner[0].dims))
+        out = []
+        for member in inner:
+            data = np.zeros(dims, dtype=np.uint8)
+            data[at] = member.data
+            out.append(LabelVolume(data, spacing, orientation))
+        return out
+
+    def box_voxels(predictions):
+        return [p.data[label_box(*(q.data for q in predictions))] for p in predictions]
+
     cases = [members(num, (6, 5, 7)) for num in (1, 2, 3, 5)]
     cases.append(members(9, (8, 8, 8), noise=1.0))  # 512 voxels: the fold renumbers mid-way
     cases.append(members(3, (5, 6, 4), labels=(0, 2)))  # ET and TC empty in every member
     cases.append(members(4, (5, 6, 4), labels=(1, 2, 3)))  # WT full in every member
+    # the members' label box strictly inside the grid, then touching faces
+    # on all three axes; both boxes hold all-zero tuples, whose column 0
+    # takes the voxels outside
+    inside = framed(members(3, (4, 3, 5)), (9, 8, 10), (2, 3, 4))
+    touching = framed(members(5, (4, 6, 3)), (7, 6, 9), (0, 0, 6))
+    for predictions in (inside, touching):
+        assert (np.stack(box_voxels(predictions)) == 0).all(axis=0).any()
+    box = label_box(*(p.data for p in inside))
+    assert all(0 < s.start and s.stop < n for s, n in zip(box, inside[0].dims)), box
+    box = label_box(*(p.data for p in touching))
+    assert box[0].start == 0 and box[1] == slice(0, 6) and box[2].stop == 9, box
+    # a box whose every voxel is labelled in some member: the all-zero
+    # tuple of the voxels outside is a column of its own
+    labelled = framed(members(3, (3, 4, 3), labels=(1, 2, 3)), (8, 8, 8), (2, 2, 2))
+    assert np.stack(box_voxels(labelled)).any(axis=0).all()
+    background = members(3, (5, 4, 6), labels=(0,))  # the degenerate prior: one-voxel box
+    cases += [inside, touching, labelled, background]
     configs = (StapleConfig(), StapleConfig(max_iterations=2), TIGHT)
     for index, predictions in enumerate(cases):
         for config in configs:

@@ -11,6 +11,7 @@ from glioseg.volume import (
     Region,
     ScalarVolume,
     extract_region,
+    label_box,
     reconstruct_labels,
 )
 
@@ -193,3 +194,49 @@ def test_reconstruct_then_extract_reproduces_repaired_masks():
         assert np.array_equal(extract_region(out, Region.ET), et_n)
         assert np.array_equal(extract_region(out, Region.TC), tc_n)
         assert np.array_equal(extract_region(out, Region.WT), wt)
+
+
+def test_label_box_is_the_joint_box_of_the_labelled_voxels():
+    rng = np.random.default_rng(130)
+    dims = (9, 7, 8)
+    for _ in range(40):
+        arrays = []
+        for _ in range(rng.integers(1, 4)):
+            data = np.zeros(dims, dtype=np.uint8)
+            for _ in range(rng.integers(0, 4)):  # a few labelled voxels, faces included
+                data[tuple(rng.integers(0, n) for n in dims)] = rng.integers(1, 4)
+            arrays.append(data)
+        union = np.logical_or.reduce([a != 0 for a in arrays])
+        box = label_box(*arrays)
+        if not union.any():  # all background: the first voxel, never an empty box
+            assert box == (slice(0, 1),) * 3
+            continue
+        where = np.nonzero(union)
+        assert box == tuple(slice(w.min(), w.max() + 1) for w in where)
+
+
+def test_label_box_makes_no_grid_sized_temporary():
+    data = np.zeros((128, 128, 64), dtype=np.uint8)  # 1 MiB
+    data[0, 5, 63] = data[127, 9, 0] = 2
+    tracemalloc.start()
+    try:
+        box = label_box(data, data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert box == (slice(0, 128), slice(5, 10), slice(0, 64))
+    assert peak < data.size // 8, peak
+
+
+def test_box_orientation_moves_the_origin_to_the_box_corner():
+    orientation = np.array([[0.0, -1.3, 0.0, 12.5], [0.7, 0.0, 0.0, -40.0], [0.0, 0.0, -2.5, 7.25]])
+    volume = LabelVolume(np.zeros((6, 5, 4), dtype=np.uint8), (0.7, 1.3, 2.5), orientation)
+    box = (slice(2, 5), slice(1, 3), slice(3, 4))
+    moved = volume.box_orientation(box)
+    # the sub-grid's voxel (i, j, k) is the grid's voxel (i + 2, j + 1, k + 3)
+    for voxel in [(0, 0, 0), (2, 1, 0)]:
+        inner = moved @ (*voxel, 1.0)
+        outer = orientation @ (voxel[0] + 2, voxel[1] + 1, voxel[2] + 3, 1.0)
+        assert np.allclose(inner, outer, rtol=0, atol=1e-12)
+    assert np.array_equal(moved[:, :3], orientation[:, :3])
+    assert np.array_equal(volume.orientation, orientation)  # the volume is unchanged
