@@ -134,14 +134,14 @@ def _require_directory(path: Path, what: str) -> bool:
 
 
 def _require_apart(output_dir: Path, input_dirs, what: str) -> bool:
-    """False, with one ERROR, when output_dir resolves to one of the input directories.
+    """False, with one ERROR, when output_dir resolves to or inside one of the input directories.
 
-    A stage writing there would replace the inputs it reads, and a rerun
-    would read its own outputs.
+    A stage writing there would replace the inputs it reads, or a rerun
+    would read its own outputs (normalize as a case directory).
     """
     for directory in input_dirs:
-        if directory.resolve() == output_dir.resolve():
-            logger.error("output directory %s is the %s directory %s", output_dir, what, directory)
+        if output_dir.resolve().is_relative_to(directory.resolve()):
+            logger.error("output directory %s is in the %s directory %s", output_dir, what, directory)
             return False
     return True
 

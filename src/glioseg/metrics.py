@@ -121,7 +121,7 @@ def _directed_p95(from_surface: np.ndarray, to_surface: np.ndarray, spacing) -> 
     plane). Two transforms can only beat one over the array if vol(Q) is
     under half of it, since the grown box contains Q.
     """
-    queries = ndimage.find_objects(from_surface.view(np.uint8))[0]
+    queries = label_box(from_surface)
     box = (slice(None),) * from_surface.ndim
     volume = int(np.prod([s.stop - s.start for s in queries]))
     if 2 * volume < from_surface.size and to_surface[queries].any():
@@ -138,9 +138,9 @@ def hd95(a: RegionMask, b: RegionMask, config: MetricConfig = MetricConfig()) ->
     come from config.
 
     Surfaces and the feature transforms (each read only at the other
-    mask's surface voxels) cover only the bounding box of a|b, which is
-    exact: every surface voxel lies in the box, and the voxels just outside
-    it are background, as the erosion assumes. A direction transforms the
+    mask's surface voxels) cover only the box of a|b (volume.label_box),
+    which is exact: every surface voxel lies in the box, and the voxels just
+    outside it are background, as the erosion assumes. A direction transforms the
     box once, unless its queries' own box is under half of it and meets
     the other surface: then it transforms the queries' box, and that box
     grown by the largest distance found in it.
@@ -152,7 +152,7 @@ def hd95(a: RegionMask, b: RegionMask, config: MetricConfig = MetricConfig()) ->
         return config.empty_empty_hd95
     if a_empty or b_empty:
         return config.empty_pred_penalty_mm
-    box = ndimage.find_objects((a.data | b.data).view(np.uint8))[0]
+    box = label_box(a.data, b.data)
     surf_a = surface_mask(a.data[box])
     surf_b = surface_mask(b.data[box])
     return max(_directed_p95(surf_a, surf_b, a.spacing), _directed_p95(surf_b, surf_a, a.spacing))

@@ -10,13 +10,13 @@ Edema voxels inside such cavities are left alone, so voxels outside the
 core other than true background are never rewritten.
 
 Both rules run on one labeller, connected_components, applied to a plain
-bool array cut to a bounding box: the ET components of the ET box, and
-the components of the core's complement within the core box, where a
-cavity is a component that touches no face of the box. Cavities are
-found, counted and filled inside the core's box. With fill_holes=False
-hole repair counts and logs the holes and returns its input. Holes are 0
-and the fill label 1 or 3, so the hole mask is the repair's diff,
-repair_tc_holes(labels).data != labels.data.
+bool array cut to the label map's box (volume.label_box): the ET mask,
+and the core's complement, where a cavity is a component that touches no
+face of the box. Nothing outside the box is compared or counted; the one
+grid-sized array is the output copy, made only when a voxel changes.
+With fill_holes=False hole repair counts and logs the holes and returns
+its input. Holes are 0 and the fill label 1 or 3, so the hole mask is
+the repair's diff, repair_tc_holes(labels).data != labels.data.
 
 Foreground components use 26-adjacency and cavities 6-adjacency by
 default, the complementary pairing that keeps foreground/background
@@ -39,6 +39,7 @@ from glioseg.volume import (
     Region,
     check_field_types,
     extract_region,
+    label_box,
 )
 
 logger = logging.getLogger(__name__)
@@ -89,28 +90,26 @@ def connected_components(
 def filter_small_et(labels: LabelVolume, config: PostprocessConfig = PostprocessConfig()) -> LabelVolume:
     """Erase enhancing-tumor components of size <= et_min_volume to background.
 
-    Components are labelled on the ET mask's bounding box only, which is
-    exact: no component has a voxel outside the box. Logs the components
-    and voxels removed at INFO on glioseg.postprocess.
+    Components are labelled on the label map's box (volume.label_box)
+    only, which is exact: no component has a voxel outside the box. Logs
+    the components and voxels removed at INFO on glioseg.postprocess.
     """
-    et = labels.data == LABEL_ET
-    components = removed = voxels = 0
+    box = label_box(labels.data)
+    ids, sizes = connected_components(labels.data[box] == LABEL_ET, config.foreground_connectivity)
+    small = sizes <= config.et_min_volume
+    small[0] = False
+    removed = int(np.count_nonzero(small))
+    voxels = 0
     out = labels
-    for box in ndimage.find_objects(et.view(np.uint8)):  # one box, none if et is empty
-        ids, sizes = connected_components(et[box], config.foreground_connectivity)
-        components = len(sizes) - 1
-        small = sizes <= config.et_min_volume
-        small[0] = False
-        removed = int(np.count_nonzero(small))
-        if removed:
-            erase = small[ids]
-            voxels = int(np.count_nonzero(erase))
-            data = labels.data.copy()
-            data[box][erase] = LABEL_BACKGROUND
-            out = labels.with_data(data)
+    if removed:
+        erase = small[ids]
+        voxels = int(np.count_nonzero(erase))
+        data = labels.data.copy()
+        data[box][erase] = LABEL_BACKGROUND
+        out = labels.with_data(data)
     logger.info(
         "small-ET filter removed %d of %d ET component(s), %d voxel(s)",
-        removed, components, voxels,
+        removed, len(sizes) - 1, voxels,
     )
     return out
 
@@ -123,33 +122,32 @@ def repair_tc_holes(
     A cavity is a connected component of the core's complement (under
     hole_connectivity) that touches no face of the volume; its label-0
     voxels are the holes, and enclosed edema stays edema. The complement
-    is labelled, and the holes counted and filled, on the core's bounding
-    box only, where a cavity is a component touching no face of the box.
-    This is exact: every voxel outside the box reaches a volume face in a
-    straight line of non-core voxels, every voxel on the box's border
-    has a face neighbor outside it or lies on a volume face, and a
-    component that touches no box face has no neighbor outside the box.
+    is labelled, and the holes counted and filled, on the label map's box
+    (volume.label_box), where a cavity touches no box face. That is exact
+    for any box holding every core voxel: each voxel outside it reaches a
+    volume face along a straight line of non-core voxels, a non-core voxel
+    on its border has a face neighbor outside it or lies on a volume face,
+    and a component touching no box face has no neighbor outside the box.
 
     With fill_holes=False the holes are counted and logged, and the input
     itself is returned. Logs the hole voxels found and filled at INFO on
     glioseg.postprocess.
     """
-    tc = extract_region(labels.data, Region.TC)
-    found = 0
+    box = label_box(labels.data)
+    inside = labels.data[box]
+    ids, sizes = connected_components(~extract_region(inside, Region.TC), config.hole_connectivity)
+    enclosed = np.ones(len(sizes), dtype=bool)
+    enclosed[0] = False  # the core itself
+    for axis in range(3):
+        enclosed[np.take(ids, [0, -1], axis=axis)] = False
+    # the complement holds labels 0 and 2, so this keeps only background cavities
+    holes = enclosed[ids] & (inside == LABEL_BACKGROUND)
+    found = int(np.count_nonzero(holes))
     out = labels
-    for box in ndimage.find_objects(tc.view(np.uint8)):  # one box, none if tc is empty
-        ids, sizes = connected_components(~tc[box], config.hole_connectivity)
-        enclosed = np.ones(len(sizes), dtype=bool)
-        enclosed[0] = False  # the core itself
-        for axis in range(3):
-            enclosed[np.take(ids, [0, -1], axis=axis)] = False
-        # the complement holds labels 0 and 2, so this keeps only background cavities
-        holes = enclosed[ids] & (labels.data[box] == LABEL_BACKGROUND)
-        found = int(np.count_nonzero(holes))
-        if found and config.fill_holes:
-            data = labels.data.copy()
-            data[box][holes] = config.hole_fill_label
-            out = labels.with_data(data)
+    if found and config.fill_holes:
+        data = labels.data.copy()
+        data[box][holes] = config.hole_fill_label
+        out = labels.with_data(data)
     filled = found if config.fill_holes else 0
     logger.info("core hole repair found %d hole voxel(s), filled %d", found, filled)
     return out

@@ -12,9 +12,9 @@ last axis fastest in memory. Volumes, label maps and region masks are
 built alike as ``(data, spacing=(1, 1, 1), orientation=None)``: ``dims`` is
 ``data.shape``, ``dims[a]`` pairs with ``spacing[a]`` (mm), and a missing
 orientation is the spacing-scaled identity affine. ``require_same_grid`` is
-the one rule for two grids. ``label_box`` gives the box of the labelled
-voxels, the only part of the grid that fusion and evaluation work on. All
-types are immutable values and all operations are pure.
+the one rule for two grids. ``label_box`` gives the box of the non-zero
+voxels of label maps or bool masks, where fusion, cleanup and evaluation
+do all their work. All types are immutable values and all operations are pure.
 """
 
 from __future__ import annotations
@@ -197,15 +197,16 @@ def _extent(hit: np.ndarray) -> slice:
 
 
 def label_box(*labels: np.ndarray) -> tuple[slice, slice, slice]:
-    """The smallest box holding every non-zero voxel of equal-shape 3-D label arrays.
+    """The smallest box holding every non-zero voxel of equal-shape 3-D label or bool arrays.
 
-    Found from projections, with no grid-sized temporary: each array's
-    ``any`` over axis 0 gives its (j, k) footprint, and only the footprints'
-    joint (j, k) box is projected onto axis 0. All-background arrays give
-    the first voxel, ``[:1, :1, :1]``: a box is never empty (a RegionMask
-    refuses a zero-sized grid), and a one-voxel box of background leaves
-    every count that sees background whole: fusion adds the voxels outside
-    the box to the all-zero tuple, and evaluation still sees two empty masks.
+    Fusion, cleanup and evaluation work inside it. Found from projections,
+    with no grid-sized temporary: each array's ``any`` over axis 0 gives its
+    (j, k) footprint, and only the footprints' joint (j, k) box is projected
+    onto axis 0. All-background arrays give the first voxel, ``[:1, :1, :1]``:
+    a box is never empty (a RegionMask refuses a zero-sized grid), and a
+    one-voxel box of background leaves every count that sees background
+    whole: fusion adds the voxels outside the box to the all-zero tuple,
+    cleanup finds nothing, and evaluation still sees two empty masks.
     """
     footprint = np.logical_or.reduce([a.any(axis=0) for a in labels])
     rows, cols = _extent(footprint.any(axis=1)), _extent(footprint.any(axis=0))

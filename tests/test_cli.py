@@ -206,12 +206,13 @@ def file_bytes(root):
     return {path: path.read_bytes() for path in sorted(root.rglob("*")) if path.is_file()}
 
 
-@pytest.mark.parametrize("spelling", ["same", "dotted"])
+@pytest.mark.parametrize("spelling", ["same", "dotted", "nested"])
 def test_normalize_refuses_to_write_over_its_input(tmp_path, monkeypatch, caplog, spelling):
+    # nested: a rerun would list the output directory as a case
     raw = tmp_path / "raw"
     write_case_modalities(raw, "caseA", np.random.default_rng(507))
     before = file_bytes(tmp_path)
-    out = raw if spelling == "same" else raw / "caseA" / ".."
+    out = {"same": raw, "dotted": raw / "caseA" / "..", "nested": raw / "norm"}[spelling]
     reads = []
     monkeypatch.setattr(cli, "read_scalar_volume", reads.append)
     with caplog.at_level("INFO", logger="glioseg"):
@@ -219,6 +220,7 @@ def test_normalize_refuses_to_write_over_its_input(tmp_path, monkeypatch, caplog
     errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
     assert len(errors) == 1 and str(out) in errors[0], errors
     assert reads == [] and file_bytes(tmp_path) == before
+    assert not (raw / "norm").exists()
 
 
 # ------------------------------------------------------------------ fuse
@@ -256,13 +258,13 @@ def test_fuse_matches_module_level_fusion(tmp_path):
         assert np.array_equal(got.data, want.data)
 
 
-@pytest.mark.parametrize("member, spelling", [(0, "same"), (2, "dotted")])
+@pytest.mark.parametrize("member, spelling", [(0, "same"), (2, "dotted"), (1, "nested")])
 def test_fuse_refuses_to_write_over_a_member(tmp_path, monkeypatch, caplog, member, spelling):
     rng = np.random.default_rng(513)
     dirs = write_member_dirs(tmp_path, [random_labels(rng) for _ in range(3)])
     before = file_bytes(tmp_path)
     target = Path(dirs[member])
-    out = target if spelling == "same" else target / ".." / target.name
+    out = {"same": target, "dotted": target / ".." / target.name, "nested": target / "fused"}[spelling]
     reads = []
     monkeypatch.setattr(cli, "read_label_volume", reads.append)
     with caplog.at_level("INFO", logger="glioseg"):
@@ -270,6 +272,7 @@ def test_fuse_refuses_to_write_over_a_member(tmp_path, monkeypatch, caplog, memb
     errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
     assert len(errors) == 1 and str(out) in errors[0], errors
     assert reads == [] and file_bytes(tmp_path) == before
+    assert not (target / "fused").exists()
 
 
 def test_fuse_skips_case_missing_from_a_member(tmp_path):

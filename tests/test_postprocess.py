@@ -124,10 +124,12 @@ def test_et_filter_threshold_zero_keeps_everything():
 def test_et_filter_matches_flood_fill_oracle():
     # porous ET blobs in a larger grid with other labels around, so the ET
     # box is a crop; blobs sit in a grid corner, the opposite corner,
-    # against a face or inside, by turns
+    # against a face or inside, by turns. Then blobs on background, with
+    # edema bars that stretch the label box past the ET box on one or two
+    # axes, never all three; every other blob lies against a grid face
     rng = np.random.default_rng(204)
     dims = np.array((14, 12, 10))
-    removed = kept = 0
+    cases = []
     for trial in range(24):
         data = rng.choice([0, 1, 2], p=[0.7, 0.15, 0.15], size=tuple(dims)).astype(np.uint8)
         for blob in range(rng.integers(1, 4)):
@@ -140,6 +142,24 @@ def test_et_filter_matches_flood_fill_oracle():
             )[(trial + blob) % 4]
             box = tuple(slice(l, l + n) for l, n in zip(lo, size))
             data[box][rng.random(tuple(size)) < 0.6] = 3
+        cases.append(data)
+    for trial in range(12):
+        data = np.zeros(tuple(dims), dtype=np.uint8)
+        size = rng.integers(3, 7, size=3)
+        lo = rng.integers(1, dims - size)
+        if trial % 4 < 2:
+            lo[trial % 3] = 0  # against a grid face
+        data[tuple(slice(l, l + n) for l, n in zip(lo, size))] = np.where(
+            rng.random(tuple(size)) < 0.6, 3, 0
+        )
+        data[tuple(lo)] = data[tuple(lo + size - 1)] = 3  # the ET box is exactly the blob's
+        for axis in rng.choice(3, size=1 + trial % 2, replace=False):
+            bar = [slice(l, l + 1) for l in lo]
+            bar[axis] = slice(None)
+            data[tuple(bar)] = np.where(data[tuple(bar)] == 3, 3, 2)
+        cases.append(data)
+    removed = kept = 0
+    for trial, data in enumerate(cases):
         for conn in (6, 18, 26):
             ids = flood_fill_components(data == 3, conn)
             sizes = np.bincount(ids.ravel())
@@ -239,8 +259,8 @@ def test_hole_voxels_match_flood_fill_oracle(caplog):
     # porous cores in a larger grid, so the core's box is a crop; the box
     # holds a grid corner, the opposite corner or neither, by turns. Then
     # boxes 1, 2 and 3 voxels thick on one axis, whose two face planes
-    # coincide or touch, and boxes that fill the grid, whose every face
-    # is a grid face
+    # coincide or touch, boxes that fill the grid, whose every face is a
+    # grid face, and cores whose label box is larger on some axes only
     rng = np.random.default_rng(203)
     dims = np.array((14, 12, 10))
     cases = []
@@ -274,6 +294,28 @@ def test_hole_voxels_match_flood_fill_oracle(caplog):
         corner = rng.integers(0, dims - 3)
         data[tuple(slice(c, c + 4) for c in corner)] = 1
         data[tuple(slice(c + 1, c + 3) for c in corner)] = 0
+        cases.append(data)
+    # cores on background with edema bars that stretch the label box past
+    # the core's box on one or two axes, never all three, so the core
+    # touches the label box's faces on the others; every other core also
+    # lies against a grid face
+    for trial in range(12):
+        size = rng.integers(4, 8, size=3)
+        lo = rng.integers(1, dims - size)
+        if trial % 4 < 2:
+            lo[trial % 3] = 0
+        data = np.zeros(tuple(dims), dtype=np.uint8)
+        box = tuple(slice(l, l + n) for l, n in zip(lo, size))
+        data[box] = rng.choice([0, 1, 2, 3], p=[0.2, 0.45, 0.1, 0.25], size=tuple(size))
+        corner = lo + rng.integers(0, size - 3)
+        data[tuple(slice(c, c + 4) for c in corner)] = 1
+        data[tuple(slice(c + 1, c + 3) for c in corner)] = rng.choice([0, 2], size=(2, 2, 2))
+        data[tuple(lo)] = data[tuple(lo + size - 1)] = 1  # the core's box is exactly `box`
+        for axis in rng.choice(3, size=1 + trial % 2, replace=False):
+            bar = [slice(l, l + 1) for l in lo]
+            for part in (slice(0, lo[axis]), slice(lo[axis] + size[axis], None)):
+                bar[axis] = part
+                data[tuple(bar)] = 2
         cases.append(data)
     # the holes are read as the repair's diff under either fill label; the
     # report-only mode returns its input and logs the oracle's count

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from glioseg.postprocess import postprocess_case
 from glioseg.volume import (
     _FINITE_BLOCK,
     LabelVolume,
@@ -225,6 +226,24 @@ def test_label_box_makes_no_grid_sized_temporary():
     finally:
         tracemalloc.stop()
     assert box == (slice(0, 128), slice(5, 10), slice(0, 64))
+    assert peak < data.size // 8, peak
+
+
+def test_postprocess_makes_no_grid_sized_temporary():
+    # a clean map, nothing removed and no holes: the cleanup rules compare,
+    # label and count inside the tumour's box, so no grid-sized array is made
+    data = np.zeros((160, 160, 100), dtype=np.uint8)  # 2.5 MiB
+    data[60:72, 70:82, 40:50] = 2
+    data[62:70, 72:80, 42:48] = 1
+    data[64:68, 74:78, 43:47] = 3  # one 64-voxel ET component, above the default 50
+    labels = LabelVolume(data)
+    tracemalloc.start()
+    try:
+        out = postprocess_case(labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out is labels
     assert peak < data.size // 8, peak
 
 
