@@ -5,7 +5,8 @@ file is staged under a temp name in the output directory and renamed onto
 its target only once written, and normalize moves a case's modalities into
 place only once all of them are written. Logs go to standard error,
 reports and volumes to files. Exit codes: 0 clean, 1 any case-level
-failure, 2 configuration or usage errors.
+failure, 2 configuration or usage errors: each is raised as a ConfigError
+and logged once, by main.
 """
 
 from __future__ import annotations
@@ -82,7 +83,8 @@ def _cases_by_suffix(directory: Path, suffix: str) -> dict[str, Path]:
     cases = {}
     for entry in _entries(directory):
         name = entry.name
-        if entry.is_file() and name.endswith(suffix) and name != suffix:
+        # a dangling link is listed too, so its case fails on read instead of vanishing
+        if not entry.is_dir() and name.endswith(suffix) and name != suffix:
             cases[name[: -len(suffix)]] = entry
     return cases
 
@@ -126,33 +128,27 @@ def _close_stage(stage: str, cases, failures, output_dir, skipped=None) -> int:
     return EXIT_CASE_FAILURE if failures else EXIT_OK
 
 
-def _require_directory(path: Path, what: str) -> bool:
+def _require_directory(path: Path, what: str) -> None:
     if not path.is_dir():
-        logger.error("%s is not a directory: %s", what, path)
-        return False
-    return True
+        raise ConfigError(f"{what} is not a directory: {path}")
 
 
-def _require_apart(output_dir: Path, input_dirs, what: str) -> bool:
-    """False, with one ERROR, when output_dir resolves to or inside one of the input directories.
+def _require_apart(output_dir: Path, input_dirs, what: str) -> None:
+    """Refuse an output_dir that resolves to or inside one of the input directories.
 
     A stage writing there would replace the inputs it reads, or a rerun
     would read its own outputs (normalize as a case directory).
     """
     for directory in input_dirs:
         if output_dir.resolve().is_relative_to(directory.resolve()):
-            logger.error("output directory %s is in the %s directory %s", output_dir, what, directory)
-            return False
-    return True
+            raise ConfigError(f"output directory {output_dir} is in the {what} directory {directory}")
 
 
 def cmd_normalize(config: PipelineConfig, input_dir, output_dir) -> int:
     """Z-score and percentile-rescale every modality of every case."""
     input_dir, output_dir = Path(input_dir), Path(output_dir)
-    if not _require_directory(input_dir, "input"):
-        return EXIT_USAGE
-    if not _require_apart(output_dir, [input_dir], "input"):
-        return EXIT_USAGE
+    _require_directory(input_dir, "input")
+    _require_apart(output_dir, [input_dir], "input")
     cases = [entry.name for entry in _entries(input_dir) if entry.is_dir()]
     if not cases:
         logger.warning("no case directories under %s", input_dir)
@@ -188,10 +184,8 @@ def cmd_fuse(config: PipelineConfig, strict: bool = False) -> int:
     member_dirs = [Path(d) for d in config.prediction_dirs]
     output_dir = Path(config.output_dir)
     for directory in member_dirs:
-        if not _require_directory(directory, "member"):
-            return EXIT_USAGE
-    if not _require_apart(output_dir, member_dirs, "member"):
-        return EXIT_USAGE
+        _require_directory(directory, "member")
+    _require_apart(output_dir, member_dirs, "member")
     per_member = [_cases_by_suffix(d, config.label_suffix) for d in member_dirs]
     for directory, cases in zip(member_dirs, per_member):
         if not cases:
@@ -219,8 +213,7 @@ def cmd_fuse(config: PipelineConfig, strict: bool = False) -> int:
 def cmd_postprocess(config: PipelineConfig, input_dir, output_dir) -> int:
     """Apply label cleanup to every segmentation file in a directory."""
     input_dir, output_dir = Path(input_dir), Path(output_dir)
-    if not _require_directory(input_dir, "input"):
-        return EXIT_USAGE
+    _require_directory(input_dir, "input")
     cases = _cases_by_suffix(input_dir, config.label_suffix)
     if not cases:
         logger.warning("no *%s files under %s", config.label_suffix, input_dir)
@@ -239,10 +232,8 @@ def cmd_postprocess(config: PipelineConfig, input_dir, output_dir) -> int:
 def cmd_evaluate(config: PipelineConfig, pred_dir, truth_dir, report_path) -> int:
     """Score predictions against references and write one JSON report."""
     pred_dir, truth_dir = Path(pred_dir), Path(truth_dir)
-    if not _require_directory(pred_dir, "prediction"):
-        return EXIT_USAGE
-    if not _require_directory(truth_dir, "truth"):
-        return EXIT_USAGE
+    _require_directory(pred_dir, "prediction")
+    _require_directory(truth_dir, "truth")
     preds = _cases_by_suffix(pred_dir, config.label_suffix)
     truths = _cases_by_suffix(truth_dir, config.label_suffix)
     if not truths:
@@ -290,11 +281,10 @@ def cmd_demo_net(architecture: str, input_size: int) -> int:
     build = ARCHITECTURES[architecture]
     net = build()
     if input_size < 1 or input_size % net.spatial_divisor:
-        logger.error(
-            "input size %d must be a positive multiple of %d for %s",
-            input_size, net.spatial_divisor, architecture,
+        raise ConfigError(
+            f"input size {input_size} must be a positive multiple of {net.spatial_divisor} "
+            f"for {architecture}"
         )
-        return EXIT_USAGE
     shape = (1, net.input_channels, input_size, input_size, input_size)
     x = np.random.default_rng(0).uniform(size=shape)
     shapes = {}
@@ -329,7 +319,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--members", nargs="+", metavar="DIR", help="one directory per ensemble member")
     p.add_argument("--output-dir", metavar="DIR")
-    p.add_argument("--method", choices=FUSION_METHODS)
+    p.add_argument("--method", help=f"one of {', '.join(FUSION_METHODS)}")
     p.add_argument("--staple-tol", type=float, metavar="TOL")
     p.add_argument("--staple-max-iter", type=int, metavar="N")
     p.add_argument("--strict", action="store_true", help="fail on cases missing from a member")
@@ -339,7 +329,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("out_dir", metavar="output_dir")
     common(p)
     p.add_argument("--et-min-volume", type=int, metavar="VOXELS")
-    p.add_argument("--connectivity", type=int, choices=CONNECTIVITIES)
+    p.add_argument("--connectivity", type=int, help=f"one of {', '.join(map(str, CONNECTIVITIES))}")
 
     p = sub.add_parser("evaluate", help="score predictions and write a JSON report")
     p.add_argument("pred_dir")

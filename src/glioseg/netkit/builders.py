@@ -150,12 +150,7 @@ def build_unet3d(
         x = g.conv_unit(f"dec{level}b", x, width, width, 3, g.relu, padding=1)
 
     g.conv("head", x, stage_out[0], num_classes, 1)
-    return NetworkGraph(
-        "unet3d",
-        tuple(g.nodes),
-        num_classes=num_classes,
-        spatial_divisor=2 ** (depth - 1),
-    )
+    return NetworkGraph("unet3d", tuple(g.nodes), spatial_divisor=2 ** (depth - 1))
 
 
 def _vnet_encoder(g: _GraphAssembler) -> tuple[str, list[str], list[int]]:
@@ -194,12 +189,7 @@ def build_vnet(num_classes: int = 4, seed: int = 0) -> NetworkGraph:
     g = _GraphAssembler(np.random.default_rng(seed))
     x, skips, widths = _vnet_encoder(g)
     _vnet_decoder(g, x, skips, widths, num_classes, gated=False)
-    return NetworkGraph(
-        "vnet",
-        tuple(g.nodes),
-        num_classes=num_classes,
-        spatial_divisor=2 ** (VNET_LEVELS - 1),
-    )
+    return NetworkGraph("vnet", tuple(g.nodes), spatial_divisor=2 ** (VNET_LEVELS - 1))
 
 
 def build_msavnet(num_classes: int = 4, seed: int = 0) -> NetworkGraph:
@@ -212,9 +202,4 @@ def build_msavnet(num_classes: int = 4, seed: int = 0) -> NetworkGraph:
     for tag in ("central_a", "central_b"):
         x = g.conv_unit(tag, x, deep, deep, 3, g.prelu, padding=1)
     _vnet_decoder(g, x, skips, widths, num_classes, gated=True)
-    return NetworkGraph(
-        "msavnet",
-        tuple(g.nodes),
-        num_classes=num_classes,
-        spatial_divisor=2 ** (VNET_LEVELS - 1),
-    )
+    return NetworkGraph("msavnet", tuple(g.nodes), spatial_divisor=2 ** (VNET_LEVELS - 1))

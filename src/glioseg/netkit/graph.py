@@ -53,16 +53,17 @@ class Node:
 
 @dataclass(frozen=True)
 class NetworkGraph:
+    """The channel counts are read off the nodes: the graph takes what the
+    nodes reading "input" take and emits what the last node emits."""
+
     name: str
     nodes: tuple[Node, ...]
-    num_classes: int
-    input_channels: int = 4
     spatial_divisor: int = 1  # every spatial dim must divide by this
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", tuple(self.nodes))
         if not self.nodes:
-            return
+            raise ValueError(f"graph {self.name!r} has no nodes")
         seen = {INPUT_NAME}
         for node in self.nodes:
             if node.name in seen:
@@ -71,11 +72,19 @@ class NetworkGraph:
                 if ref not in seen:
                     raise ValueError(f"node {node.name!r} references unknown input {ref!r}")
             seen.add(node.name)
-        final = self.nodes[-1].layer
-        if final.out_channels != self.num_classes:
+        readers = {n.layer.in_channels for n in self.nodes if INPUT_NAME in n.inputs}
+        if len(readers) != 1 or min(readers) < 1:
             raise ValueError(
-                f"final layer emits {final.out_channels} channels, expected {self.num_classes}"
+                f"nodes reading {INPUT_NAME!r} take {sorted(readers)} channels; need one count >= 1"
             )
+
+    @property
+    def input_channels(self) -> int:
+        return self.nodes[0].layer.in_channels  # the first node can read nothing but "input"
+
+    @property
+    def num_classes(self) -> int:
+        return self.nodes[-1].layer.out_channels
 
     def node(self, name: str) -> Node:
         for candidate in self.nodes:
@@ -120,7 +129,7 @@ def forward(net: NetworkGraph, x: np.ndarray, on_node=None) -> np.ndarray:
                 f"{axis}={size} not divisible by {net.spatial_divisor} required by {net.name}"
             )
     last_use = {ref: step for step, node in enumerate(net.nodes) for ref in node.inputs}
-    final = net.nodes[-1].name if net.nodes else INPUT_NAME
+    final = net.nodes[-1].name
     last_use[final] = len(net.nodes)  # the network output outlives the loop
     values = {INPUT_NAME: x}
     for step, node in enumerate(net.nodes):

@@ -17,11 +17,12 @@ On disk the first voxel axis varies fastest; in memory volumes are
 C-ordered ``[i, j, k]`` arrays (see glioseg.volume), so read/write
 transposes between the two. Each read copies the voxels once, a block
 of disk planes at a time, into a native-byte-order array the volume
-owns: labels keep their stored integers (float-coded or scaled labels
-must be integral), and so do intensities, which become float64 only
-when scl_slope/scl_inter scale them. The value checks (label range,
-finiteness, a finite orientation) belong to LabelVolume and
-ScalarVolume; the reader reports their failures as NiftiFormatError.
+owns: labels and intensities keep their stored values, which become
+float64 only when scl_slope/scl_inter scale them. The value checks
+belong to LabelVolume and ScalarVolume, and the reader reports their
+failures as NiftiFormatError: LabelVolume refuses any value outside
+{0,1,2,3}, fractional, NaN and infinite ones included; ScalarVolume
+refuses non-finite intensities, and both a non-finite orientation.
 Labels are written as uint8 and scalars as float32, with the
 orientation as the sform; an intensity, spacing or affine entry beyond
 float32's range is refused with ValueError before the path is created.
@@ -282,10 +283,8 @@ def read_scalar_volume(path) -> ScalarVolume:
 
 
 def read_label_volume(path) -> LabelVolume:
-    """Read a tumor label map; values must be exact integers in {0..3}."""
+    """Read a tumor label map; LabelVolume refuses any value outside {0,1,2,3}."""
     header, data = _read_voxels(path)
-    if data.dtype.kind == "f" and not np.array_equal(np.rint(data), data):
-        raise NiftiFormatError("label file contains non-integer values")
     return _volume(LabelVolume, header, data)
 
 

@@ -63,6 +63,7 @@ import numpy as np
 
 from glioseg.volume import (
     LabelVolume,
+    VALID_LABELS,
     Region,
     check_field_types,
     extract_region,
@@ -309,7 +310,7 @@ def fuse_labels(
     for other in predictions[1:]:
         require_same_grid(first, other, "predictions")
     box = label_box(*(p.data for p in predictions))
-    tuples, counts, ids = _distinct_columns([p.data[box] for p in predictions], 4)
+    tuples, counts, ids = _distinct_columns([p.data[box] for p in predictions], len(VALID_LABELS))
     # every voxel outside the box has the all-zero tuple, column 0 in
     # lexicographic order; when the box holds none, that column is added
     outside = first.data.size - ids.size

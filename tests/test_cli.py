@@ -198,8 +198,37 @@ def test_modalities_sharing_a_suffix_are_a_usage_error(tmp_path):
     assert not out.exists()
 
 
-def test_normalize_rejects_missing_input_dir(tmp_path):
-    assert main(["normalize", str(tmp_path / "absent"), str(tmp_path / "out")]) == 2
+# each usage refusal: its argv and the one ERROR line it logs, {t} standing for tmp_path
+USAGE_REFUSALS = {
+    "normalize-missing": ("normalize {t}/absent {t}/out", "input is not a directory: {t}/absent"),
+    "fuse-missing": (
+        "fuse --members {t}/m0 {t}/absent --output-dir {t}/out",
+        "member is not a directory: {t}/absent",
+    ),
+    "postprocess-missing": ("postprocess {t}/absent {t}/out", "input is not a directory: {t}/absent"),
+    "evaluate-missing-truth": (
+        "evaluate {t}/m0 {t}/absent {t}/report.json", "truth is not a directory: {t}/absent"
+    ),
+    "normalize-nested": (
+        "normalize {t}/m0 {t}/m0/out", "output directory {t}/m0/out is in the input directory {t}/m0"
+    ),
+    "fuse-nested": (
+        "fuse --members {t}/m0 --output-dir {t}/m0/out",
+        "output directory {t}/m0/out is in the member directory {t}/m0",
+    ),
+    "demo-net-size": ("demo-net vnet --size 7", "input size 7 must be a positive multiple of 8 for vnet"),
+}
+
+
+@pytest.mark.parametrize("refusal", sorted(USAGE_REFUSALS))
+def test_usage_refusal_logs_one_error_exits_2_and_creates_nothing(tmp_path, caplog, capsys, refusal):
+    argv, message = (text.format(t=tmp_path) for text in USAGE_REFUSALS[refusal])
+    (tmp_path / "m0").mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    with caplog.at_level("INFO", logger="glioseg"):
+        assert main(argv.split()) == 2
+    assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [message]
+    assert sorted(tmp_path.rglob("*")) == before and capsys.readouterr().out == ""
 
 
 def file_bytes(root):
@@ -531,6 +560,29 @@ def test_evaluate_reports_unreadable_prediction_as_failed(tmp_path, caplog):
     assert report["missing"] == []
     assert list(report["failed"]) == ["caseB"] and report["failed"]["caseB"]
     assert "1 case(s) evaluated, 0 missing, 1 failed" in caplog.text
+
+
+def test_a_dangling_case_file_is_a_failed_case_not_a_dropped_one(tmp_path, caplog):
+    # a broken link is no file, but it names a case: reading it fails the case
+    rng = np.random.default_rng(535)
+    volumes = {case: random_labels(rng) for case in ("a", "b", "c")}
+    truth = seg_dir(tmp_path, "truth", {case: volumes[case] for case in "ab"})
+    preds = seg_dir(tmp_path, "preds", {case: volumes[case] for case in "ab"})
+    for directory in (truth, preds):
+        (directory / f"c{SEG}").symlink_to(tmp_path / "gone" / f"c{SEG}")
+    report_path = tmp_path / "report.json"
+    with caplog.at_level("INFO", logger="glioseg"):
+        assert main(["evaluate", str(preds), str(truth), str(report_path)]) == 1
+    report = json.loads(report_path.read_text())
+    assert [entry["case"] for entry in report["cases"]] == ["a", "b"]
+    assert report["missing"] == [] and list(report["failed"]) == ["c"]
+    assert "2 case(s) evaluated, 0 missing, 1 failed" in caplog.text
+    assert main(["postprocess", str(preds), str(tmp_path / "clean")]) == 1
+    assert sorted(p.name for p in (tmp_path / "clean").iterdir()) == [f"a{SEG}", f"b{SEG}"]
+    caplog.clear()
+    with caplog.at_level("INFO", logger="glioseg"):
+        assert main(["fuse", "--members", str(preds), str(truth), "--output-dir", str(tmp_path / "fu")]) == 1
+    assert "fuse: 2 case(s) written, 0 skipped, 1 failed" in caplog.text
 
 
 def test_evaluate_records_a_mirrored_prediction_as_failed(tmp_path, caplog):
@@ -925,19 +977,22 @@ def test_flags_replace_config_file_values(tmp_path):
             load_config(path, {"et_min_volume": 7})
 
 
-# out-of-range flags argparse lets through, and the config key each one sets
+# bad flag values, and the config key each one sets: argparse only converts
+# the type, so the settings classes refuse both spellings alike
 BAD_FLAGS = [
     (["--parallel", "0"], {"parallel_cases": 0}),
+    (["--method", "bogus"], {"fusion_method": "bogus"}),
     (["--staple-tol", "-1"], {"staple": {"tolerance": -1.0}}),
     (["--staple-max-iter", "0"], {"staple": {"max_iterations": 0}}),
     (["--et-min-volume", "-1"], {"postprocess": {"et_min_volume": -1}}),
+    (["--connectivity", "7"], {"postprocess": {"foreground_connectivity": 7}}),
 ]
 
 
 @pytest.mark.parametrize("flag, payload", BAD_FLAGS, ids=[f"{flag[0][2:]}={flag[1]}" for flag, _ in BAD_FLAGS])
 def test_bad_flag_and_bad_config_key_log_the_same_error(tmp_path, caplog, flag, payload):
     stage = ["fuse", "--members", str(tmp_path), "--output-dir", str(tmp_path / "out")]
-    if flag[0] == "--et-min-volume":
+    if flag[0] in ("--et-min-volume", "--connectivity"):
         stage = ["postprocess", str(tmp_path), str(tmp_path / "out")]
     path = tmp_path / "config.json"
     path.write_text(json.dumps(payload))

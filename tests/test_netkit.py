@@ -447,16 +447,26 @@ def test_graph_rejects_duplicate_and_unknown_names():
     layer = conv_layer(rng, 4, 2, 1)
     node = Node("a", layer, (INPUT_NAME,))
     with pytest.raises(ValueError, match="duplicate"):
-        NetworkGraph("g", (node, Node("a", layer, (INPUT_NAME,))), 2, 2)
+        NetworkGraph("g", (node, Node("a", layer, (INPUT_NAME,))))
     with pytest.raises(ValueError, match="unknown"):
-        NetworkGraph("g", (Node("a", layer, ("missing",)),), 2, 2)
+        NetworkGraph("g", (Node("a", layer, ("missing",)),))
 
 
-def test_graph_rejects_wrong_final_channels():
+def test_graph_reads_its_channel_counts_off_its_nodes():
     rng = np.random.default_rng(85)
-    node = Node("a", conv_layer(rng, 4, 3, 1), (INPUT_NAME,))
-    with pytest.raises(ValueError, match="final"):
-        NetworkGraph("g", (node,), num_classes=2)
+    net = side_branch_graph()
+    assert (net.input_channels, net.num_classes) == (4, 2)
+    # the nodes reading "input" must agree on a count of at least one channel
+    four, three = conv_layer(rng, 4, 2, 1), conv_layer(rng, 3, 2, 1)
+    add = LayerSpec("add_skip", in_channels=2, out_channels=2)
+    with pytest.raises(ValueError, match=r"take \[3, 4\] channels"):
+        NetworkGraph("g", (
+            Node("a", four, (INPUT_NAME,)),
+            Node("b", three, (INPUT_NAME,)),
+            Node("c", add, ("a", "b")),
+        ))
+    with pytest.raises(ValueError, match=r"take \[0\] channels"):
+        NetworkGraph("g", (Node("a", LayerSpec("activation", activation="relu"), (INPUT_NAME,)),))
 
 
 def test_node_arity_is_checked():
@@ -502,7 +512,7 @@ def side_branch_graph():
         Node("double", add, ("relu", "relu")),
         Node("head", conv_layer(np.random.default_rng(89), 4, 2, 1), ("double",)),
     )
-    return NetworkGraph("side", nodes, num_classes=2)
+    return NetworkGraph("side", nodes)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
@@ -663,13 +673,22 @@ def test_builder_argument_validation():
 def test_param_count_closed_form():
     rng = np.random.default_rng(90)
     node = Node("a", conv_layer(rng, 1, 8, 3), (INPUT_NAME,))
-    net = NetworkGraph("tiny", (node,), num_classes=8)
+    net = NetworkGraph("tiny", (node,))
     assert param_count(net) == 8 * 27 + 8 == 224
 
 
 def test_param_count_empty_graph():
-    net = NetworkGraph("empty", (), num_classes=4)
-    assert param_count(net) == 0
+    # a graph with no nodes has no output and is refused, so it has no count
+    with pytest.raises(ValueError, match="no nodes"):
+        NetworkGraph("empty", ())
+
+
+def test_one_channel_graph_runs_on_a_one_channel_input():
+    rng = np.random.default_rng(90)
+    node = Node("a", conv_layer(rng, 1, 8, 3, padding=1), (INPUT_NAME,))
+    net = NetworkGraph("tiny", (node,))
+    x = rng.uniform(size=(1, 1, 4, 4, 4))
+    assert forward(net, x).shape == (1, 8, 4, 4, 4)
 
 
 def test_param_counts_are_stable():

@@ -254,12 +254,47 @@ def test_stored_dtype_reads_and_normalizes_like_float64(tmp_path, datatype, orde
         assert vol.data.dtype == before.dtype and np.array_equal(vol.data, before)
 
 
+def float_label_sweep(dtype):
+    """(value, accepted) pairs in ``dtype``: the labels, -0.0, and values just off them."""
+    dtype = np.dtype(dtype)
+    below, above = dtype.type(-np.inf), dtype.type(np.inf)
+    three, zero = dtype.type(3), dtype.type(0)
+    accepted = [(v, True) for v in (0.0, 1.0, 2.0, 3.0, -0.0)]
+    refused = [np.nan, np.inf, -np.inf, -1.0, 4.0, 1e30, 2.5,
+               np.nextafter(three, below), np.nextafter(three, above),
+               np.nextafter(zero, below), np.nextafter(zero, above)]
+    return accepted + [(v, False) for v in refused]
+
+
 def test_label_rejects_fractional_value(tmp_path):
+    # LabelVolume is the one check: a float-coded or scaled label file is
+    # refused for any voxel outside {0,1,2,3}, fractional, NaN or infinite
     vals = np.zeros((2, 2, 2), dtype=np.float32)
     vals[0, 0, 0] = 2.5
     blob = build_nifti_bytes(vals, 16, 32)
-    with pytest.raises(NiftiFormatError, match="non-integer"):
+    with pytest.raises(NiftiFormatError, match=r"labels outside \{0,1,2,3\}: \[2.5\]"):
         read_label_volume(write_fixture(tmp_path, "frac.nii", blob))
+    for dtype, datatype in (("f4", 16), ("f8", 64)):
+        for value, accepted in float_label_sweep(dtype):
+            vals = np.array([[[0, 1], [2, 3]], [[3, 2], [1, value]]], dtype=dtype)
+            blob = build_nifti_bytes(vals, datatype, 8 * vals.itemsize)
+            path = write_fixture(tmp_path, "sweep.nii", blob)
+            if accepted:
+                vol = read_label_volume(path)
+                assert vol.data.dtype == np.uint8 and np.array_equal(vol.data, vals)
+            else:
+                with pytest.raises(NiftiFormatError, match="outside"):
+                    read_label_volume(path)
+    # scaled stored integers: 2 * 0.5 + 1 = 2 is a label, 3 * 0.5 + 1 = 2.5 is not
+    for stored, accepted in ((2, True), (3, False)):
+        vals = np.full((2, 2, 2), stored, dtype=np.int16)
+        blob = build_nifti_bytes(vals, 4, 16, scl_slope=0.5, scl_inter=1.0)
+        path = write_fixture(tmp_path, "scaled.nii", blob)
+        if accepted:
+            assert np.array_equal(read_label_volume(path).data, np.full((2, 2, 2), 2))
+        else:
+            with pytest.raises(NiftiFormatError, match=r"\[2.5\]"):
+                read_label_volume(path)
 
 
 def test_label_rejects_out_of_range(tmp_path):
