@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from glioseg.metrics import MetricConfig
-from glioseg.nifti import FLOAT32_MAX
 from glioseg.postprocess import PostprocessConfig
 from glioseg.preprocess import NormalizationPolicy, RescaleSpec
 from glioseg.staple import FUSION_METHODS, StapleConfig
@@ -105,13 +104,6 @@ class PipelineConfig:
             )
         if self.parallel_cases < 1:
             raise ValueError(f"parallel_cases must be at least 1, got {self.parallel_cases!r}")
-        for name in ("out_min", "out_max"):
-            value = getattr(self.rescale, name)
-            if abs(value) > FLOAT32_MAX:  # write_scalar_volume would refuse every case
-                raise ValueError(
-                    f"rescale {name} {value:g} exceeds float32's range (+-{FLOAT32_MAX:g}), "
-                    "which normalized modalities are written in"
-                )
 
 
 def _build(cls, payload, where: str):

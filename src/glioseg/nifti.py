@@ -8,10 +8,12 @@ scl_slope/scl_inter rescaling (none when the slope is zero or
 non-finite), and both byte orders (resolved by checking that sizeof_hdr
 decodes to 348). Orientation comes from the sform when sform_code > 0,
 else from the qform quaternion, offsets and qfac (pixdim[0]) when
-qform_code > 0; with neither code it is the volume's default. .hdr/.img
-pairs, NIfTI-2 and header extensions are out of scope. One table gives
-every header field's offset and format; the reader and the writer both
-go through it.
+qform_code > 0; with neither code it is the volume's default. Spacing and
+orientation are read in mm: the spatial code of xyzt_units scales them by
+1000 for metres and 0.001 for microns, and an unknown code (0) counts as
+mm. Files are written in mm. .hdr/.img pairs, NIfTI-2 and header
+extensions are out of scope. One table gives every header field's offset
+and format; the reader and the writer both go through it.
 
 On disk the first voxel axis varies fastest; in memory volumes are
 C-ordered ``[i, j, k]`` arrays (see glioseg.volume), so read/write
@@ -94,6 +96,10 @@ _GZIP_SLICE = 2**20
 # scattered into the C-order array
 _READ_PLANES = 32
 
+# mm per unit of each spatial xyzt_units code: 1 metre, 2 mm, 3 micron. Code 0
+# (unknown) is read as mm, as most tools do, and so are the undefined codes 4-7.
+_MM_PER_UNIT = {1: 1000.0, 2: 1.0, 3: 0.001}
+
 # name -> (offset, struct format) of every header field read or written;
 # formats are given without the byte-order prefix.
 _FIELDS = {
@@ -145,21 +151,30 @@ class NiftiHeader:
         return self.dim[1], self.dim[2], self.dim[3]
 
     @property
+    def mm_per_unit(self) -> float:
+        """Millimetres per unit of the spatial code, the low three bits of xyzt_units."""
+        return _MM_PER_UNIT.get(self.xyzt_units & 0x07, 1.0)
+
+    @property
     def spacing(self) -> tuple[float, float, float]:
-        return self.pixdim[1], self.pixdim[2], self.pixdim[3]
+        """Voxel size in mm."""
+        scale = self.mm_per_unit
+        return self.pixdim[1] * scale, self.pixdim[2] * scale, self.pixdim[3] * scale
 
     @property
     def orientation(self) -> np.ndarray | None:
-        """Voxel-to-world affine rows: the sform, else the qform, else None (the volume's default)."""
+        """Voxel-to-world affine rows in mm: the sform, else the qform, else None (the default)."""
         if self.sform_code > 0:
-            return self.srow.copy()
-        if self.qform_code > 0:
-            return _qform_affine(self)
-        return None
+            affine = self.srow
+        elif self.qform_code > 0:
+            affine = _qform_affine(self)
+        else:
+            return None
+        return affine * self.mm_per_unit
 
 
 def _qform_affine(header: NiftiHeader) -> np.ndarray:
-    """NIfTI-1 method 2: quaternion rotation, pixdim scaling, qoffset shift.
+    """NIfTI-1 method 2: quaternion rotation, pixdim scaling, qoffset shift, in file units.
 
     qfac = pixdim[0] is -1 for a left-handed grid, which flips the third
     column; any other value counts as 1.
@@ -176,7 +191,7 @@ def _qform_affine(header: NiftiHeader) -> np.ndarray:
         [2 * (b * d - a * c), 2 * (c * d + a * b), a * a + d * d - b * b - c * c],
     ])
     qfac = -1.0 if header.pixdim[0] < 0 else 1.0
-    dx, dy, dz = header.spacing
+    dx, dy, dz = header.pixdim[1:4]
     return np.column_stack([rotation * (dx, dy, dz * qfac), header.qoffset])
 
 

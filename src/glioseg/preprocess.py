@@ -8,23 +8,31 @@ are excluded, since skull-stripped volumes are dominated by zero
 background. Excluded voxels do not enter the statistics and are written
 as 0 (z-score) or out_min (rescale) in the output.
 
-Every function writes one float64 output grid and does its arithmetic on
-the included values: it gathers them once into a float64 1-D copy, works
-on that copy in place and scatters it into the output, whose excluded
-voxels already hold their fill value. Only that copy is widened; the
-input keeps its stored dtype, and since the copy holds the same numbers
-in the same order, an int16 volume and a float64 copy of it give
-bit-identical results. Each formula lives in one value-level helper that
-all three functions share. The input volume is never modified.
+zscore_normalize and rescale_percentiles each write one float64 output
+grid; preprocess_volume writes one float32 grid, the type a normalized
+modality is stored in. Each does its arithmetic on the included values:
+it gathers them into a float64 1-D copy, works on that copy in place and
+scatters it into the output, whose excluded voxels already hold their
+fill value. Only that copy is widened; the input keeps its stored dtype,
+and since the copy holds the same numbers in the same order, an int16
+volume and a float64 copy of it give bit-identical results. Each formula
+lives in one value-level helper that all three functions share. The
+input volume is never modified. preprocess_volume logs one INFO line per
+call on the ``glioseg.preprocess`` logger: the included voxel count, the
+mean, the std and the percentile window.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
 
+from glioseg.nifti import FLOAT32_MAX
 from glioseg.volume import ScalarVolume, check_field_types
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -59,6 +67,13 @@ class RescaleSpec:
             raise ValueError(
                 f"need finite out_min < out_max, got ({self.out_min}, {self.out_max})"
             )
+        for name in ("out_min", "out_max"):
+            value = getattr(self, name)
+            if abs(value) > FLOAT32_MAX:  # preprocess_volume's grid and the file could not hold it
+                raise ValueError(
+                    f"rescale {name} {value:g} exceeds float32's range (+-{FLOAT32_MAX:g}), "
+                    "which normalized modalities are written in"
+                )
 
 
 def _included_mask(volume: ScalarVolume, policy: NormalizationPolicy) -> np.ndarray:
@@ -76,18 +91,24 @@ def _included_values(volume: ScalarVolume, mask: np.ndarray) -> np.ndarray:
     return volume.data[mask].astype(np.float64, copy=False)
 
 
-def _zscore_values(values: np.ndarray, policy: NormalizationPolicy) -> None:
-    """Z-score the included values in place with their own mean and std."""
-    if values.size < 2:
-        raise ValueError(f"need at least 2 included voxels, got {values.size}")
-    mean = float(values.mean())
-    std = float(values.std())
+def _zscore_values(
+    values: np.ndarray, policy: NormalizationPolicy, stats: tuple[float, float] | None = None
+) -> tuple[float, float]:
+    """Z-score the included values in place and return the (mean, std) used.
+
+    Without ``stats`` these are the values' own, checked against the policy;
+    preprocess_volume passes them back to z-score a second gather the same way.
+    """
+    if stats is None:
+        if values.size < 2:
+            raise ValueError(f"need at least 2 included voxels, got {values.size}")
+        stats = float(values.mean()), float(values.std())
+    mean, std = stats
     if std <= policy.epsilon:
-        raise ValueError(
-            f"intensity spread {std:.3g} is at or below epsilon {policy.epsilon:.3g}"
-        )
+        raise ValueError(f"intensity spread {std:.3g} is at or below epsilon {policy.epsilon:.3g}")
     values -= mean
     values /= std
+    return stats
 
 
 def _percentile_window(values: np.ndarray, spec: RescaleSpec) -> tuple[float, float]:
@@ -161,18 +182,25 @@ def preprocess_volume(
 
     Both steps use the input's included set, built once, so a voxel at
     exactly the mean (z-score 0) stays in the rescale window. The output
-    is the only float64 grid: it parks the z-scores while the percentile
-    search consumes the included values, then takes the rescaled values
-    back.
+    is one float32 grid. The percentile search consumes the z-scored
+    values, so they are gathered and z-scored again with the same mean
+    and std, the same operations in the same order, then rescaled and
+    scattered. The float32 assignment rounds as the writer's cast does,
+    so the grid equals the float32 cast of the same arithmetic done in a
+    float64 grid.
     """
     mask = _included_mask(volume, policy)
     values = _included_values(volume, mask)
-    _zscore_values(values, policy)
-    out = np.full(volume.dims, spec.out_min, dtype=np.float64)
-    out[mask] = values
+    mean, std = _zscore_values(values, policy)
     window = _percentile_window(values, spec)
-    del values
-    values = out[mask]
+    logger.info(
+        "normalization: %d included voxel(s), mean %.6g, std %.6g, z-score window P%g..P%g [%.6g, %.6g]",
+        values.size, mean, std, spec.lo_percentile, spec.hi_percentile, *window,
+    )
+    del values  # the first gather is freed before the second is made
+    values = _included_values(volume, mask)
+    _zscore_values(values, policy, (mean, std))
     _rescale_values(values, window, spec)
+    out = np.full(volume.dims, spec.out_min, dtype=np.float32)
     out[mask] = values
     return volume.with_data(out)

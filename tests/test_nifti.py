@@ -52,6 +52,7 @@ def build_nifti_bytes(
     dim0: int = 3,
     dim4: int = 1,
     np_dtype: str | None = None,
+    xyzt_units: int = 0,
 ) -> bytes:
     """Hand-build a single-file NIfTI-1 byte string.
 
@@ -68,6 +69,7 @@ def build_nifti_bytes(
     struct.pack_into(order + "f", hdr, 108, float(vox_offset))
     struct.pack_into(order + "f", hdr, 112, scl_slope)
     struct.pack_into(order + "f", hdr, 116, scl_inter)
+    struct.pack_into("b", hdr, 123, xyzt_units)
     struct.pack_into(order + "h", hdr, 252, qform_code)
     struct.pack_into(order + "h", hdr, 254, sform_code)
     struct.pack_into(order + "3f", hdr, 256, *quatern)
@@ -145,6 +147,47 @@ def test_pixdim_spacing(tmp_path):
     vol = read_scalar_volume(write_fixture(tmp_path, "sp.nii", blob))
     assert vol.spacing == (0.5, 1.0, 2.0)
     assert vol.dims == (3, 4, 5)
+
+
+def test_metre_coded_file_is_read_in_mm(tmp_path):
+    # xyzt_units 9 is metres (1) with seconds (8) in the time bits: 1 mm voxels
+    # at pixdim 0.001. The mm file with the same pixdim numbers is another grid.
+    srows = [(0.001, 0.0, 0.0, -0.12), (0.0, 0.002, 0.0, 0.05), (0.0, 0.0, 0.0005, 0.0)]
+    values = np.zeros((3, 4, 5), dtype=np.float32)
+    values[1, 2, 3] = 1.0
+    metres = dict(pixdim=(0.001, 0.002, 0.0005), sform_code=1, srows=srows)
+    blob = build_nifti_bytes(values, 16, 32, xyzt_units=9, **metres)
+    vol = read_scalar_volume(write_fixture(tmp_path, "metre.nii", blob))
+    assert np.allclose(vol.spacing, (1.0, 2.0, 0.5), rtol=1e-6, atol=0.0)
+    expected = np.array(srows) * 1000.0
+    assert np.allclose(vol.orientation, expected, rtol=1e-6, atol=0.0)
+    mm_blob = build_nifti_bytes(values, 16, 32, xyzt_units=2, **metres)
+    mm = read_scalar_volume(write_fixture(tmp_path, "mm.nii", mm_blob))
+    assert mm.spacing == tuple(np.float32([0.001, 0.002, 0.0005]).tolist())
+    with pytest.raises(ValueError, match="disagree on grid"):
+        require_same_grid(vol, mm)
+    # written back in mm, it is the same grid
+    write_scalar_volume(vol, tmp_path / "back.nii")
+    back = read_scalar_volume(tmp_path / "back.nii")
+    require_same_grid(vol, back)
+
+
+def test_micron_coded_qform_is_read_in_mm(tmp_path):
+    # 500 micron voxels, a qform turned 90 degrees about z, offsets in microns
+    half = np.sqrt(0.5)
+    values = np.zeros((2, 3, 4), dtype=np.float32)
+    blob = build_nifti_bytes(
+        values, 16, 32, pixdim=(500.0, 250.0, 1000.0), xyzt_units=3,
+        qform_code=1, quatern=(0.0, 0.0, half), qoffset=(10000.0, -20000.0, 30500.0),
+    )
+    vol = read_scalar_volume(write_fixture(tmp_path, "micron.nii", blob))
+    assert np.allclose(vol.spacing, (0.5, 0.25, 1.0), rtol=1e-6, atol=0.0)
+    expected = np.array([
+        [0.0, -0.25, 0.0, 10.0],
+        [0.5, 0.0, 0.0, -20.0],
+        [0.0, 0.0, 1.0, 30.5],
+    ])
+    assert np.allclose(vol.orientation, expected, rtol=0.0, atol=1e-6)
 
 
 def test_sform_orientation_used_when_coded(tmp_path):
@@ -480,6 +523,21 @@ def test_written_header_bytes(tmp_path):
     raw = spath.read_bytes()
     assert struct.unpack_from("<h", raw, 70)[0] == 16  # float32
     assert struct.unpack_from("<h", raw, 72)[0] == 32
+
+
+@pytest.mark.parametrize("scaled", [False, True])
+def test_preprocessed_grid_survives_write_and_read_bit_for_bit(tmp_path, scaled):
+    rng = np.random.default_rng(113)
+    raw = rng.integers(0, 900, size=(9, 8, 7)).astype(np.int16)
+    raw[rng.random(raw.shape) < 0.4] = 0
+    blob = build_nifti_bytes(raw, 4, 16, scl_slope=0.37 if scaled else 1.0)
+    source = read_scalar_volume(write_fixture(tmp_path, "in.nii.gz", blob))
+    assert source.data.dtype == (np.float64 if scaled else np.int16)
+    out = preprocess_volume(source)
+    write_scalar_volume(out, tmp_path / "out.nii.gz")
+    back = read_scalar_volume(tmp_path / "out.nii.gz")
+    assert back.data.dtype == np.float32
+    assert np.array_equal(back.data, out.data)
 
 
 def test_header_reads_xyzt_units(tmp_path):

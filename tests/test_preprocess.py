@@ -197,14 +197,53 @@ def test_rescale_spec_validation():
     assert RescaleSpec(out_max=np.int64(2)).out_max == 2
 
 
+def test_rescale_spec_refuses_a_range_beyond_float32():
+    # finite, but preprocess_volume's float32 grid and the written file cannot hold it
+    for bounds in ({"out_max": 1e39}, {"out_min": -1e39}):
+        with pytest.raises(ValueError, match="exceeds float32's range"):
+            RescaleSpec(**bounds)
+    edge = float(np.finfo(np.float32).max)
+    spec = RescaleSpec(out_min=-edge, out_max=edge)
+    data = np.zeros((4, 4, 4))
+    data[0] = 1.0
+    data[1] = 2.0
+    out = preprocess_volume(vol(data), FG, spec).data
+    assert out.min() == -edge and out.max() == edge
+
+
 def test_preprocess_volume_composes_both_steps():
     rng = np.random.default_rng(107)
     data = rng.uniform(5.0, 50.0, size=(8, 8, 8))
     v = vol(data)
     combined = preprocess_volume(v, ALL, RescaleSpec())
     staged = rescale_percentiles(zscore_normalize(v, ALL), RescaleSpec(), ALL)
-    assert np.array_equal(combined.data, staged.data)
+    # preprocess_volume writes float32, the type the file stores; the float64
+    # steps agree with it up to that one cast
+    assert np.array_equal(combined.data, staged.data.astype(np.float32))
     assert combined.data.min() >= 0.0 and combined.data.max() <= 1.0
+
+
+def test_preprocess_volume_writes_float32_and_the_steps_float64():
+    data = np.random.default_rng(108).uniform(5.0, 50.0, size=(5, 4, 3))
+    assert preprocess_volume(vol(data)).data.dtype == np.float32
+    assert zscore_normalize(vol(data)).data.dtype == np.float64
+    assert rescale_percentiles(vol(data)).data.dtype == np.float64
+    assert preprocess_volume(ScalarVolume(data.astype(np.int16))).data.dtype == np.float32
+
+
+def test_preprocess_volume_logs_its_statistics(caplog):
+    # Brain values {1, 2, 3} in equal numbers: 48 voxels, mean 2, population
+    # std sqrt(2/3); the z-scores are -1.2247, 0 and 1.2247, so P2 and P98 are
+    # the outer two.
+    data = np.zeros((6, 4, 4))
+    data[0], data[1], data[2] = 1.0, 2.0, 3.0
+    with caplog.at_level("INFO", logger="glioseg.preprocess"):
+        preprocess_volume(vol(data))
+    assert caplog.messages == [
+        "normalization: 48 included voxel(s), mean 2, std 0.816497, "
+        "z-score window P2..P98 [-1.22474, 1.22474]"
+    ]
+    assert [r.name for r in caplog.records] == ["glioseg.preprocess"]
 
 
 def test_preprocess_keeps_brain_voxels_at_the_mean_in_the_window():
@@ -261,7 +300,8 @@ def test_steps_match_the_out_of_place_formulas_bit_for_bit():
             unit = np.clip((zscored - p_lo) / (p_hi - p_lo), 0.0, 1.0)
             rescaled = unit * (spec.out_max - spec.out_min) + spec.out_min
             rescaled[~mask] = spec.out_min
-            assert np.array_equal(preprocess_volume(vol(data), policy, spec).data, rescaled)
+            got = preprocess_volume(vol(data), policy, spec).data
+            assert np.array_equal(got, rescaled.astype(np.float32))
 
             # rescale on its own, over the raw values
             p_lo, p_hi = np.percentile(data[mask], [spec.lo_percentile, spec.hi_percentile])
@@ -314,4 +354,27 @@ def test_preprocess_volume_holds_one_grid_and_the_included_values():
         tracemalloc.stop()
     voxels = out.data.size
     bound = 8 * voxels + 2 * voxels + 2 * 8 * included
+    assert peak < bound, f"peak {peak / 2**20:.1f} MiB, bound {bound / 2**20:.1f} MiB"
+
+
+def test_preprocess_volume_peak_is_a_float32_grid_and_the_included_values():
+    # The output is one float32 grid (4 bytes a voxel); besides it the bound
+    # allows two bool grids and two float64 copies of the included values. A
+    # float64 output grid, or one that parks the z-scores, breaks it.
+    rng = np.random.default_rng(112)
+    dims = (128, 128, 64)
+    data = rng.uniform(100.0, 900.0, size=dims)
+    data[rng.random(dims) < 0.77] = 0.0
+    included = np.count_nonzero(data)
+    v = vol(data)
+    del data
+    preprocess_volume(vol(np.arange(1.0, 9.0).reshape(2, 2, 2)))  # lazy imports are not arrays
+    tracemalloc.start()
+    try:
+        out = preprocess_volume(v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    voxels = out.data.size
+    bound = 4 * voxels + 2 * voxels + 2 * 8 * included
     assert peak < bound, f"peak {peak / 2**20:.1f} MiB, bound {bound / 2**20:.1f} MiB"
