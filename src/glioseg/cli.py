@@ -12,6 +12,7 @@ and logged once, by main.
 from __future__ import annotations
 
 import argparse
+import contextvars
 import json
 import logging
 import os
@@ -44,6 +45,23 @@ from glioseg.preprocess import preprocess_volume
 from glioseg.staple import FUSION_METHODS, fuse_labels
 
 logger = logging.getLogger("glioseg")
+
+# the id of the case that _run_cases is running in this thread, if any
+_case = contextvars.ContextVar("glioseg_case", default=None)
+_make_record = logging.getLogRecordFactory()
+
+
+def _case_record(*args, **kwargs) -> logging.LogRecord:
+    """A log record that, if made on a glioseg logger while a case runs, names the case."""
+    record = _make_record(*args, **kwargs)
+    case = _case.get()
+    if case is not None and (record.name == "glioseg" or record.name.startswith("glioseg.")):
+        record.msg, record.args = f"case {case}: {record.getMessage()}", ()
+    return record
+
+
+# process-wide, but it changes only the records made while a case runs
+logging.setLogRecordFactory(_case_record)
 
 EXIT_OK = 0
 EXIT_CASE_FAILURE = 1
@@ -92,19 +110,23 @@ def _cases_by_suffix(directory: Path, suffix: str) -> dict[str, Path]:
 def _run_cases(stage: str, cases, run_one, parallel: int) -> dict[str, str]:
     """Call run_one(case) for each case id, isolating failures per case.
 
-    Each case that succeeds logs its wall time once at INFO. A failure is
-    kept as its message: the exception's traceback would keep the failed
-    case's volumes alive until the stage ends.
+    While run_one runs, each record logged on a glioseg logger starts with
+    ``case <id>: ``. Each case that succeeds logs its wall time once at
+    INFO. A failure is kept as its message: the exception's traceback would
+    keep the failed case's volumes alive until the stage ends.
     """
     failures: dict[str, str] = {}
 
     def attempt(case):
         started = perf_counter()
+        token = _case.set(case)
         try:
             run_one(case)
         except Exception as exc:  # noqa: BLE001 - case isolation contract
             failures[case] = str(exc) or type(exc).__name__
             return
+        finally:
+            _case.reset(token)
         logger.info("case %s: %s in %d ms", case, stage, round(1000 * (perf_counter() - started)))
 
     if parallel <= 1 or len(cases) <= 1:

@@ -15,12 +15,12 @@ mm. Files are written in mm. .hdr/.img pairs, NIfTI-2 and header
 extensions are out of scope. One table gives every header field's offset
 and format; the reader and the writer both go through it.
 
-On disk the first voxel axis varies fastest; in memory volumes are
-C-ordered ``[i, j, k]`` arrays (see glioseg.volume), so read/write
-transposes between the two. Each read copies the voxels once, a block
-of disk planes at a time, into a native-byte-order array the volume
-owns: labels and intensities keep their stored values, which become
-float64 only when scl_slope/scl_inter scale them. The value checks
+On disk the first voxel axis varies fastest; in memory a volume is an
+``[i, j, k]`` array in the layout it was given (see glioseg.volume).
+Each read transposes the voxels once, a block of disk planes at a time,
+into a C-order, native-byte-order array the volume owns: labels and
+intensities keep their stored values, which become float64 only when
+scl_slope/scl_inter scale them. The value checks
 belong to LabelVolume and ScalarVolume, and the reader reports their
 failures as NiftiFormatError: LabelVolume refuses any value outside
 {0,1,2,3}, fractional, NaN and infinite ones included; ScalarVolume
@@ -36,7 +36,8 @@ faster than level 9 for a file 20-31 % larger. Scalars are compressed
 at level 1 with the default strategy: a float32 intensity volume comes
 out ~5 % larger than at level 9 and compresses several times faster.
 Both kinds of file are written by one loop that casts one slab of disk
-planes at a time, so a write never holds a copy of the image.
+planes at a time, so a write never holds a copy of the image; on the
+disk-order (Fortran) grids normalize and fuse build, a slab is a view.
 """
 
 from __future__ import annotations
@@ -334,13 +335,13 @@ def _write_file(volume, path, datatype) -> None:
 
     The voxels are cast and transposed one slab of whole disk planes at a
     time, at most _GZIP_SLICE bytes (one plane if a plane is larger), and
-    each slab goes to the file, or for a .gz path through one gzip stream
-    with no file name and mtime 0 (wbits 31) at the datatype's
-    _GZIP_LEVEL, byte-equal to that compressobj given header + voxels at
-    once.
+    each slab (a view, for a Fortran-ordered array of the written dtype)
+    goes to the file, or for a .gz path through one gzip stream with no
+    file name and mtime 0 (wbits 31) at the datatype's _GZIP_LEVEL,
+    byte-equal to that compressobj given header + voxels at once.
     """
     dtype = np.dtype("<" + _DTYPES[datatype][0])
-    planes = volume.data.T  # disk plane k is planes[k], a strided view
+    planes = volume.data.T  # disk plane k is planes[k]; contiguous for a Fortran-ordered array
     step = max(1, _GZIP_SLICE // (planes[0].size * dtype.itemsize))
     stream = None
     if str(path).endswith(".gz"):
@@ -364,7 +365,7 @@ def write_label_volume(labels: LabelVolume, path) -> None:
 def write_scalar_volume(volume: ScalarVolume, path) -> None:
     """Write intensities as float32, gzip-compressed for .gz paths."""
     data = volume.data
-    if data.dtype.kind == "f" and max(-data.min(), data.max()) > FLOAT32_MAX:
-        # the cast would write inf, which no reader takes back
+    # only a float wider than 4 bytes can pass float32's range; its cast would write inf
+    if data.dtype.kind == "f" and data.dtype.itemsize > 4 and max(-data.min(), data.max()) > FLOAT32_MAX:
         raise ValueError(f"intensities in [{data.min()}, {data.max()}] exceed float32's range")
     _write_file(volume, path, DT_FLOAT32)

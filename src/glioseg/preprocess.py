@@ -9,8 +9,8 @@ background. Excluded voxels do not enter the statistics and are written
 as 0 (z-score) or out_min (rescale) in the output.
 
 zscore_normalize and rescale_percentiles each write one float64 output
-grid; preprocess_volume writes one float32 grid, the type a normalized
-modality is stored in. Each does its arithmetic on the included values:
+grid; preprocess_volume writes one float32 grid, Fortran-ordered as a
+modality is stored. Each does its arithmetic on the included values:
 it gathers them into a float64 1-D copy, works on that copy in place and
 scatters it into the output, whose excluded voxels already hold their
 fill value. Only that copy is widened; the input keeps its stored dtype,
@@ -187,7 +187,8 @@ def preprocess_volume(
     and std, the same operations in the same order, then rescaled and
     scattered. The float32 assignment rounds as the writer's cast does,
     so the grid equals the float32 cast of the same arithmetic done in a
-    float64 grid.
+    float64 grid. Its Fortran order is the file's, which the writer streams
+    without a copy; the scatter visits voxels in C order all the same.
     """
     mask = _included_mask(volume, policy)
     values = _included_values(volume, mask)
@@ -201,6 +202,6 @@ def preprocess_volume(
     values = _included_values(volume, mask)
     _zscore_values(values, policy, (mean, std))
     _rescale_values(values, window, spec)
-    out = np.full(volume.dims, spec.out_min, dtype=np.float32)
+    out = np.full(volume.dims, spec.out_min, dtype=np.float32, order="F")
     out[mask] = values
     return volume.with_data(out)

@@ -300,7 +300,8 @@ def fuse_labels(
     fused on the T columns weighted by the tuples' voxel counts. The
     output, on the grid and orientation of the first member, is the
     all-zero tuple's fused label outside the box and one gather of the
-    fused labels of the T tuples inside it.
+    fused labels of the T tuples inside it, in Fortran (disk) order, which
+    the writer streams without a copy.
     """
     if not predictions:
         raise ValueError("need at least one prediction to fuse")
@@ -327,6 +328,6 @@ def fuse_labels(
         else:
             fused[region] = _staple_foreground(decisions, region, config)
     lut = reconstruct_labels(fused[Region.ET], fused[Region.TC], fused[Region.WT])
-    out = np.full(first.dims, lut[0])
+    out = np.full(first.dims, lut[0], order="F")
     out[box] = lut[ids]
     return first.with_data(out)

@@ -7,8 +7,8 @@ Label codes follow the BraTS 2024 convention:
 Evaluation regions are overlapping label sets: ET = {3}, TC = {1, 3},
 WT = {1, 2, 3}, so ET <= TC <= WT voxel-wise by construction.
 
-Voxel data is kept in C-contiguous arrays indexed ``[i, j, k]`` with the
-last axis fastest in memory. Volumes, label maps and region masks are
+Voxel data is indexed ``[i, j, k]`` in whatever layout the array has: a
+volume keeps the array it is given. Volumes, label maps and region masks are
 built alike as ``(data, spacing=(1, 1, 1), orientation=None)``: ``dims`` is
 ``data.shape``, ``dims[a]`` pairs with ``spacing[a]`` (mm), and a missing
 orientation is the spacing-scaled identity affine. ``require_same_grid`` is
@@ -87,8 +87,6 @@ SPACING_TOL = 1e-6  # mm; spacings closer than this count as equal
 # translation of a few hundred mm by up to ~1.5e-5 mm
 ORIENTATION_TOL = 1e-4
 
-_FINITE_BLOCK = 1 << 20  # voxels per finiteness pass, so no grid-sized bool is made
-
 
 def require_same_grid(a, b, what: str = "volumes") -> None:
     """Raise ValueError naming both grids unless dims, spacing and affine agree."""
@@ -108,7 +106,7 @@ def require_same_grid(a, b, what: str = "volumes") -> None:
 class _GridVolume:
     """Voxel data on a validated grid; subclasses check the data itself."""
 
-    data: np.ndarray  # 3-D, C-order
+    data: np.ndarray  # 3-D, indexed [i, j, k] in whatever layout the array has
     spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)
     orientation: np.ndarray | None = None  # (3, 4) voxel-to-world affine rows
 
@@ -160,12 +158,10 @@ class ScalarVolume(_GridVolume):
     """
 
     def _checked_data(self, data):
-        data = np.ascontiguousarray(data, dtype=data.dtype if data.dtype.kind in "iuf" else np.float64)
-        if data.dtype.kind == "f":  # integers are always finite
-            flat = data.reshape(-1)
-            for start in range(0, flat.size, _FINITE_BLOCK):
-                if not np.isfinite(flat[start : start + _FINITE_BLOCK]).all():
-                    raise ValueError("volume data contains non-finite values")
+        data = np.asarray(data, dtype=data.dtype if data.dtype.kind in "iuf" else np.float64)
+        # integers are always finite; NaN propagates to both ends and +-inf is one of them
+        if data.dtype.kind == "f" and not (np.isfinite(data.min()) and np.isfinite(data.max())):
+            raise ValueError("volume data contains non-finite values")
         return data
 
 
@@ -174,7 +170,6 @@ class LabelVolume(_GridVolume):
     """3D grid of uint8 tumor labels in {0, 1, 2, 3}."""
 
     def _checked_data(self, data):
-        data = np.ascontiguousarray(data)
         if data.dtype == np.uint8 and data.max(initial=0) <= LABEL_ET:
             return data
         outside = ~np.isin(data, VALID_LABELS)
@@ -188,7 +183,7 @@ class RegionMask(_GridVolume):
     """3D grid of bools: one evaluation region's voxels."""
 
     def _checked_data(self, data):
-        return np.ascontiguousarray(data, dtype=bool)
+        return np.asarray(data, dtype=bool)
 
 
 def _extent(hit: np.ndarray) -> slice:

@@ -436,8 +436,45 @@ def test_run_logs_one_stage_time_per_case(tmp_path, caplog, parallel):
         assert main(["postprocess", str(src), str(tmp_path / "clean"), "--parallel", parallel]) == 0
     per_case = [r.getMessage() for r in caplog.records if r.getMessage().startswith("case ")]
     timed = [re.fullmatch(r"case (\w+): postprocess in \d+ ms", message) for message in per_case]
-    assert all(timed), per_case
-    assert sorted(m.group(1) for m in timed) == ["caseA", "caseB"]
+    assert sorted(m.group(1) for m in timed if m) == ["caseA", "caseB"]
+    # the other lines a case logs are its two cleanup lines, named by the case
+    cleanup = r"case (\w+): (small-ET filter|core hole repair) .*"
+    assert sorted(m.group(1) for m in map(re.compile(cleanup).fullmatch, per_case) if m) == [
+        "caseA", "caseA", "caseB", "caseB"
+    ]
+    assert len(per_case) == 6, per_case
+
+
+def test_every_line_a_case_logs_names_the_case(tmp_path, caplog):
+    # under --parallel 2 the lines of two cases interleave, so each names its case
+    rng = np.random.default_rng(547)
+    cases = ("caseA", "caseB")
+    for case in cases:
+        write_case_modalities(tmp_path / "raw", case, rng)
+        dirs = write_member_dirs(tmp_path, [random_labels(rng) for _ in range(3)], case)
+    stages = [
+        (["normalize", str(tmp_path / "raw"), str(tmp_path / "norm")], ("normalization: ",), 4),
+        (["fuse", "--members", *dirs, "--output-dir", str(tmp_path / "fused")], ("STAPLE ",), 3),
+        (["postprocess", str(tmp_path / "fused"), str(tmp_path / "clean")],
+         ("small-ET filter ", "core hole repair "), 2),
+    ]
+    for argv, starts, count in stages:
+        caplog.clear()
+        with caplog.at_level("INFO", logger="glioseg"):
+            assert main([*argv, "--parallel", "2"]) == 0
+        messages = [r.getMessage() for r in caplog.records]
+        for case in cases:
+            prefix = f"case {case}: "
+            named = [m for m in messages if m.startswith(prefix) and m[len(prefix):].startswith(starts)]
+            assert len(named) == count, (argv[0], case, messages)
+            timed = [m for m in messages if re.fullmatch(rf"{prefix}{argv[0]} in \d+ ms", m)]
+            assert len(timed) == 1, (argv[0], case, messages)
+        assert not [m for m in messages if m.startswith(starts) or re.match(r"case \w+: case ", m)]
+    # outside a stage the library logs as it always has
+    caplog.clear()
+    with caplog.at_level("INFO", logger="glioseg"):
+        preprocess_volume(ScalarVolume(rng.uniform(1.0, 9.0, (4, 4, 4))))
+    assert [r.getMessage()[:15] for r in caplog.records] == ["normalization: "]
 
 
 def test_postprocess_retains_island_above_threshold(tmp_path):

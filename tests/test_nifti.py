@@ -658,6 +658,31 @@ def test_scalar_write_holds_one_image(tmp_path):
         assert peak < nifti._GZIP_SLICE + 2**20 < image, f"{name}: peak {peak / 2**20:.1f} MiB"
 
 
+def test_fortran_ordered_volumes_are_written_from_views(tmp_path):
+    # the disk order normalize and fuse build: the bytes are those of the
+    # C-order copy, and each slab of disk planes goes out uncopied, so the
+    # write holds less than half a slab (zlib's state and compressed chunks)
+    rng = np.random.default_rng(22)
+    scalars = np.zeros((128, 128, 64), dtype=np.float32, order="F")
+    scalars[40:72, 40:72, 16:48] = rng.normal(size=(32, 32, 32))
+    labels = np.zeros((128, 128, 64), dtype=np.uint8, order="F")
+    labels[30:90, 20:100, 10:50] = rng.integers(0, 4, (60, 80, 40))
+    for write, kind, data in [(write_scalar_volume, ScalarVolume, scalars),
+                              (write_label_volume, LabelVolume, labels)]:
+        volume, copy = kind(data), kind(np.ascontiguousarray(data))
+        assert volume.data.flags.f_contiguous and copy.data.flags.c_contiguous
+        for name in ("f.nii", "f.nii.gz"):
+            tracemalloc.start()
+            try:
+                write(volume, tmp_path / name)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < nifti._GZIP_SLICE // 2, f"{name}: peak {peak / 2**20:.2f} MiB"
+            write(copy, tmp_path / f"c{name[1:]}")
+            assert (tmp_path / name).read_bytes() == (tmp_path / f"c{name[1:]}").read_bytes()
+
+
 def test_incompressible_gzip_write_holds_one_image(tmp_path):
     # random-normal float32 barely compresses, so a compressed stream held
     # whole would cost about one more image; streamed, the extra over one

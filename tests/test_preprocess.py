@@ -231,6 +231,22 @@ def test_preprocess_volume_writes_float32_and_the_steps_float64():
     assert preprocess_volume(ScalarVolume(data.astype(np.int16))).data.dtype == np.float32
 
 
+def test_preprocess_volume_builds_its_grid_in_disk_order():
+    # the writer streams Fortran-ordered planes without a copy; the values
+    # are the same whatever the input's layout and dtype, and with background
+    # included they are the float64 steps' values cast once
+    rng = np.random.default_rng(111)
+    data = np.rint(rng.uniform(5.0, 50.0, size=(7, 6, 5)))
+    data[rng.random(data.shape) < 0.3] = 0.0
+    staged = rescale_percentiles(zscore_normalize(vol(data), ALL), RescaleSpec(), ALL)
+    for policy, want in ((ALL, staged.data.astype(np.float32)), (FG, None)):
+        for source in (data, np.asfortranarray(data), data.astype(np.int16)):
+            got = preprocess_volume(ScalarVolume(source), policy).data
+            assert got.flags.f_contiguous and got.dtype == np.float32
+            want = got if want is None else want
+            assert np.array_equal(got, want)
+
+
 def test_preprocess_volume_logs_its_statistics(caplog):
     # Brain values {1, 2, 3} in equal numbers: 48 voxels, mean 2, population
     # std sqrt(2/3); the z-scores are -1.2247, 0 and 1.2247, so P2 and P98 are

@@ -482,6 +482,22 @@ def test_fuse_matches_region_wise_voxel_reference(caplog):
                 assert np.array_equal(fused.orientation, orientation)
 
 
+def test_fuse_builds_its_map_in_disk_order():
+    # the writer streams Fortran-ordered planes without a copy; either
+    # layout of the members gives the same labels as the voxel reference
+    rng = np.random.default_rng(421)
+    truth = rng.integers(0, 4, (7, 6, 5))
+    members = [np.where(rng.random(truth.shape) < 0.2, rng.integers(0, 4, truth.shape), truth)
+               for _ in range(4)]
+    for order in ("C", "F"):
+        predictions = [LabelVolume(np.asarray(m, dtype=np.uint8, order=order)) for m in members]
+        for method in ("staple", "majority"):
+            fused = fuse_labels(predictions, method=method)
+            assert fused.data.flags.f_contiguous, (order, method)
+            want = fuse_reference(predictions, StapleConfig(), method)
+            assert np.array_equal(fused.data, want.data), (order, method)
+
+
 def test_fuse_memory_is_bounded_by_label_tuples():
     # five 128x128x64 members: a [J, N] vote stack per region would be
     # 5 MiB and a float64 weight map 8 MiB each

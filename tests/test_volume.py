@@ -7,9 +7,9 @@ import pytest
 
 from glioseg.postprocess import postprocess_case
 from glioseg.volume import (
-    _FINITE_BLOCK,
     LabelVolume,
     Region,
+    RegionMask,
     ScalarVolume,
     extract_region,
     label_box,
@@ -40,9 +40,9 @@ def test_scalar_volume_validation():
         orientation[1, 3] = bad
         with pytest.raises(ValueError, match="orientation"):
             ScalarVolume(np.zeros((2, 2, 2)), (1, 1, 1), orientation)
-    # finiteness is checked in blocks of 2^20 voxels: a NaN on either side of
-    # a block boundary, or in the last voxel, is still found
-    data = np.zeros((128, 128, 65))  # just over one block
+    # finiteness is read off the minimum and maximum, which one NaN anywhere
+    # makes NaN: here at voxels 2^20 - 1, 2^20 and the last one
+    data = np.zeros((128, 128, 65))
     for index in (2**20 - 1, 2**20, data.size - 1):
         data.flat[index] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
@@ -59,12 +59,12 @@ def test_finiteness_check_holds_no_grid_sized_bool():
     finally:
         tracemalloc.stop()
     assert np.shares_memory(volume.data, data)
-    # one block's bools plus slack; a whole-grid np.isfinite takes 4 MiB
+    # slack only: min and max make no temporary, a whole-grid np.isfinite takes 4 MiB
     assert peak < 2**20 + 2**18, f"peak {peak / 2**20:.2f} MiB"
 
 
 def test_integer_intensities_are_kept_without_a_finiteness_pass():
-    data = np.zeros((256, 128, 128), dtype=np.int16)  # 8 MiB, four finiteness blocks
+    data = np.zeros((256, 128, 128), dtype=np.int16)  # 8 MiB
     tracemalloc.start()
     try:
         volume = ScalarVolume(data)
@@ -72,7 +72,29 @@ def test_integer_intensities_are_kept_without_a_finiteness_pass():
     finally:
         tracemalloc.stop()
     assert volume.data.dtype == np.int16 and np.shares_memory(volume.data, data)
-    assert peak < _FINITE_BLOCK, f"peak {peak / 2**20:.2f} MiB"
+    assert peak < 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
+def test_volumes_keep_a_fortran_ordered_array_as_given():
+    rng = np.random.default_rng(12)
+    arrays = [
+        (ScalarVolume, np.asfortranarray(rng.normal(size=(6, 5, 4)))),
+        (ScalarVolume, np.asfortranarray(rng.normal(size=(6, 5, 4)).astype(np.float32))),
+        (ScalarVolume, np.asfortranarray(rng.integers(0, 99, (6, 5, 4)).astype(np.int16))),
+        (LabelVolume, np.asfortranarray(rng.integers(0, 4, (6, 5, 4)).astype(np.uint8))),
+        (RegionMask, np.asfortranarray(rng.random((6, 5, 4)) < 0.5)),
+    ]
+    for kind, data in arrays:
+        volume = kind(data)
+        assert np.shares_memory(volume.data, data) and volume.data.flags.f_contiguous, kind
+        assert volume.dims == data.shape
+        kept = volume.with_data(data)
+        assert np.shares_memory(kept.data, data) and kept.data.flags.f_contiguous, kind
+    for bad in (np.nan, np.inf, -np.inf):
+        data = np.asfortranarray(np.zeros((6, 5, 4)))
+        data[5, 0, 3] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            ScalarVolume(data)
 
 
 def test_label_volume_rejects_out_of_range():
