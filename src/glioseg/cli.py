@@ -171,7 +171,8 @@ def cmd_normalize(config: PipelineConfig, input_dir, output_dir) -> int:
     input_dir, output_dir = Path(input_dir), Path(output_dir)
     _require_directory(input_dir, "input")
     _require_apart(output_dir, [input_dir], "input")
-    cases = [entry.name for entry in _entries(input_dir) if entry.is_dir()]
+    # a dangling link is listed too, so its case fails on read instead of vanishing
+    cases = [entry.name for entry in _entries(input_dir) if not entry.is_file()]
     if not cases:
         logger.warning("no case directories under %s", input_dir)
         return EXIT_OK

@@ -4,8 +4,9 @@ The file is a flat object of optional sections; anything omitted keeps
 its default. Section names mirror the dataclasses they configure.
 load_config writes each given flag into the parsed payload at its
 FLAG_FIELDS key, then one builder checks the effective settings: each
-settings class, PipelineConfig included, checks its own field types
-(volume.check_field_types) and ranges, raising TypeError or ValueError;
+settings class, PipelineConfig included, checks its field types and the
+intervals declared on its fields (volume.check_field_types) and its own
+rules between fields, raising TypeError or ValueError;
 the builder refuses unknown keys and non-object sections, and turns every
 refusal into a ConfigError:
 
@@ -30,6 +31,7 @@ import dataclasses
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Annotated
 
 from glioseg.metrics import MetricConfig
 from glioseg.postprocess import PostprocessConfig
@@ -73,7 +75,8 @@ class PipelineConfig:
     prediction_dirs: tuple | list = ()
     output_dir: str = ""
     fusion_method: str = "staple"
-    parallel_cases: int = 1  # declared before the sections: the snapshot keeps this order
+    # declared before the sections: the snapshot keeps this order
+    parallel_cases: Annotated[int, "[1, inf)"] = 1
     normalization: NormalizationPolicy = field(default_factory=NormalizationPolicy)
     rescale: RescaleSpec = field(default_factory=RescaleSpec)
     staple: StapleConfig = field(default_factory=StapleConfig)
@@ -102,8 +105,6 @@ class PipelineConfig:
             raise ValueError(
                 f"fusion_method must be one of {FUSION_METHODS}, got {self.fusion_method!r}"
             )
-        if self.parallel_cases < 1:
-            raise ValueError(f"parallel_cases must be at least 1, got {self.parallel_cases!r}")
 
 
 def _build(cls, payload, where: str):

@@ -36,6 +36,7 @@ transform of it finds (see ``_directed_p95``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 from scipy import ndimage
@@ -55,23 +56,12 @@ _FACE_STRUCTURE = ndimage.generate_binary_structure(3, 1)
 
 @dataclass(frozen=True)
 class MetricConfig:
-    empty_pred_penalty_mm: float = 373.13  # one mask empty, the other not
-    empty_empty_dice: float = 1.0
-    empty_empty_hd95: float = 0.0
+    empty_pred_penalty_mm: Annotated[float, "(0, inf)"] = 373.13  # one mask empty, the other not
+    empty_empty_dice: Annotated[float, "[0, 1]"] = 1.0
+    empty_empty_hd95: Annotated[float, "[0, inf)"] = 0.0
 
     def __post_init__(self):
         check_field_types(self)
-        if not 0.0 < self.empty_pred_penalty_mm < np.inf:
-            raise ValueError(
-                "empty_pred_penalty_mm must be positive and finite, "
-                f"got {self.empty_pred_penalty_mm}"
-            )
-        if not 0.0 <= self.empty_empty_dice <= 1.0:
-            raise ValueError(f"empty_empty_dice must lie in [0, 1], got {self.empty_empty_dice}")
-        if not 0.0 <= self.empty_empty_hd95 < np.inf:
-            raise ValueError(
-                f"empty_empty_hd95 must be >= 0 and finite, got {self.empty_empty_hd95}"
-            )
 
 
 def dice(a: RegionMask, b: RegionMask, config: MetricConfig = MetricConfig()) -> float:

@@ -9,6 +9,7 @@ of scope for this package.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
@@ -24,27 +25,17 @@ DEFAULT_BATCH_SIZE = 4
 @dataclass(frozen=True)
 class TrainingSchedule:
     initial_lr: float = DEFAULT_INITIAL_LR
-    weight_decay: float = DEFAULT_WEIGHT_DECAY
-    epochs: int = DEFAULT_EPOCHS
-    batch_size: int = DEFAULT_BATCH_SIZE
-    eta_min: float = 0.0
+    weight_decay: Annotated[float, "[0, inf)"] = DEFAULT_WEIGHT_DECAY
+    epochs: Annotated[int, "[1, inf)"] = DEFAULT_EPOCHS
+    batch_size: Annotated[int, "[1, inf)"] = DEFAULT_BATCH_SIZE
+    eta_min: Annotated[float, "[0, inf)"] = 0.0
 
     def __post_init__(self):
         check_field_types(self)
-        if not self.eta_min >= 0.0:
-            raise ValueError(f"eta_min must be non-negative, got {self.eta_min}")
         if not self.eta_min < self.initial_lr < np.inf:
             raise ValueError(
                 f"initial_lr must be finite and exceed eta_min, "
                 f"got {self.initial_lr} with eta_min {self.eta_min}"
-            )
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be at least 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
-        if not 0.0 <= self.weight_decay < np.inf:
-            raise ValueError(
-                f"weight_decay must be non-negative and finite, got {self.weight_decay}"
             )
 
 

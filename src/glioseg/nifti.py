@@ -325,8 +325,9 @@ def _build_header(volume, datatype) -> bytearray:
         offset, fmt = _FIELDS[name]
         try:
             struct.pack_into("<" + fmt, raw, offset, *(value if isinstance(value, tuple) else (value,)))
-        except OverflowError:
-            raise ValueError(f"header field {name} {value} does not fit the file's float32") from None
+        except (OverflowError, struct.error):  # the field's type cannot hold the value
+            kind = np.dtype(fmt[-1]).name
+            raise ValueError(f"header field {name} {value} does not fit the file's {kind}") from None
     return raw
 
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 from scipy import ndimage
@@ -53,7 +54,7 @@ _CONNECTIVITY_TEXT = ", ".join(map(str, CONNECTIVITIES))
 
 @dataclass(frozen=True)
 class PostprocessConfig:
-    et_min_volume: int = 50  # components of size <= this are removed
+    et_min_volume: Annotated[int, "[0, inf)"] = 50  # components of size <= this are removed
     foreground_connectivity: int = 26
     hole_connectivity: int = 6
     hole_fill_label: int = LABEL_NCR
@@ -61,8 +62,6 @@ class PostprocessConfig:
 
     def __post_init__(self):
         check_field_types(self)
-        if self.et_min_volume < 0:
-            raise ValueError(f"et_min_volume must be >= 0, got {self.et_min_volume}")
         for name in ("foreground_connectivity", "hole_connectivity"):
             value = getattr(self, name)
             if value not in CONNECTIVITIES:
@@ -78,12 +77,15 @@ def connected_components(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Component ids of a bool mask and their sizes, the module's one labeller.
 
-    ids are int32, 0 for background and from 1 in raster order of each
-    component's first voxel; sizes[i] counts id i, sizes[0] the background.
+    ids are int32 and C-ordered whatever the mask's layout, 0 for background
+    and from 1 in raster order of each component's first voxel; sizes[i]
+    counts id i, sizes[0] the background.
     """
     if connectivity not in CONNECTIVITIES:
         raise ValueError(f"connectivity must be one of {_CONNECTIVITY_TEXT}, got {connectivity}")
-    ids, count = ndimage.label(mask, structure=_STRUCTURES[connectivity], output=np.int32)
+    ids, count = ndimage.label(
+        np.ascontiguousarray(mask), structure=_STRUCTURES[connectivity], output=np.int32
+    )
     return ids, np.bincount(ids.ravel(), minlength=count + 1)
 
 
@@ -104,7 +106,7 @@ def filter_small_et(labels: LabelVolume, config: PostprocessConfig = Postprocess
     if removed:
         erase = small[ids]
         voxels = int(np.count_nonzero(erase))
-        data = labels.data.copy()
+        data = labels.data.copy(order="K")  # the layout it is given
         data[box][erase] = LABEL_BACKGROUND
         out = labels.with_data(data)
     logger.info(
@@ -145,7 +147,7 @@ def repair_tc_holes(
     found = int(np.count_nonzero(holes))
     out = labels
     if found and config.fill_holes:
-        data = labels.data.copy()
+        data = labels.data.copy(order="K")  # the layout it is given
         data[box][holes] = config.hole_fill_label
         out = labels.with_data(data)
     filled = found if config.fill_holes else 0

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
@@ -40,12 +41,10 @@ class NormalizationPolicy:
     """Controls which voxels enter intensity statistics."""
 
     include_background: bool = False
-    epsilon: float = 1e-8  # minimum admissible standard deviation
+    epsilon: Annotated[float, "(0, inf)"] = 1e-8  # minimum admissible standard deviation
 
     def __post_init__(self):
         check_field_types(self)
-        if not 0.0 < self.epsilon < np.inf:
-            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
 
 
 @dataclass(frozen=True)

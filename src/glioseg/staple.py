@@ -58,6 +58,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
@@ -82,11 +83,11 @@ FUSION_METHODS = ("staple", "majority")
 @dataclass(frozen=True)
 class StapleConfig:
     prior: float | str = "auto"  # scalar foreground prior, or "auto"
-    tolerance: float = 1e-7  # on mean |change in W| between iterations
-    max_iterations: int = 100
-    decision_threshold: float = 0.5
-    initial_sensitivity: float = 0.99999
-    initial_specificity: float = 0.99999
+    tolerance: Annotated[float, "(0, inf)"] = 1e-7  # on mean |change in W| between iterations
+    max_iterations: Annotated[int, "[1, inf)"] = 100
+    decision_threshold: Annotated[float, "(0, 1)"] = 0.5
+    initial_sensitivity: Annotated[float, "(0, 1)"] = 0.99999
+    initial_specificity: Annotated[float, "(0, 1)"] = 0.99999
 
     def __post_init__(self):
         check_field_types(self)
@@ -95,18 +96,6 @@ class StapleConfig:
                 raise ValueError(f"prior must be 'auto' or a real in (0,1), got {self.prior!r}")
         elif not 0.0 < self.prior < 1.0:
             raise ValueError(f"prior must lie in (0,1), got {self.prior}")
-        if not 0.0 < self.tolerance < np.inf:
-            raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
-        if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if not 0.0 < self.decision_threshold < 1.0:
-            raise ValueError(
-                f"decision_threshold must lie in (0,1), got {self.decision_threshold}"
-            )
-        for name in ("initial_sensitivity", "initial_specificity"):
-            value = getattr(self, name)
-            if not 0.0 < value < 1.0:
-                raise ValueError(f"{name} must lie in (0,1), got {value}")
 
 
 @dataclass(frozen=True)

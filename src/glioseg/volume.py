@@ -54,14 +54,22 @@ _REGION_LABELS = {
 
 
 def check_field_types(settings) -> None:
-    """Raise TypeError naming the first field of a settings dataclass that does not fit its type.
+    """Raise naming the first field of a settings dataclass whose value does not fit it.
 
-    bool takes only a bool, int a non-bool integer (NumPy's included), float a
-    non-bool real, any other type its instances. An accepted real is stored as
-    a Python int in an int field and a float otherwise, so settings hold the
-    plain numbers ``json`` writes. Ranges are each class's own checks.
+    A field fits by type, else TypeError: bool takes only a bool, int a
+    non-bool integer (NumPy's included), float a non-bool real, any other
+    type its instances. An accepted real is stored as a Python int in an
+    int field and a float otherwise, so settings hold the plain numbers
+    ``json`` writes. A field annotated ``Annotated[T, "(lo, hi)"]`` also
+    fits by range, else ValueError: a parenthesis excludes its end, a
+    bracket includes it, an end may be ``inf``, and NaN lies in no
+    interval. Rules between fields are each class's own.
     """
-    for name, hint in typing.get_type_hints(type(settings)).items():
+    hints = typing.get_type_hints(type(settings), include_extras=True)
+    for name, hint in hints.items():
+        interval = None
+        if typing.get_origin(hint) is typing.Annotated:
+            hint, interval = hint.__origin__, hint.__metadata__[0]
         types, value = typing.get_args(hint) or (hint,), getattr(settings, name)
         if isinstance(value, bool):
             fits = bool in types
@@ -69,16 +77,27 @@ def check_field_types(settings) -> None:
             integer = int in types and isinstance(value, Integral)
             fits = integer or float in types
             if integer:
-                object.__setattr__(settings, name, int(value))
+                value = int(value)
             elif fits:
                 try:
-                    object.__setattr__(settings, name, float(value))
+                    value = float(value)
                 except OverflowError:  # an integer past float range, never a setting
                     raise ValueError(f"{name} is too large for a float") from None
+            object.__setattr__(settings, name, value)
         else:
             fits = isinstance(value, types)
         if not fits:
             raise TypeError(f"{name} must be {' or '.join(t.__name__ for t in types)}, got {value!r}")
+        if interval is not None and not _in_interval(value, interval):
+            raise ValueError(f"{name} must lie in {interval}, got {value!r}")
+
+
+def _in_interval(value, interval: str) -> bool:
+    """Whether a real lies in an interval written like ``"(0, inf)"`` or ``"[0, 1]"``."""
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    above = lo <= value if interval[0] == "[" else lo < value
+    below = value <= hi if interval[-1] == "]" else value < hi
+    return above and below
 
 
 SPACING_TOL = 1e-6  # mm; spacings closer than this count as equal

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import threading
+import typing
 import weakref
 from pathlib import Path
 
@@ -27,6 +28,7 @@ from glioseg.config import (
 )
 from glioseg.metrics import MetricConfig, aggregate, evaluate_case
 from glioseg.netkit import build_vnet, graph
+from glioseg.netkit.training import TrainingSchedule
 from glioseg.nifti import (
     FLOAT32_MAX,
     read_label_volume,
@@ -34,7 +36,8 @@ from glioseg.nifti import (
     write_label_volume,
     write_scalar_volume,
 )
-from glioseg.preprocess import RescaleSpec, preprocess_volume
+from glioseg.postprocess import PostprocessConfig
+from glioseg.preprocess import NormalizationPolicy, RescaleSpec, preprocess_volume
 from glioseg.staple import StapleConfig, fuse_labels
 from glioseg.volume import LabelVolume, ScalarVolume
 
@@ -132,6 +135,20 @@ def test_normalize_missing_modality_file_fails(tmp_path):
     write_case_modalities(tmp_path / "raw", "caseA", rng)
     (tmp_path / "raw" / "caseA" / f"caseA{MOD_SUFFIXES[2]}").unlink()
     assert main(["normalize", str(tmp_path / "raw"), str(tmp_path / "out")]) == 1
+
+
+def test_normalize_records_a_dangling_case_directory_as_failed(tmp_path, caplog):
+    rng = np.random.default_rng(507)
+    write_case_modalities(tmp_path / "raw", "caseA", rng)
+    (tmp_path / "raw" / "caseB").symlink_to(tmp_path / "gone")
+    (tmp_path / "raw" / "notes.txt").write_text("a regular file is no case")
+    out = tmp_path / "norm"
+    with caplog.at_level("INFO", logger="glioseg"):
+        assert main(["normalize", str(tmp_path / "raw"), str(out)]) == 1
+    assert [p.name for p in out.iterdir()] == ["caseA"]
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and errors[0].startswith("case caseB failed: "), errors
+    assert "normalize: 1 case(s) written, 1 failed" in caplog.text
 
 
 @pytest.mark.parametrize("fault", ["missing", "constant"])
@@ -801,6 +818,50 @@ def test_non_finite_or_out_of_range_config_real_is_a_usage_error(tmp_path, secti
     with pytest.raises(ConfigError):
         load_config(path)
     assert main(["postprocess", str(tmp_path), str(tmp_path), "--config", str(path)]) == 2
+
+
+SETTINGS_CLASSES = (
+    NormalizationPolicy, RescaleSpec, StapleConfig, PostprocessConfig,
+    MetricConfig, TrainingSchedule, PipelineConfig,
+)
+# (class, field, interval, type) for every settings field that declares an interval
+INTERVAL_FIELDS = [
+    (cls, name, hint.__metadata__[0], hint.__origin__)
+    for cls in SETTINGS_CLASSES
+    for name, hint in typing.get_type_hints(cls, include_extras=True).items()
+    if typing.get_origin(hint) is typing.Annotated
+]
+
+
+def test_fifteen_settings_fields_declare_an_interval():
+    assert len(INTERVAL_FIELDS) == 15
+
+
+@pytest.mark.parametrize(
+    "cls, name, interval, kind", INTERVAL_FIELDS, ids=[f"{f[0].__name__}.{f[1]}" for f in INTERVAL_FIELDS]
+)
+def test_each_declared_interval_is_checked_at_its_ends(cls, name, interval, kind):
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    accepted, refused = [], []  # each closed end and the neighbour inside each finite end
+    for end, closed, outward in ((lo, interval[0] == "[", -1), (hi, interval[-1] == "]", 1)):
+        if np.isinf(end):  # never a closed end; ±inf are probed below
+            assert not closed
+            continue
+        (accepted if closed else refused).append(kind(end))
+        if kind is int:
+            accepted.append(int(end) - outward)
+            refused.append(int(end) + outward)
+        else:
+            accepted.append(np.nextafter(end, -outward * np.inf))
+            refused.append(np.nextafter(end, outward * np.inf))
+    for value in accepted:
+        assert getattr(cls(**{name: value}), name) == value
+    for value in refused + [float("nan"), float("inf"), float("-inf")] * (kind is float):
+        with pytest.raises(ValueError, match=re.escape(f"{name} must lie in {interval}, got ")):
+            cls(**{name: value})
+    for value in [float("nan"), float("inf"), float("-inf")] * (kind is int):
+        with pytest.raises(TypeError, match=f"{name} must be int"):  # no int is NaN or infinite
+            cls(**{name: value})
 
 
 def test_unreadable_config_path_is_a_usage_error(tmp_path):

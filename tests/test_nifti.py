@@ -593,6 +593,13 @@ def test_write_refuses_values_beyond_float32_before_creating_the_file(tmp_path, 
     assert not (tmp_path / name).exists()
 
 
+@pytest.mark.parametrize("name", ["refused.nii", "refused.nii.gz"])
+def test_write_refuses_dims_beyond_int16_before_creating_the_file(tmp_path, name):
+    with pytest.raises(ValueError, match=r"header field dim .* does not fit the file's int16"):
+        write_label_volume(LabelVolume(np.zeros((40000, 1, 1), np.uint8)), tmp_path / name)
+    assert not (tmp_path / name).exists()
+
+
 def test_gzip_bytes_depend_only_on_the_volume(tmp_path):
     labels = LabelVolume(np.random.default_rng(13).integers(0, 4, (5, 6, 7)).astype(np.uint8))
     scalars = ScalarVolume(np.random.default_rng(14).normal(size=(5, 6, 7)))

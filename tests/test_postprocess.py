@@ -375,6 +375,26 @@ def test_postprocess_logs_removed_et_and_filled_holes(caplog):
     ]
 
 
+def test_postprocess_keeps_fortran_layout(caplog):
+    data = et_blob((24, 24, 24), 50)
+    data[et_blob((24, 24, 24), 51, start=(0, 10, 0)) == 3] = 3
+    data[12:19, 12:19, 12:19] = 1
+    data[14:17, 14:17, 14:17] = 0
+    caplog.set_level("INFO", logger="glioseg.postprocess")
+    outputs, messages = [], []
+    for layout in (np.ascontiguousarray(data), np.asfortranarray(data)):
+        caplog.clear()
+        outputs.append(postprocess_case(LabelVolume(layout)).data)
+        messages.append(caplog.messages)
+    c_out, f_out = outputs
+    assert c_out.flags.c_contiguous and f_out.flags.f_contiguous
+    assert np.array_equal(f_out, c_out)
+    assert messages[0] == messages[1] == [
+        "small-ET filter removed 1 of 2 ET component(s), 50 voxel(s)",
+        "core hole repair found 27 hole voxel(s), filled 27",
+    ]
+
+
 def random_labels(rng, dims=(12, 12, 12)):
     data = np.zeros(dims, dtype=np.uint8)
     # a few random blobs per label to create realistic nesting and holes
