@@ -17,6 +17,14 @@ conv3d (out_channels, in_channels, kd, kh, kw) and transposed_conv3d
 (in_channels, out_channels, kd, kh, kw). With a shared weight array the
 two are exact adjoints: <conv3d(x), y> == <x, transposed_conv3d(y)> for
 zero bias and matching stride/padding.
+
+A LayerSpec holds exactly the parameter arrays its kind takes: conv3d and
+transposed_conv3d their weights and an optional bias, a prelu activation
+its one-element slope, an attention gate its two 1x1x1 projections, its
+gate bias and its one-channel head, and every other kind none. Each array
+is stored as contiguous float64 and must have the shape its kind declares;
+a missing array (other than a bias) or one the kind does not take is
+refused, so ``num_parameters`` counts nothing a forward pass does not read.
 """
 
 from __future__ import annotations
@@ -59,13 +67,23 @@ def require_tensor5(x: np.ndarray, channels: int | None = None, what: str = "inp
     return x
 
 
-def _triple(value) -> tuple[int, int, int]:
-    if isinstance(value, int):
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _triple(value, name: str = "kernel") -> tuple[int, int, int]:
+    """One integer for all three axes, or three integers; bools and floats are refused."""
+    if _is_integer(value):
         value = (value, value, value)
-    t = tuple(int(v) for v in value)
-    if len(t) != 3:
-        raise ValueError(f"expected 3 components, got {value!r}")
-    return t
+    parts = tuple(value) if np.iterable(value) else ()
+    if len(parts) != 3 or not all(_is_integer(v) for v in parts):
+        raise ValueError(f"{name} must be an integer or three integers, got {value!r}")
+    return tuple(int(v) for v in parts)
+
+
+def _shape_text(shape: tuple) -> str:
+    """A declared shape as text; a dimension the arrays could not give shows its name."""
+    return str(shape).replace("'", "")
 
 
 @dataclass(frozen=True)
@@ -91,80 +109,61 @@ class LayerSpec:
     def __post_init__(self):
         if self.kind not in LAYER_KINDS:
             raise ValueError(f"unknown layer kind {self.kind!r}")
-        object.__setattr__(self, "kernel", _triple(self.kernel))
-        object.__setattr__(self, "stride", _triple(self.stride))
-        object.__setattr__(self, "padding", _triple(self.padding))
+        for name in ("kernel", "stride", "padding"):
+            object.__setattr__(self, name, _triple(getattr(self, name), name))
         if any(k < 1 for k in self.kernel) or any(s < 1 for s in self.stride):
             raise ValueError(f"kernel and stride must be >= 1, got {self.kernel}, {self.stride}")
         if any(p < 0 for p in self.padding):
             raise ValueError(f"padding must be >= 0, got {self.padding}")
-        for name in _PARAMETER_FIELDS:
-            value = getattr(self, name)
-            if value is not None:
-                object.__setattr__(self, name, np.ascontiguousarray(value, dtype=np.float64))
-        getattr(self, f"_check_{self.kind}")()
-
-    def _check_conv3d(self):
-        expected = (self.out_channels, self.in_channels, *self.kernel)
-        if self.weights is None or self.weights.shape != expected:
-            raise ValueError(f"conv3d weights must have shape {expected}")
-        if self.bias is not None and self.bias.shape != (self.out_channels,):
-            raise ValueError(f"conv3d bias must have shape ({self.out_channels},)")
-
-    def _check_transposed_conv3d(self):
-        expected = (self.in_channels, self.out_channels, *self.kernel)
-        if self.weights is None or self.weights.shape != expected:
-            raise ValueError(f"transposed_conv3d weights must have shape {expected}")
-        if self.bias is not None and self.bias.shape != (self.out_channels,):
-            raise ValueError(f"transposed_conv3d bias must have shape ({self.out_channels},)")
-
-    def _check_downsample(self):
-        if self.kernel != self.stride:
-            raise ValueError("downsample pools non-overlapping windows: kernel must equal stride")
-
-    def _check_upsample(self):
-        if self.kernel != self.stride:
-            raise ValueError("upsample repeats voxels: kernel must equal stride")
-
-    def _check_activation(self):
-        if self.activation not in ACTIVATIONS:
+        if self.kind in ("downsample", "upsample") and self.kernel != self.stride:
+            raise ValueError(f"{self.kind} kernel {self.kernel} must equal stride {self.stride}")
+        if self.kind == "activation" and self.activation not in ACTIVATIONS:
             raise ValueError(f"activation must be one of {ACTIVATIONS}, got {self.activation!r}")
-        if self.activation == "prelu":
-            if self.weights is None or self.weights.shape != (1,):
-                raise ValueError("prelu stores its slope as a single-element weights array")
-        elif self.weights is not None:
-            raise ValueError(f"{self.activation} takes no parameters")
-
-    def _check_normalization(self):
-        if not 0.0 < self.epsilon < np.inf:
-            raise ValueError(
-                f"normalization epsilon must be positive and finite, got {self.epsilon}"
-            )
-
-    def _check_add_skip(self):
-        pass
-
-    def _check_concat_skip(self):
-        pass
-
-    def _check_attention_gate(self):
-        if self.out_channels != self.in_channels:  # the gate only scales x
-            raise ValueError(
+        if self.kind == "normalization" and not 0.0 < self.epsilon < np.inf:
+            raise ValueError(f"normalization epsilon must lie in (0, inf), got {self.epsilon}")
+        if self.kind == "attention_gate" and self.out_channels != self.in_channels:
+            raise ValueError(  # the gate only scales x
                 f"attention_gate out_channels must equal in_channels {self.in_channels}, "
                 f"got {self.out_channels}"
             )
-        expected = (self.in_channels, 1, 1, 1)
-        if self.weights is None or self.weights.ndim != 5 or self.weights.shape[1:] != expected:
-            raise ValueError(f"attention_gate weights must be (inter, {self.in_channels}, 1, 1, 1)")
-        inter = self.weights.shape[0]
-        if self.gate_weights is None or self.gate_weights.shape[0] != inter or self.gate_weights.shape[2:] != (1, 1, 1):
-            raise ValueError("attention_gate gate_weights must be (inter, gate_in, 1, 1, 1)")
-        if self.gate_bias is None or self.gate_bias.shape != (inter,):
-            raise ValueError(f"attention_gate gate_bias must have shape ({inter},)")
-        if self.psi_weights is None or self.psi_weights.shape != (1, inter, 1, 1, 1):
-            raise ValueError(f"attention_gate psi_weights must have shape (1, {inter}, 1, 1, 1)")
-        if self.psi_bias is None or self.psi_bias.shape != (1,):
-            raise ValueError("attention_gate psi_bias must have shape (1,)")
+        declared = self._parameter_shapes()
+        for name in _PARAMETER_FIELDS:
+            value, shape = getattr(self, name), declared.get(name)
+            if value is None:
+                if shape is not None and name != "bias":
+                    raise ValueError(f"{self.kind} needs {name} of shape {_shape_text(shape)}")
+                continue
+            value = np.ascontiguousarray(value, dtype=np.float64)
+            object.__setattr__(self, name, value)
+            if shape is None:
+                raise ValueError(f"{self.kind} takes no {name}")
+            if value.shape != shape:
+                raise ValueError(
+                    f"{self.kind} {name} must have shape {_shape_text(shape)}, got {value.shape}"
+                )
+
+    def _parameter_shapes(self) -> dict[str, tuple]:
+        """The parameter arrays this layer's kind takes: {field: shape}."""
+        i_ch, o_ch = self.in_channels, self.out_channels
+        if self.kind == "conv3d":
+            return {"weights": (o_ch, i_ch, *self.kernel), "bias": (o_ch,)}
+        if self.kind == "transposed_conv3d":
+            return {"weights": (i_ch, o_ch, *self.kernel), "bias": (o_ch,)}
+        if self.kind == "activation" and self.activation == "prelu":
+            return {"weights": (1,)}  # the slope
+        if self.kind == "attention_gate":
+            # the hidden width and the gating signal's channels are read off the arrays
+            w, g = np.shape(self.weights), np.shape(self.gate_weights)
+            inter = w[0] if len(w) > 0 else "inter"
+            gate_in = g[1] if len(g) > 1 else "gate_in"
+            return {
+                "weights": (inter, i_ch, 1, 1, 1),
+                "gate_weights": (inter, gate_in, 1, 1, 1),
+                "gate_bias": (inter,),
+                "psi_weights": (1, inter, 1, 1, 1),
+                "psi_bias": (1,),
+            }
+        return {}
 
     @property
     def num_parameters(self) -> int:

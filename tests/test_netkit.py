@@ -396,7 +396,7 @@ def test_attention_gate_channels_are_checked_when_built():
     # the gate only scales x, so it keeps x's channels, and Wx reads all of them
     with pytest.raises(ValueError, match="out_channels must equal in_channels 4, got 9"):
         gate(skip_ch, 9, skip_ch)
-    with pytest.raises(ValueError, match=r"weights must be \(inter, 4, 1, 1, 1\)"):
+    with pytest.raises(ValueError, match=r"weights must have shape \(2, 4, 1, 1, 1\)"):
         gate(skip_ch, skip_ch, 3)
     gate(skip_ch, skip_ch, skip_ch)
 
@@ -430,6 +430,106 @@ def test_layer_spec_validation_errors():
     for epsilon in (0.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="epsilon"):
             LayerSpec("normalization", in_channels=1, out_channels=1, epsilon=epsilon)
+
+
+def test_geometry_takes_integers_only():
+    layer = LayerSpec("downsample", kernel=np.int64(2), stride=(2, np.int32(2), 2))
+    assert layer.kernel == layer.stride == (2, 2, 2)
+    assert all(type(k) is int for k in layer.kernel + layer.stride)
+    refused = [
+        ("kernel", (2.9, 2, 2)), ("kernel", 2.7), ("kernel", True), ("kernel", (1, True, 1)),
+        ("stride", (1, 1)), ("stride", np.float64(1.0)),
+        ("padding", (0, 0, 0, 0)), ("padding", "1"),
+    ]
+    for name, value in refused:
+        with pytest.raises(ValueError, match=f"{name} must be an integer or three integers"):
+            LayerSpec("normalization", **{name: value})
+
+
+_GATE_PARAMETERS = dict(
+    weights=np.ones((2, 4, 1, 1, 1)),
+    gate_weights=np.ones((2, 6, 1, 1, 1)),
+    gate_bias=np.ones(2),
+    psi_weights=np.ones((1, 2, 1, 1, 1)),
+    psi_bias=np.ones(1),
+)
+
+
+def _gate(**changes):
+    """A 4-channel gate of width 2 on a 6-channel signal; a change to None leaves that array out."""
+    params = {k: v for k, v in {**_GATE_PARAMETERS, **changes}.items() if v is not None}
+    return LayerSpec("attention_gate", in_channels=4, out_channels=4, **params)
+
+
+def _conv(kind="conv3d", **params):
+    return LayerSpec(kind, kernel=1, in_channels=2, out_channels=3, **params)
+
+
+def _prelu(**params):
+    return LayerSpec("activation", activation="prelu", in_channels=1, out_channels=1, **params)
+
+
+_CONV_WEIGHTS = np.ones((3, 2, 1, 1, 1))
+
+# (case, spec builder, the refusal it meets)
+_PARAMETER_RULE_CASES = [
+    # an array the kind does not take
+    ("normalization+weights",
+     lambda: LayerSpec("normalization", in_channels=1, out_channels=1, weights=np.ones(3)),
+     "normalization takes no weights"),
+    ("relu+bias", lambda: LayerSpec("activation", activation="relu", bias=np.ones(4)),
+     "activation takes no bias"),
+    ("downsample+bias", lambda: LayerSpec("downsample", kernel=2, stride=2, bias=np.ones(1)),
+     "downsample takes no bias"),
+    ("conv3d+gate_weights",
+     lambda: _conv(weights=_CONV_WEIGHTS, gate_weights=np.ones((3, 2, 1, 1, 1))),
+     "conv3d takes no gate_weights"),
+    ("conv3d+psi_bias", lambda: _conv(weights=_CONV_WEIGHTS, psi_bias=np.ones(1)),
+     "conv3d takes no psi_bias"),
+    ("prelu+bias", lambda: _prelu(weights=np.array([0.25]), bias=np.ones(1)),
+     "activation takes no bias"),
+    # a declared array left out
+    ("conv3d-weights", lambda: _conv(), r"conv3d needs weights of shape \(3, 2, 1, 1, 1\)"),
+    ("transposed_conv3d-weights", lambda: _conv("transposed_conv3d"),
+     r"transposed_conv3d needs weights of shape \(2, 3, 1, 1, 1\)"),
+    ("prelu-slope", lambda: _prelu(), r"activation needs weights of shape \(1,\)"),
+    ("attention_gate-psi_bias", lambda: _gate(psi_bias=None),
+     r"attention_gate needs psi_bias of shape \(1,\)"),
+    ("attention_gate-weights", lambda: _gate(weights=None),
+     r"attention_gate needs weights of shape \(inter, 4, 1, 1, 1\)"),
+    # a declared array of the wrong shape
+    ("conv3d weights", lambda: _conv(weights=np.ones((3, 2, 1, 1))),
+     r"conv3d weights must have shape \(3, 2, 1, 1, 1\), got \(3, 2, 1, 1\)"),
+    ("transposed_conv3d bias",
+     lambda: _conv("transposed_conv3d", weights=np.ones((2, 3, 1, 1, 1)), bias=np.ones(2)),
+     r"transposed_conv3d bias must have shape \(3,\), got \(2,\)"),
+    ("prelu slope", lambda: _prelu(weights=np.ones(2)),
+     r"activation weights must have shape \(1,\), got \(2,\)"),
+    ("attention_gate gate_weights", lambda: _gate(gate_weights=np.ones((3, 6, 1, 1, 1))),
+     r"attention_gate gate_weights must have shape \(2, 6, 1, 1, 1\), got \(3, 6, 1, 1, 1\)"),
+    ("attention_gate flat gate_weights", lambda: _gate(gate_weights=np.ones(2)),
+     r"attention_gate gate_weights must have shape \(2, gate_in, 1, 1, 1\), got \(2,\)"),
+    ("attention_gate psi_weights", lambda: _gate(psi_weights=np.ones((1, 3, 1, 1, 1))),
+     r"attention_gate psi_weights must have shape \(1, 2, 1, 1, 1\)"),
+]
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [case[1:] for case in _PARAMETER_RULE_CASES],
+    ids=[case[0] for case in _PARAMETER_RULE_CASES],
+)
+def test_a_layer_holds_exactly_the_arrays_its_kind_takes(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_a_conv_bias_may_be_left_out():
+    assert _conv(weights=_CONV_WEIGHTS).num_parameters == 6
+    assert _conv("transposed_conv3d", weights=np.ones((2, 3, 1, 1, 1))).num_parameters == 6
+    assert _conv(weights=_CONV_WEIGHTS, bias=[1, 2, 3]).bias.dtype == np.float64
+    assert _prelu(weights=[0.25]).num_parameters == 1
+    assert _gate().num_parameters == 8 + 12 + 2 + 2 + 1
 
 
 def test_require_tensor5_rejects_bad_shapes():
