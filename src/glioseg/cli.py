@@ -182,7 +182,8 @@ def cmd_normalize(config: PipelineConfig, input_dir, output_dir) -> int:
         # renamed in only once all of them succeeded, so a failed case leaves
         # no partial set behind. One modality's volumes are alive at a time:
         # its input and preprocess_volume's float32 output grid, the type the
-        # writer stores; the arithmetic runs on the included values only.
+        # writer stores. The statistics run on one gather of the included
+        # values, freed before that grid is made; the grid is filled slab by slab.
         names = [case + config.modality_suffixes[m] for m in MODALITIES]
         with _staged([output_dir / case / name for name in names], output_dir) as temps:
             for name, tmp in zip(names, temps):

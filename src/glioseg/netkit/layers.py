@@ -2,13 +2,14 @@
 
 Tensors are plain float64 ndarrays in that fixed axis order. "Convolution"
 is cross-correlation (no kernel flip). conv3d lowers each (sample,
-input-depth plane) to a stacked-offset matrix product: the plane's 2-D
-windows are copied into a column buffer of in*kh*kw rows by oh*ow columns,
-multiplied by several kernel depth offsets' weights stacked as rows, and
-each offset's partial plane is added into the output plane it belongs to.
-The extra memory is the input padded in height and width plus the
-columns, the stacked weights and the partial sums: three column planes at
-most whenever a single depth offset's weights and partial plane fit in one.
+input-depth plane) to a stacked-offset matrix product: the plane is copied
+into a sheet whose zero border is the height and width padding, the
+sheet's 2-D windows are copied into a column buffer of in*kh*kw rows by
+oh*ow columns, multiplied by several kernel depth offsets' weights stacked
+as rows, and each offset's partial plane is added into the output plane it
+belongs to. The extra memory is one padded plane plus the columns, the
+stacked weights and the partial sums: three column planes at most whenever
+a single depth offset's weights and partial plane fit in one.
 transposed_conv3d scatters one channel matmul per kernel offset into the
 full output and adds the bias in place.
 
@@ -25,6 +26,8 @@ gate bias and its one-channel head, and every other kind none. Each array
 is stored as contiguous float64 and must have the shape its kind declares;
 a missing array (other than a bias) or one the kind does not take is
 refused, so ``num_parameters`` counts nothing a forward pass does not read.
+Channel counts are integers >= 0, and only conv3d and transposed_conv3d
+may give out_channels another value than in_channels.
 """
 
 from __future__ import annotations
@@ -49,6 +52,9 @@ LAYER_KINDS = {
 }
 
 ACTIVATIONS = ("relu", "prelu")
+
+# the kinds whose out_channels may differ from in_channels; every other kind keeps them
+_CHANNEL_MAPPING_KINDS = ("conv3d", "transposed_conv3d")
 
 # LayerSpec's optional parameter arrays
 _PARAMETER_FIELDS = ("weights", "bias", "gate_weights", "gate_bias", "psi_weights", "psi_bias")
@@ -115,17 +121,22 @@ class LayerSpec:
             raise ValueError(f"kernel and stride must be >= 1, got {self.kernel}, {self.stride}")
         if any(p < 0 for p in self.padding):
             raise ValueError(f"padding must be >= 0, got {self.padding}")
+        for name in ("in_channels", "out_channels"):
+            value = getattr(self, name)
+            if not _is_integer(value) or value < 0:
+                raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        if self.kind not in _CHANNEL_MAPPING_KINDS and self.out_channels != self.in_channels:
+            raise ValueError(
+                f"{self.kind} out_channels must equal in_channels {self.in_channels}, "
+                f"got {self.out_channels}"
+            )
         if self.kind in ("downsample", "upsample") and self.kernel != self.stride:
             raise ValueError(f"{self.kind} kernel {self.kernel} must equal stride {self.stride}")
         if self.kind == "activation" and self.activation not in ACTIVATIONS:
             raise ValueError(f"activation must be one of {ACTIVATIONS}, got {self.activation!r}")
         if self.kind == "normalization" and not 0.0 < self.epsilon < np.inf:
             raise ValueError(f"normalization epsilon must lie in (0, inf), got {self.epsilon}")
-        if self.kind == "attention_gate" and self.out_channels != self.in_channels:
-            raise ValueError(  # the gate only scales x
-                f"attention_gate out_channels must equal in_channels {self.in_channels}, "
-                f"got {self.out_channels}"
-            )
         declared = self._parameter_shapes()
         for name in _PARAMETER_FIELDS:
             value, shape = getattr(self, name), declared.get(name)
@@ -175,35 +186,29 @@ class LayerSpec:
         return total
 
 
-def _pad_spatial(x: np.ndarray, padding) -> np.ndarray:
-    if padding == (0, 0, 0):
-        return x
-    pd, ph, pw = padding
-    return np.pad(x, ((0, 0), (0, 0), (pd, pd), (ph, ph), (pw, pw)))
-
-
 def conv3d_forward(x: np.ndarray, layer: LayerSpec) -> np.ndarray:
     """Strided cross-correlation; out axis = floor((in + 2p - k)/s) + 1.
 
     Lowered per input depth plane q (MEC, Cho & Brand 2017; kn2row,
-    Vasudevan et al. 2017): q's 2-D windows, padded in height and width
-    only, are copied into one column buffer of in*kh*kw rows by oh*ow, and
-    one matmul multiplies it by several depth offsets' weights stacked
-    offset-major as rows. Offset a adds its partial plane into output plane
-    (q + pad_d - a) / sd wherever that is an integer in range. The output
-    starts as the bias; depth-padding planes are zeros and are never
-    visited. The offsets stacked together share a residue mod sd, and at
-    most ``group`` = max(1, min(kd, oh*ow // out, in*kh*kw // out)) are
-    stacked, so the stacked weights and the partial sums stay within one
-    column plane whenever a single offset's do. A plane is copied once per
-    group of offsets, so once when all kd offsets fit in one group.
+    Vasudevan et al. 2017): q is copied into one sheet whose zero border
+    pads it in height and width, the sheet's 2-D windows are copied into
+    one column buffer of in*kh*kw rows by oh*ow, and one matmul multiplies
+    it by several depth offsets' weights stacked offset-major as rows.
+    Offset a adds its partial plane into output plane (q + pad_d - a) / sd
+    wherever that is an integer in range. The output starts as the bias;
+    depth-padding planes are zeros and are never visited. The offsets
+    stacked together share a residue mod sd, and at most ``group`` =
+    max(1, min(kd, oh*ow // out, in*kh*kw // out)) are stacked, so the
+    stacked weights and the partial sums stay within one column plane
+    whenever a single offset's do. A plane is copied once per group of
+    offsets, so once when all kd offsets fit in one group.
     """
     x = require_tensor5(x, layer.in_channels)
     kd, kh, kw = layer.kernel
     sd, sh, sw = layer.stride
     pd, ph, pw = layer.padding
-    padded = _pad_spatial(x, (0, ph, pw))
-    batch, i_ch, depth, hp, wp = padded.shape
+    batch, i_ch, depth, height, width = x.shape
+    hp, wp = height + 2 * ph, width + 2 * pw
     if depth + 2 * pd < kd or hp < kh or wp < kw:
         raise ValueError(
             f"kernel {layer.kernel} exceeds padded input {(depth + 2 * pd, hp, wp)}"
@@ -212,11 +217,14 @@ def conv3d_forward(x: np.ndarray, layer: LayerSpec) -> np.ndarray:
     oh = (hp - kh) // sh + 1
     ow = (wp - kw) // sw + 1
     o_ch, rows, plane = layer.out_channels, i_ch * kh * kw, oh * ow
-    # (batch, depth, in, kh, kw, oh, ow): every input plane's 2-D windows, a view
-    windows = sliding_window_view(padded, (kh, kw), axis=(3, 4))[
-        :, :, :, ::sh, ::sw
-    ].transpose(0, 2, 1, 5, 6, 3, 4)
-    cols = np.empty(windows.shape[2:])
+    # one input depth plane at a time, in a sheet whose zero border is the padding
+    sheet = np.zeros((i_ch, hp, wp))
+    interior = sheet[:, ph : ph + height, pw : pw + width]
+    # (in, kh, kw, oh, ow): the sheet's 2-D windows, a view
+    windows = sliding_window_view(sheet, (kh, kw), axis=(1, 2))[:, ::sh, ::sw].transpose(
+        0, 3, 4, 1, 2
+    )
+    cols = np.empty(windows.shape)
     cols_flat = cols.reshape(rows, plane)
     out = np.empty((batch, o_ch, od, plane))
     out[...] = 0.0 if layer.bias is None else layer.bias[:, None, None]
@@ -241,7 +249,8 @@ def conv3d_forward(x: np.ndarray, layer: LayerSpec) -> np.ndarray:
                     continue
                 sums = part[: (hi - lo) * o_ch]
                 for i in range(batch):
-                    np.copyto(cols, windows[i, q])
+                    np.copyto(interior, x[i, :, q])
+                    np.copyto(cols, windows)
                     np.matmul(stack_flat[lo * o_ch : hi * o_ch], cols_flat, out=sums)
                     # row by row: a strided 2-D add would go through numpy's buffers
                     planes = range(top - lo, top - hi, -1)

@@ -10,16 +10,22 @@ as 0 (z-score) or out_min (rescale) in the output.
 
 zscore_normalize and rescale_percentiles each write one float64 output
 grid; preprocess_volume writes one float32 grid, Fortran-ordered as a
-modality is stored. Each does its arithmetic on the included values:
-it gathers them into a float64 1-D copy, works on that copy in place and
-scatters it into the output, whose excluded voxels already hold their
-fill value. Only that copy is widened; the input keeps its stored dtype,
-and since the copy holds the same numbers in the same order, an int16
-volume and a float64 copy of it give bit-identical results. Each formula
-lives in one value-level helper that all three functions share. The
-input volume is never modified. preprocess_volume logs one INFO line per
-call on the ``glioseg.preprocess`` logger: the included voxel count, the
-mean, the std and the percentile window.
+modality is stored. Each does its arithmetic on the included values, in
+two passes. The statistics pass gathers them once into a float64 1-D copy
+and takes the mean, the std or the percentile window from it; that copy
+and the grid-sized mask are freed before the output grid is made. The
+output pass fills the grid one slab of first-axis rows at a time: it
+gathers the slab's included values as float64, works on them in place and
+assigns them, and excluded voxels keep the grid's fill value. Every output
+voxel is a function of its own input value and the statistics, so the
+slabs write what one whole-grid pass would. Only the gathered copies are
+widened; the input keeps its stored dtype, and since they hold the same
+numbers in the same order, an int16 volume and a float64 copy of it give
+bit-identical results. Each formula lives in one value-level helper that
+all three functions share. The input volume is never modified.
+preprocess_volume logs one INFO line per call on the
+``glioseg.preprocess`` logger: the included voxel count, the mean, the std
+and the percentile window.
 """
 
 from __future__ import annotations
@@ -34,6 +40,8 @@ from glioseg.nifti import FLOAT32_MAX
 from glioseg.volume import ScalarVolume, check_field_types
 
 logger = logging.getLogger(__name__)
+
+_SLAB_ROWS = 16  # first-axis rows per slab of the output pass
 
 
 @dataclass(frozen=True)
@@ -75,19 +83,45 @@ class RescaleSpec:
                 )
 
 
-def _included_mask(volume: ScalarVolume, policy: NormalizationPolicy) -> np.ndarray:
-    """The policy's included set; an empty one raises ValueError."""
+def _included_mask(data: np.ndarray, policy: NormalizationPolicy) -> np.ndarray:
+    """The policy's included set over ``data``: a whole grid, or a slab of one."""
     if policy.include_background:
-        return np.ones(volume.dims, dtype=bool)
-    mask = volume.data != 0
-    if not mask.any():
-        raise ValueError("no voxels in the included set; volume is all background")
-    return mask
+        return np.ones(data.shape, dtype=bool)
+    return data != 0
 
 
-def _included_values(volume: ScalarVolume, mask: np.ndarray) -> np.ndarray:
+def _included_values(data: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """A float64 copy of the included values, in C order."""
-    return volume.data[mask].astype(np.float64, copy=False)
+    return data[mask].astype(np.float64, copy=False)
+
+
+def _statistics_values(volume: ScalarVolume, policy: NormalizationPolicy) -> np.ndarray:
+    """The whole grid's included values, gathered once for the statistics.
+
+    The grid-sized mask is freed on return. An empty included set raises
+    ValueError.
+    """
+    values = _included_values(volume.data, _included_mask(volume.data, policy))
+    if values.size == 0:
+        raise ValueError("no voxels in the included set; volume is all background")
+    return values
+
+
+def _fill_slabs(volume: ScalarVolume, policy: NormalizationPolicy, out: np.ndarray, step) -> None:
+    """Write ``step`` of the included values into ``out``, _SLAB_ROWS first-axis rows at a time.
+
+    Each slab's included values are gathered as float64 in C order, passed
+    to ``step``, which works on them in place, and assigned to ``out``,
+    whose excluded voxels keep their fill value. A slab of first-axis rows
+    is contiguous in a C-ordered input.
+    """
+    data = volume.data
+    for start in range(0, data.shape[0], _SLAB_ROWS):
+        rows = slice(start, start + _SLAB_ROWS)
+        keep = _included_mask(data[rows], policy)
+        values = _included_values(data[rows], keep)
+        step(values)
+        out[rows][keep] = values
 
 
 def _zscore_values(
@@ -96,7 +130,7 @@ def _zscore_values(
     """Z-score the included values in place and return the (mean, std) used.
 
     Without ``stats`` these are the values' own, checked against the policy;
-    preprocess_volume passes them back to z-score a second gather the same way.
+    the output pass passes them back to z-score each slab's values the same way.
     """
     if stats is None:
         if values.size < 2:
@@ -143,11 +177,9 @@ def zscore_normalize(
     the included set. Raises ValueError when the included set is smaller
     than two voxels or its spread is at or below policy.epsilon.
     """
-    mask = _included_mask(volume, policy)
-    values = _included_values(volume, mask)
-    _zscore_values(values, policy)
+    stats = _zscore_values(_statistics_values(volume, policy), policy)
     out = np.zeros(volume.dims, dtype=np.float64)
-    out[mask] = values
+    _fill_slabs(volume, policy, out, lambda values: _zscore_values(values, policy, stats))
     return volume.with_data(out)
 
 
@@ -163,12 +195,9 @@ def rescale_percentiles(
     excluded voxels become out_min. Raises ValueError when the window is
     degenerate (P_lo == P_hi).
     """
-    mask = _included_mask(volume, policy)
-    window = _percentile_window(_included_values(volume, mask), spec)
-    values = _included_values(volume, mask)
-    _rescale_values(values, window, spec)
+    window = _percentile_window(_statistics_values(volume, policy), spec)
     out = np.full(volume.dims, spec.out_min, dtype=np.float64)
-    out[mask] = values
+    _fill_slabs(volume, policy, out, lambda values: _rescale_values(values, window, spec))
     return volume.with_data(out)
 
 
@@ -179,28 +208,31 @@ def preprocess_volume(
 ) -> ScalarVolume:
     """Full preprocessing for one modality: z-score, then percentile rescale.
 
-    Both steps use the input's included set, built once, so a voxel at
-    exactly the mean (z-score 0) stays in the rescale window. The output
-    is one float32 grid. The percentile search consumes the z-scored
-    values, so they are gathered and z-scored again with the same mean
-    and std, the same operations in the same order, then rescaled and
-    scattered. The float32 assignment rounds as the writer's cast does,
-    so the grid equals the float32 cast of the same arithmetic done in a
+    Both steps use the input's included set, so a voxel at exactly the
+    mean (z-score 0) stays in the rescale window. The statistics pass
+    gathers the included values once, z-scores them and takes the
+    percentile window from them, which consumes them. The output is one
+    float32 grid, allocated only after that gather is freed and filled
+    slab by slab: each slab's values are gathered again and z-scored with
+    the same mean and std, the same operations in the same order, then
+    rescaled. The float32 assignment rounds as the writer's cast does, so
+    the grid equals the float32 cast of the same arithmetic done in a
     float64 grid. Its Fortran order is the file's, which the writer streams
-    without a copy; the scatter visits voxels in C order all the same.
+    without a copy.
     """
-    mask = _included_mask(volume, policy)
-    values = _included_values(volume, mask)
-    mean, std = _zscore_values(values, policy)
+    values = _statistics_values(volume, policy)
+    stats = _zscore_values(values, policy)
     window = _percentile_window(values, spec)
     logger.info(
         "normalization: %d included voxel(s), mean %.6g, std %.6g, z-score window P%g..P%g [%.6g, %.6g]",
-        values.size, mean, std, spec.lo_percentile, spec.hi_percentile, *window,
+        values.size, *stats, spec.lo_percentile, spec.hi_percentile, *window,
     )
-    del values  # the first gather is freed before the second is made
-    values = _included_values(volume, mask)
-    _zscore_values(values, policy, (mean, std))
-    _rescale_values(values, window, spec)
+    del values  # freed before the output grid is made
+
+    def zscore_and_rescale(values: np.ndarray) -> None:
+        _zscore_values(values, policy, stats)
+        _rescale_values(values, window, spec)
+
     out = np.full(volume.dims, spec.out_min, dtype=np.float32, order="F")
-    out[mask] = values
+    _fill_slabs(volume, policy, out, zscore_and_rescale)
     return volume.with_data(out)

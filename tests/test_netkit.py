@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 import tracemalloc
 import weakref
 
@@ -138,6 +139,24 @@ def test_conv_memory_is_output_padded_input_and_one_plane_of_columns():
     padded_bytes = 4 * 18**3 * 8
     columns_bytes = 4 * 27 * 16 * 16 * 8  # in*kd*kh*kw rows by oh*ow, float64
     bound = out.nbytes + padded_bytes + columns_bytes + 128 * 2**10
+    assert peak < bound, f"peak {peak} bytes, bound {bound}"
+
+
+def test_conv_memory_is_output_one_padded_plane_and_the_columns():
+    # A deep input whose padded copy (8 x 32 x 18 x 18 float64, 648 KiB)
+    # would be larger than the slack: conv3d pads one depth plane at a time.
+    rng = np.random.default_rng(87)
+    layer = conv_layer(rng, 8, 8, 3, padding=1)
+    x = rng.standard_normal((1, 8, 32, 16, 16))
+    tracemalloc.start()
+    try:
+        out = conv3d_forward(x, layer)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    plane_bytes = 8 * 18 * 18 * 8  # in x (h + 2p) x (w + 2p), float64
+    columns_bytes = 8 * 3 * 3 * 16 * 16 * 8  # in*kh*kw rows by oh*ow
+    bound = out.nbytes + plane_bytes + columns_bytes + 128 * 2**10
     assert peak < bound, f"peak {peak} bytes, bound {bound}"
 
 
@@ -530,6 +549,58 @@ def test_a_conv_bias_may_be_left_out():
     assert _conv(weights=_CONV_WEIGHTS, bias=[1, 2, 3]).bias.dtype == np.float64
     assert _prelu(weights=[0.25]).num_parameters == 1
     assert _gate().num_parameters == 8 + 12 + 2 + 2 + 1
+
+
+# (case, spec builder, the refusal it meets)
+_CHANNEL_RULE_CASES = [
+    ("relu out -5",
+     lambda: LayerSpec("activation", activation="relu", in_channels=2, out_channels=-5),
+     "out_channels must be an integer >= 0, got -5"),
+    ("normalization in 2.5", lambda: LayerSpec("normalization", in_channels=2.5, out_channels=2.5),
+     "in_channels must be an integer >= 0, got 2.5"),
+    ("conv3d in -1", lambda: LayerSpec("conv3d", in_channels=-1, out_channels=3),
+     "in_channels must be an integer >= 0, got -1"),
+    ("conv3d out True", lambda: LayerSpec("conv3d", in_channels=1, out_channels=True),
+     "out_channels must be an integer >= 0, got True"),
+    ("transposed_conv3d out '3'",
+     lambda: LayerSpec("transposed_conv3d", in_channels=2, out_channels="3"),
+     "out_channels must be an integer >= 0, got '3'"),
+    ("downsample 2 -> 4",
+     lambda: LayerSpec("downsample", kernel=2, stride=2, in_channels=2, out_channels=4),
+     "downsample out_channels must equal in_channels 2, got 4"),
+    ("normalization 3 -> 1", lambda: LayerSpec("normalization", in_channels=3, out_channels=1),
+     "normalization out_channels must equal in_channels 3, got 1"),
+    ("add_skip 2 -> 3", lambda: LayerSpec("add_skip", in_channels=2, out_channels=3),
+     "add_skip out_channels must equal in_channels 2, got 3"),
+    ("concat_skip 4 -> 2", lambda: LayerSpec("concat_skip", in_channels=4, out_channels=2),
+     "concat_skip out_channels must equal in_channels 4, got 2"),
+    ("upsample 1 -> 0",
+     lambda: LayerSpec("upsample", kernel=2, stride=2, in_channels=1, out_channels=0),
+     "upsample out_channels must equal in_channels 1, got 0"),
+    ("prelu 1 -> 2",
+     lambda: LayerSpec("activation", activation="prelu", in_channels=1, out_channels=2,
+                       weights=[0.25]),
+     "activation out_channels must equal in_channels 1, got 2"),
+]
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [case[1:] for case in _CHANNEL_RULE_CASES],
+    ids=[case[0] for case in _CHANNEL_RULE_CASES],
+)
+def test_channel_counts_are_integers_and_only_convolutions_change_them(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()
+
+
+def test_channel_counts_kept_and_changed_where_allowed():
+    assert _conv(weights=_CONV_WEIGHTS).out_channels == 3
+    assert _conv("transposed_conv3d", weights=np.ones((2, 3, 1, 1, 1))).out_channels == 3
+    layer = LayerSpec("normalization", in_channels=np.int64(3), out_channels=np.int32(3))
+    assert (layer.in_channels, layer.out_channels) == (3, 3)
+    assert type(layer.in_channels) is int and type(layer.out_channels) is int
+    assert LayerSpec("concat_skip").out_channels == 0  # the defaults stay valid
 
 
 def test_require_tensor5_rejects_bad_shapes():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from glioseg.preprocess import (
+    _SLAB_ROWS,
     NormalizationPolicy,
     RescaleSpec,
     preprocess_volume,
@@ -297,34 +298,59 @@ def test_steps_leave_the_input_and_the_mask_unchanged():
             assert np.array_equal(v.data, before)
 
 
-def test_steps_match_the_out_of_place_formulas_bit_for_bit():
+def _assert_steps_match_the_out_of_place_formulas(data, spec):
     # The steps work in place on copies; the arithmetic must stay the same
     # element by element as these expressions, which allocate every temporary.
+    for policy in (ALL, FG):
+        mask = np.ones(data.shape, dtype=bool) if policy is ALL else data != 0.0
+        values = data[mask]
+        zscored = np.zeros(data.shape)
+        zscored[mask] = (values - float(values.mean())) / float(values.std())
+        assert np.array_equal(zscore_normalize(vol(data), policy).data, zscored)
+
+        p_lo, p_hi = np.percentile(zscored[mask], [spec.lo_percentile, spec.hi_percentile])
+        unit = np.clip((zscored - p_lo) / (p_hi - p_lo), 0.0, 1.0)
+        rescaled = unit * (spec.out_max - spec.out_min) + spec.out_min
+        rescaled[~mask] = spec.out_min
+        got = preprocess_volume(vol(data), policy, spec).data
+        assert np.array_equal(got, rescaled.astype(np.float32))
+
+        # rescale on its own, over the raw values
+        p_lo, p_hi = np.percentile(data[mask], [spec.lo_percentile, spec.hi_percentile])
+        unit = np.clip((data - p_lo) / (p_hi - p_lo), 0.0, 1.0)
+        rescaled = unit * (spec.out_max - spec.out_min) + spec.out_min
+        rescaled[~mask] = spec.out_min
+        assert np.array_equal(rescale_percentiles(vol(data), spec, policy).data, rescaled)
+
+
+def test_steps_match_the_out_of_place_formulas_bit_for_bit():
     rng = np.random.default_rng(110)
     spec = RescaleSpec(3.0, 97.0, -0.5, 2.0)
     for _ in range(5):
         data = rng.normal(rng.uniform(-20, 20), rng.uniform(0.5, 9.0), size=(9, 8, 7))
         data[rng.random(data.shape) < 0.25] = 0.0
+        _assert_steps_match_the_out_of_place_formulas(data, spec)
+
+
+def test_steps_written_slab_by_slab_match_the_formulas_bit_for_bit():
+    # The output is filled _SLAB_ROWS first-axis rows at a time; this grid
+    # spans two whole slabs and a partial third, and one slab is all
+    # background, so no slab's values are assumed non-empty.
+    rng = np.random.default_rng(113)
+    spec = RescaleSpec(3.0, 97.0, -0.5, 2.0)
+    dims = (2 * _SLAB_ROWS + 5, 6, 5)
+    for _ in range(3):
+        data = rng.normal(rng.uniform(-20, 20), rng.uniform(0.5, 9.0), size=dims)
+        data[rng.random(dims) < 0.25] = 0.0
+        data[_SLAB_ROWS : 2 * _SLAB_ROWS] = 0.0
+        _assert_steps_match_the_out_of_place_formulas(data, spec)
+        # a stored int16 volume gives the same bytes as its float64 copy
+        stored = np.rint(data * 50.0).astype(np.int16)
         for policy in (ALL, FG):
-            mask = np.ones(data.shape, dtype=bool) if policy is ALL else data != 0.0
-            values = data[mask]
-            zscored = np.zeros(data.shape)
-            zscored[mask] = (values - float(values.mean())) / float(values.std())
-            assert np.array_equal(zscore_normalize(vol(data), policy).data, zscored)
-
-            p_lo, p_hi = np.percentile(zscored[mask], [spec.lo_percentile, spec.hi_percentile])
-            unit = np.clip((zscored - p_lo) / (p_hi - p_lo), 0.0, 1.0)
-            rescaled = unit * (spec.out_max - spec.out_min) + spec.out_min
-            rescaled[~mask] = spec.out_min
-            got = preprocess_volume(vol(data), policy, spec).data
-            assert np.array_equal(got, rescaled.astype(np.float32))
-
-            # rescale on its own, over the raw values
-            p_lo, p_hi = np.percentile(data[mask], [spec.lo_percentile, spec.hi_percentile])
-            unit = np.clip((data - p_lo) / (p_hi - p_lo), 0.0, 1.0)
-            rescaled = unit * (spec.out_max - spec.out_min) + spec.out_min
-            rescaled[~mask] = spec.out_min
-            assert np.array_equal(rescale_percentiles(vol(data), spec, policy).data, rescaled)
+            assert np.array_equal(
+                preprocess_volume(ScalarVolume(stored, (1.0, 1.0, 1.0)), policy, spec).data,
+                preprocess_volume(vol(stored), policy, spec).data,
+            )
 
 
 def test_preprocess_memory_is_one_output_per_step():
@@ -394,3 +420,27 @@ def test_preprocess_volume_peak_is_a_float32_grid_and_the_included_values():
     voxels = out.data.size
     bound = 4 * voxels + 2 * voxels + 2 * 8 * included
     assert peak < bound, f"peak {peak / 2**20:.1f} MiB, bound {bound / 2**20:.1f} MiB"
+
+
+def test_preprocess_volume_holds_the_output_grid_and_one_slab():
+    # The statistics pass frees its gather and the grid-sized mask before
+    # the float32 output grid is made, and the grid is filled slab by slab.
+    # The bound is that grid and one bool grid's bytes: room for a slab's
+    # mask and values or for the statistics pass, not for a whole-grid mask
+    # or a second whole-grid gather beside the output.
+    rng = np.random.default_rng(114)
+    dims = (8 * _SLAB_ROWS, 96, 64)
+    data = rng.uniform(100.0, 900.0, size=dims)
+    data[rng.random(dims) < 0.77] = 0.0
+    v = vol(data)
+    del data
+    preprocess_volume(vol(np.arange(1.0, 9.0).reshape(2, 2, 2)))  # lazy imports are not arrays
+    tracemalloc.start()
+    try:
+        out = preprocess_volume(v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    voxels = out.data.size
+    bound = out.data.nbytes + voxels
+    assert peak < bound, f"peak {peak / 2**20:.2f} MiB, bound {bound / 2**20:.2f} MiB"
