@@ -25,12 +25,13 @@ each surface voxel of one mask to the nearest surface voxel of the
 other. hd95 is the maximum of the two directed 95th percentiles (linear
 interpolation), not the percentile of the pooled distances.
 
-Each directed distance comes from a feature transform of the other
-mask's surface (scipy's exact EDT, nearest-voxel indices only), read at
-the surface voxels alone; no dense distance map is built. The transform
-covers the joint box of the two masks or, when the query surface's box is
-under half of it, that box grown by the largest distance a first
-transform of it finds (see ``_directed_p95``).
+Each directed distance is exact and comes from scipy's EDT, split over
+the first axis (Saito & Toriwaki 1994; Meijster et al. 2000): one 2-D
+feature transform (nearest-voxel indices only) per plane of the joint box
+that holds a surface voxel of the other mask, read at the query voxels
+alone, with each query keeping its least distance over the planes. No
+dense distance map and no index array of the box is built (see
+``_directed_p95``).
 """
 
 from __future__ import annotations
@@ -67,11 +68,11 @@ class MetricConfig:
 def dice(a: RegionMask, b: RegionMask, config: MetricConfig = MetricConfig()) -> float:
     """2|A∩B| / (|A|+|B|); both-empty returns config.empty_empty_dice."""
     require_same_grid(a, b, "masks")
-    size_a = int(a.data.sum())
-    size_b = int(b.data.sum())
+    size_a = int(np.count_nonzero(a.data))
+    size_b = int(np.count_nonzero(b.data))
     if size_a == 0 and size_b == 0:
         return config.empty_empty_dice
-    overlap = int((a.data & b.data).sum())
+    overlap = int(np.count_nonzero(a.data & b.data))
     return 2.0 * overlap / (size_a + size_b)
 
 
@@ -81,44 +82,31 @@ def surface_mask(mask: np.ndarray) -> np.ndarray:
     return mask & ~eroded
 
 
-def _query_distances(from_surface, to_surface, spacing, box) -> np.ndarray:
-    """Distance from each from-surface voxel in box to its nearest to_surface voxel in box."""
-    nearest = ndimage.distance_transform_edt(
-        ~to_surface[box], sampling=spacing, return_distances=False, return_indices=True
-    )
-    # found after the transform, so the query coordinates never coexist
-    # with its temporaries
-    at = np.nonzero(from_surface[box])
-    # scipy's own distance formula, so the floats are bit-identical to its
-    # dense map: the integer offset as float64 times the spacing, squared,
-    # summed over axes 0, 1, 2 in that order, then sqrt
-    squared = [
-        np.square((nearest[axis][at] - at[axis]).astype(np.float64) * step)
-        for axis, step in enumerate(spacing)
-    ]
-    return np.sqrt(squared[0] + squared[1] + squared[2])
-
-
 def _directed_p95(from_surface: np.ndarray, to_surface: np.ndarray, spacing) -> float:
     """95th percentile of each from-surface voxel's distance to to_surface.
 
-    When the queries' bounding box Q is under half the array and meets
-    to_surface, a transform of Q alone gives distances whose maximum U
-    bounds every true one; the nearest voxel t* of a query q then has
-    |q_a - t*_a| * spacing_a <= U, so Q grown by ceil(U / spacing_a) on
-    each axis holds it, and a second transform of that box is exact (ceil,
-    not floor, so a quotient rounded just under an integer keeps that
-    plane). Two transforms can only beat one over the array if vol(Q) is
-    under half of it, since the grown box contains Q.
+    The squared distance separates over the first axis: within plane i, a
+    query q's nearest target is the plane's in-plane nearest one, and its
+    squared distance is ((i - q_0) * spacing_0)^2 plus the in-plane one. So
+    each plane that holds a target gets one 2-D feature transform, each
+    query keeps its least squared distance over those planes, and memory is
+    the queries plus one plane instead of a (3, box) index array.
     """
-    queries = label_box(from_surface)
-    box = (slice(None),) * from_surface.ndim
-    volume = int(np.prod([s.stop - s.start for s in queries]))
-    if 2 * volume < from_surface.size and to_surface[queries].any():
-        bound = _query_distances(from_surface, to_surface, spacing, queries).max()
-        reach = np.ceil(bound / np.asarray(spacing)).astype(np.intp)
-        box = tuple(slice(max(s.start - r, 0), s.stop + r) for s, r in zip(queries, reach))
-    return float(np.percentile(_query_distances(from_surface, to_surface, spacing, box), 95.0))
+    at = np.nonzero(from_surface)
+    best = np.full(at[0].size, np.inf)
+    for plane in np.flatnonzero(to_surface.any(axis=(1, 2))):
+        nearest = ndimage.distance_transform_edt(
+            ~to_surface[plane], sampling=spacing[1:], return_distances=False, return_indices=True
+        )
+        # scipy's own distance formula, so the floats are bit-identical to its
+        # dense map: the integer offset as float64 times the spacing, squared,
+        # summed over axes 0, 1, 2 in that order
+        squared = np.square((plane - at[0]).astype(np.float64) * spacing[0])
+        for axis in (1, 2):
+            offset = nearest[axis - 1][at[1], at[2]] - at[axis]
+            squared += np.square(offset.astype(np.float64) * spacing[axis])
+        np.minimum(best, squared, out=best)
+    return float(np.percentile(np.sqrt(best, out=best), 95.0, overwrite_input=True))
 
 
 def hd95(a: RegionMask, b: RegionMask, config: MetricConfig = MetricConfig()) -> float:
@@ -127,13 +115,11 @@ def hd95(a: RegionMask, b: RegionMask, config: MetricConfig = MetricConfig()) ->
     Distances use the masks' common grid spacing; empty-mask conventions
     come from config.
 
-    Surfaces and the feature transforms (each read only at the other
-    mask's surface voxels) cover only the box of a|b (volume.label_box),
-    which is exact: every surface voxel lies in the box, and the voxels just
-    outside it are background, as the erosion assumes. A direction transforms the
-    box once, unless its queries' own box is under half of it and meets
-    the other surface: then it transforms the queries' box, and that box
-    grown by the largest distance found in it.
+    Surfaces and the per-plane feature transforms (each read only at the
+    other mask's surface voxels) cover only the box of a|b
+    (volume.label_box), which is exact: every surface voxel lies in the
+    box, and the voxels just outside it are background, as the erosion
+    assumes.
     """
     require_same_grid(a, b, "masks")
     a_empty = not a.data.any()

@@ -329,6 +329,78 @@ def edt_sizes(monkeypatch):
     return sizes
 
 
+def test_directed_p95_memory_is_the_queries_plus_one_plane():
+    # a ball touching every face of a 96^3 grid against a smaller one: every
+    # first-axis plane holds a target one way, 61 of them the other way
+    dims = (96, 96, 96)
+    spacing = (0.9, 1.1, 3.0)
+    big = surface_mask(ball(dims, (47.5, 47.5, 47.5), 48))
+    small = surface_mask(ball(dims, (52, 44, 50), 30))
+    for queries, target in ((small, big), (big, small)):
+        tracemalloc.start()
+        try:
+            got = _directed_p95(queries, target, spacing)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a 3-D feature transform's int32 indices alone take 12 bytes per voxel
+        assert peak < 4 * big.size, f"peak {peak / big.size:.1f} bytes per box voxel"
+        assert got == dense_edt_p95(queries, target, spacing)
+
+
+@pytest.mark.parametrize(
+    "spacing, nearest_plane",
+    [((0.2, 2.7, 3.1), 26), ((4.3, 0.45, 0.55), 10)],
+    ids=["thin-planes", "thick-planes"],
+)
+def test_directed_p95_takes_the_least_distance_over_target_planes(spacing, nearest_plane):
+    # queries in planes 0-4, targets only in planes 10 and 26: plane 10 holds
+    # the four in-plane corners, plane 26 a square under every query. Thin
+    # planes make every query's nearest target the one straight ahead in
+    # plane 26, past the nearest target plane; thick planes make it a corner
+    # in plane 10, though the in-plane nearest target lies in plane 26.
+    rng = np.random.default_rng(306)
+    dims = (32, 20, 20)
+    queries = np.zeros(dims, dtype=bool)
+    queries[rng.integers(0, 5, 40), rng.integers(5, 15, 40), rng.integers(5, 15, 40)] = True
+    target = np.zeros(dims, dtype=bool)
+    target[10, (0, 0, 19, 19), (0, 19, 0, 19)] = True
+    target[26, 4:16, 4:16] = True
+    at = np.argwhere(queries)
+    ends = np.argwhere(target)
+    offsets = (ends[None, :, :] - at[:, None, :]) * np.asarray(spacing)
+    nearest = ends[np.argmin(np.square(offsets).sum(axis=2), axis=1)]
+    assert np.all(nearest[:, 0] == nearest_plane)
+    dense = ndimage.distance_transform_edt(~target, sampling=spacing)
+    for point in at:
+        query = np.zeros(dims, dtype=bool)
+        query[tuple(point)] = True
+        assert _directed_p95(query, target, spacing) == dense[tuple(point)], f"query {point}"
+    assert _directed_p95(queries, target, spacing) == dense_edt_p95(queries, target, spacing)
+    assert hd95(mask_of(queries, spacing), mask_of(target, spacing)) == dense_edt_hd95(
+        queries, target, spacing
+    )
+
+
+@pytest.fixture
+def edt_sizes(monkeypatch):
+    """Voxel count of each feature transform hd95 runs, in call order."""
+    sizes = []
+    transform = ndimage.distance_transform_edt
+
+    def counting(input, *args, **kwargs):
+        sizes.append(input.size)
+        return transform(input, *args, **kwargs)
+
+    monkeypatch.setattr(ndimage, "distance_transform_edt", counting)
+    return sizes
+
+
+def target_planes(surface):
+    """How many first-axis planes of surface hold a voxel."""
+    return np.count_nonzero(surface.any(axis=(1, 2)))
+
+
 def test_directed_p95_finds_the_nearest_voxel_outside_the_query_box(edt_sizes):
     # queries: the shell of a 7^3 cube; in their box the only target is the
     # cube's centre (3 to 5.2 mm away), while a one-voxel shell two voxels
@@ -342,8 +414,8 @@ def test_directed_p95_finds_the_nearest_voxel_outside_the_query_box(edt_sizes):
     target[13, 13, 13] = target[39, 39, 39] = True
     queries = surface_mask(cube)
     got = _directed_p95(queries, target, (1.0, 1.0, 1.0))
-    # one transform of the 7^3 query box, one of it grown by ceil(5.2) = 6
-    assert edt_sizes == [7**3, 19**3]
+    # one 2-D transform per target plane: the shell's 8 to 18, and 39
+    assert edt_sizes == [40 * 40] * 12
     assert got == dense_edt_p95(queries, target, (1.0, 1.0, 1.0)) == 2.0
     assert hd95(mask_of(cube), mask_of(target)) == dense_edt_hd95(cube, target, (1.0, 1.0, 1.0))
 
@@ -359,7 +431,8 @@ def test_directed_p95_bound_from_one_far_query(edt_sizes):
     target = np.zeros(dims, dtype=bool)
     target[10, 10, 10] = target[45, 11, 11] = True
     got = _directed_p95(queries, target, (1.0, 1.0, 1.0))
-    assert edt_sizes == [21 * 2 * 2, 52 * 24 * 24]
+    # planes 10 and 45
+    assert edt_sizes == [24 * 24, 24 * 24]
     assert got == dense_edt_p95(queries, target, (1.0, 1.0, 1.0))
     # the far query's distance, 15 not 20.05, reaches the percentile of nine
     assert got == pytest.approx(np.sqrt(3) + 0.6 * (15 - np.sqrt(3)))
@@ -368,10 +441,9 @@ def test_directed_p95_bound_from_one_far_query(edt_sizes):
     )
 
 
-def test_directed_p95_grows_the_query_box_in_voxels_per_axis(edt_sizes):
-    # 0.5 mm voxels along axis 0: U = 2.74 mm is 6 voxels there, and two
-    # target sheets 4 voxels (2 mm) off the cube's axis-0 faces are nearer
-    # to its corners than the cube's centre
+def test_directed_p95_weighs_plane_offsets_by_the_first_axis_spacing(edt_sizes):
+    # 0.5 mm voxels along axis 0: two target sheets 4 planes (2 mm) off the
+    # cube's axis-0 faces are nearer to its corners than the cube's centre
     spacing = (0.5, 1.0, 2.5)
     dims = (30, 20, 12)
     cube = np.zeros(dims, dtype=bool)
@@ -381,24 +453,27 @@ def test_directed_p95_grows_the_query_box_in_voxels_per_axis(edt_sizes):
     target[11, 11, 5] = True
     queries = surface_mask(cube)
     got = _directed_p95(queries, target, spacing)
-    # grown by 6, 3 and 2 voxels
-    assert edt_sizes == [3**3, 15 * 9 * 7]
+    # planes 6, 11 and 16
+    assert edt_sizes == [20 * 12] * 3
     assert got == dense_edt_p95(queries, target, spacing) == 2.5
     assert hd95(mask_of(cube, spacing), mask_of(target, spacing)) == dense_edt_hd95(
         cube, target, spacing
     )
 
 
-def test_compact_pair_keeps_one_transform_of_the_joint_box_per_direction(edt_sizes):
-    # each surface's box is over half the joint box, so the bounded path
-    # cannot win and each direction transforms the joint box once
+def test_compact_pair_transforms_each_target_plane_of_the_joint_box(edt_sizes):
+    # each direction transforms the joint box's (n1, n2) plane once for every
+    # plane that holds a surface voxel of the other mask
     dims = (24, 24, 24)
     a = ball(dims, (10, 10, 10), 6)
     b = ball(dims, (12, 11, 10), 6)
     box = ndimage.find_objects((a | b).view(np.uint8))[0]
-    joint = int(np.prod([s.stop - s.start for s in box]))
+    plane = (box[1].stop - box[1].start) * (box[2].stop - box[2].start)
     got = hd95(mask_of(a), mask_of(b))
-    assert edt_sizes == [joint, joint]
+    planes_a = target_planes(surface_mask(a[box]))
+    planes_b = target_planes(surface_mask(b[box]))
+    assert (planes_a, planes_b) == (13, 13)
+    assert edt_sizes == [plane] * (planes_b + planes_a)
     assert got == dense_edt_hd95(a, b, (1.0, 1.0, 1.0))
 
 
@@ -414,12 +489,13 @@ def test_specks_against_a_blob_transform_less_than_the_joint_box(edt_sizes):
     sp = (0.9, 1.1, 3.0)
     box = ndimage.find_objects((specks | blob).view(np.uint8))[0]
     joint = int(np.prod([s.stop - s.start for s in box]))
+    plane = joint // (box[0].stop - box[0].start)
     got = hd95(mask_of(blob, sp), mask_of(specks, sp))
-    # blob -> specks: two transforms of bounded boxes; specks -> blob: the joint box
-    *blob_to_specks, specks_to_blob = edt_sizes
-    assert len(blob_to_specks) == 2
-    assert sum(blob_to_specks) < joint
-    assert specks_to_blob == joint
+    # blob -> specks: one plane per plane holding a speck; specks -> blob:
+    # the blob's 11 planes only
+    speck_planes = target_planes(surface_mask(specks[box]))
+    assert edt_sizes == [plane] * (speck_planes + 11)
+    assert sum(edt_sizes[speck_planes:]) < joint
     assert got == dense_edt_hd95(blob, specks, sp)
 
 
