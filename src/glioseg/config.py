@@ -5,8 +5,8 @@ its default. Section names mirror the dataclasses they configure.
 load_config writes each given flag into the parsed payload at its
 FLAG_FIELDS key, then one builder checks the effective settings: each
 settings class, PipelineConfig included, checks its field types and the
-intervals declared on its fields (volume.check_field_types) and its own
-rules between fields, raising TypeError or ValueError;
+intervals and choices declared on its fields (volume.check_field_types)
+and its own rules between fields, raising TypeError or ValueError;
 the builder refuses unknown keys and non-object sections, and turns every
 refusal into a ConfigError:
 
@@ -31,7 +31,7 @@ import dataclasses
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Annotated
+from typing import Annotated, Literal
 
 from glioseg.metrics import MetricConfig
 from glioseg.postprocess import PostprocessConfig
@@ -74,7 +74,7 @@ class PipelineConfig:
     label_suffix: str = DEFAULT_LABEL_SUFFIX
     prediction_dirs: tuple | list = ()
     output_dir: str = ""
-    fusion_method: str = "staple"
+    fusion_method: Literal[FUSION_METHODS] = "staple"
     # declared before the sections: the snapshot keeps this order
     parallel_cases: Annotated[int, "[1, inf)"] = 1
     normalization: NormalizationPolicy = field(default_factory=NormalizationPolicy)
@@ -101,10 +101,6 @@ class PipelineConfig:
         if not all(isinstance(d, str) for d in self.prediction_dirs):
             raise ValueError("prediction_dirs must be a list of strings")
         object.__setattr__(self, "prediction_dirs", tuple(self.prediction_dirs))
-        if self.fusion_method not in FUSION_METHODS:
-            raise ValueError(
-                f"fusion_method must be one of {FUSION_METHODS}, got {self.fusion_method!r}"
-            )
 
 
 def _build(cls, payload, where: str):

@@ -21,6 +21,7 @@ import numpy as np
 from glioseg.netkit.layers import (
     LAYER_KINDS,
     LayerSpec,
+    _is_integer,
     activation_forward,
     add_skip_forward,
     attention_gate_forward,
@@ -64,6 +65,9 @@ class NetworkGraph:
         object.__setattr__(self, "nodes", tuple(self.nodes))
         if not self.nodes:
             raise ValueError(f"graph {self.name!r} has no nodes")
+        if not _is_integer(self.spatial_divisor) or self.spatial_divisor < 1:
+            raise ValueError(f"spatial_divisor must be an integer >= 1, got {self.spatial_divisor!r}")
+        object.__setattr__(self, "spatial_divisor", int(self.spatial_divisor))
         seen = {INPUT_NAME}
         for node in self.nodes:
             if node.name in seen:

@@ -38,6 +38,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import expit
 
+from glioseg.volume import check_choice
+
 # each layer kind -> the number of tensors it consumes
 LAYER_KINDS = {
     "conv3d": 1,
@@ -113,8 +115,7 @@ class LayerSpec:
     psi_bias: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind not in LAYER_KINDS:
-            raise ValueError(f"unknown layer kind {self.kind!r}")
+        check_choice("kind", self.kind, LAYER_KINDS)
         for name in ("kernel", "stride", "padding"):
             object.__setattr__(self, name, _triple(getattr(self, name), name))
         if any(k < 1 for k in self.kernel) or any(s < 1 for s in self.stride):
@@ -133,8 +134,8 @@ class LayerSpec:
             )
         if self.kind in ("downsample", "upsample") and self.kernel != self.stride:
             raise ValueError(f"{self.kind} kernel {self.kernel} must equal stride {self.stride}")
-        if self.kind == "activation" and self.activation not in ACTIVATIONS:
-            raise ValueError(f"activation must be one of {ACTIVATIONS}, got {self.activation!r}")
+        if self.kind == "activation":
+            check_choice("activation", self.activation, ACTIVATIONS)
         if self.kind == "normalization" and not 0.0 < self.epsilon < np.inf:
             raise ValueError(f"normalization epsilon must lie in (0, inf), got {self.epsilon}")
         declared = self._parameter_shapes()

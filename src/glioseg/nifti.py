@@ -25,6 +25,9 @@ belong to LabelVolume and ScalarVolume, and the reader reports their
 failures as NiftiFormatError: LabelVolume refuses any value outside
 {0,1,2,3}, fractional, NaN and infinite ones included; ScalarVolume
 refuses non-finite intensities, and both a non-finite orientation.
+A damaged gzip stream (truncated, corrupt or failing its CRC) is a
+NiftiFormatError naming the path, and a file of several gzip members
+(bgzip's, or ``cat a.gz b.gz``) reads as their concatenation.
 Labels are written as uint8 and scalars as float32, with the
 orientation as the sform; an intensity, spacing or affine entry beyond
 float32's range is refused with ValueError before the path is created.
@@ -200,7 +203,10 @@ def _read_bytes(path) -> bytes:
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw.startswith(b"\x1f\x8b"):
-        raw = gzip.decompress(raw)
+        try:
+            raw = gzip.decompress(raw)
+        except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
+            raise NiftiFormatError(f"{path}: damaged gzip stream: {exc}") from exc
     return raw
 
 

@@ -20,14 +20,15 @@ the repair's diff, repair_tc_holes(labels).data != labels.data.
 
 Foreground components use 26-adjacency and cavities 6-adjacency by
 default, the complementary pairing that keeps foreground/background
-topology consistent.
+topology consistent. Any other adjacency or fill label is refused as
+``<name> must be one of ..., got <value>`` (volume.check_choice).
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Annotated
+from typing import Annotated, Literal
 
 import numpy as np
 from scipy import ndimage
@@ -38,6 +39,7 @@ from glioseg.volume import (
     LABEL_NCR,
     LabelVolume,
     Region,
+    check_choice,
     check_field_types,
     extract_region,
     label_box,
@@ -49,27 +51,18 @@ CONNECTIVITIES = (6, 18, 26)  # face, edge and corner adjacency
 _STRUCTURES = {
     n: ndimage.generate_binary_structure(3, rank) for rank, n in enumerate(CONNECTIVITIES, 1)
 }
-_CONNECTIVITY_TEXT = ", ".join(map(str, CONNECTIVITIES))
 
 
 @dataclass(frozen=True)
 class PostprocessConfig:
     et_min_volume: Annotated[int, "[0, inf)"] = 50  # components of size <= this are removed
-    foreground_connectivity: int = 26
-    hole_connectivity: int = 6
-    hole_fill_label: int = LABEL_NCR
+    foreground_connectivity: Literal[CONNECTIVITIES] = 26
+    hole_connectivity: Literal[CONNECTIVITIES] = 6
+    hole_fill_label: Literal[LABEL_NCR, LABEL_ET] = LABEL_NCR  # a tumor-core label
     fill_holes: bool = True  # False: count and log only
 
     def __post_init__(self):
         check_field_types(self)
-        for name in ("foreground_connectivity", "hole_connectivity"):
-            value = getattr(self, name)
-            if value not in CONNECTIVITIES:
-                raise ValueError(f"{name} must be one of {_CONNECTIVITY_TEXT}, got {value}")
-        if self.hole_fill_label not in (LABEL_NCR, LABEL_ET):
-            raise ValueError(
-                f"hole_fill_label must be a tumor-core label (1 or 3), got {self.hole_fill_label}"
-            )
 
 
 def connected_components(
@@ -81,8 +74,7 @@ def connected_components(
     and from 1 in raster order of each component's first voxel; sizes[i]
     counts id i, sizes[0] the background.
     """
-    if connectivity not in CONNECTIVITIES:
-        raise ValueError(f"connectivity must be one of {_CONNECTIVITY_TEXT}, got {connectivity}")
+    check_choice("connectivity", connectivity, CONNECTIVITIES)
     ids, count = ndimage.label(
         np.ascontiguousarray(mask), structure=_STRUCTURES[connectivity], output=np.int32
     )

@@ -66,6 +66,7 @@ from glioseg.volume import (
     LabelVolume,
     VALID_LABELS,
     Region,
+    check_choice,
     check_field_types,
     extract_region,
     label_box,
@@ -92,8 +93,7 @@ class StapleConfig:
     def __post_init__(self):
         check_field_types(self)
         if isinstance(self.prior, str):
-            if self.prior != "auto":
-                raise ValueError(f"prior must be 'auto' or a real in (0,1), got {self.prior!r}")
+            check_choice("prior", self.prior, ("auto",))
         elif not 0.0 < self.prior < 1.0:
             raise ValueError(f"prior must lie in (0,1), got {self.prior}")
 
@@ -294,8 +294,7 @@ def fuse_labels(
     """
     if not predictions:
         raise ValueError("need at least one prediction to fuse")
-    if method not in FUSION_METHODS:
-        raise ValueError(f"method must be one of {FUSION_METHODS}, got {method!r}")
+    check_choice("method", method, FUSION_METHODS)
     first = predictions[0]
     for other in predictions[1:]:
         require_same_grid(first, other, "predictions")

@@ -63,13 +63,17 @@ def check_field_types(settings) -> None:
     ``json`` writes. A field annotated ``Annotated[T, "(lo, hi)"]`` also
     fits by range, else ValueError: a parenthesis excludes its end, a
     bracket includes it, an end may be ``inf``, and NaN lies in no
-    interval. Rules between fields are each class's own.
+    interval. A ``Literal[a, b, ...]`` field takes its choices' type and
+    then one of them (check_choice). Rules between fields are each class's own.
     """
     hints = typing.get_type_hints(type(settings), include_extras=True)
     for name, hint in hints.items():
-        interval = None
+        interval = choices = None
         if typing.get_origin(hint) is typing.Annotated:
             hint, interval = hint.__origin__, hint.__metadata__[0]
+        if typing.get_origin(hint) is typing.Literal:  # typed as the union of its choices' types
+            choices = typing.get_args(hint)
+            hint = typing.Union[tuple(map(type, choices))]
         types, value = typing.get_args(hint) or (hint,), getattr(settings, name)
         if isinstance(value, bool):
             fits = bool in types
@@ -90,6 +94,14 @@ def check_field_types(settings) -> None:
             raise TypeError(f"{name} must be {' or '.join(t.__name__ for t in types)}, got {value!r}")
         if interval is not None and not _in_interval(value, interval):
             raise ValueError(f"{name} must lie in {interval}, got {value!r}")
+        if choices is not None:
+            check_choice(name, value, choices)
+
+
+def check_choice(name: str, value, choices) -> None:
+    """Raise ValueError unless ``value in choices``, naming every choice in its order."""
+    if value not in choices:
+        raise ValueError(f"{name} must be one of {', '.join(map(repr, choices))}, got {value!r}")
 
 
 def _in_interval(value, interval: str) -> bool:

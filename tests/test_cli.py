@@ -27,7 +27,7 @@ from glioseg.config import (
     load_config,
 )
 from glioseg.metrics import MetricConfig, aggregate, evaluate_case
-from glioseg.netkit import build_vnet, graph
+from glioseg.netkit import LayerSpec, build_vnet, graph
 from glioseg.netkit.training import TrainingSchedule
 from glioseg.nifti import (
     FLOAT32_MAX,
@@ -36,7 +36,7 @@ from glioseg.nifti import (
     write_label_volume,
     write_scalar_volume,
 )
-from glioseg.postprocess import PostprocessConfig
+from glioseg.postprocess import PostprocessConfig, connected_components
 from glioseg.preprocess import NormalizationPolicy, RescaleSpec, preprocess_volume
 from glioseg.staple import StapleConfig, fuse_labels
 from glioseg.volume import LabelVolume, ScalarVolume
@@ -612,7 +612,8 @@ def test_evaluate_reports_unreadable_prediction_as_failed(tmp_path, caplog):
     report = json.loads(report_path.read_text())
     assert [entry["case"] for entry in report["cases"]] == ["caseA"]
     assert report["missing"] == []
-    assert list(report["failed"]) == ["caseB"] and report["failed"]["caseB"]
+    assert list(report["failed"]) == ["caseB"]
+    assert "damaged gzip stream" in report["failed"]["caseB"]
     assert "1 case(s) evaluated, 0 missing, 1 failed" in caplog.text
 
 
@@ -862,6 +863,95 @@ def test_each_declared_interval_is_checked_at_its_ends(cls, name, interval, kind
     for value in [float("nan"), float("inf"), float("-inf")] * (kind is int):
         with pytest.raises(TypeError, match=f"{name} must be int"):  # no int is NaN or infinite
             cls(**{name: value})
+
+
+# (class, field, choices) for every settings field that declares its choices
+CHOICE_FIELDS = [
+    (cls, name, typing.get_args(hint))
+    for cls in SETTINGS_CLASSES
+    for name, hint in typing.get_type_hints(cls).items()
+    if typing.get_origin(hint) is typing.Literal
+]
+
+
+def test_four_settings_fields_declare_their_choices():
+    assert [(cls.__name__, name, choices) for cls, name, choices in CHOICE_FIELDS] == [
+        ("PostprocessConfig", "foreground_connectivity", (6, 18, 26)),
+        ("PostprocessConfig", "hole_connectivity", (6, 18, 26)),
+        ("PostprocessConfig", "hole_fill_label", (1, 3)),
+        ("PipelineConfig", "fusion_method", ("staple", "majority")),
+    ]
+
+
+@pytest.mark.parametrize(
+    "cls, name, choices", CHOICE_FIELDS, ids=[f"{f[0].__name__}.{f[1]}" for f in CHOICE_FIELDS]
+)
+def test_each_declared_choice_set_is_checked(cls, name, choices):
+    kind = type(choices[0])
+    for value in choices:
+        assert getattr(cls(**{name: value}), name) == value
+        if kind is int:  # stored as the plain int json writes
+            assert type(getattr(cls(**{name: np.int64(value)}), name)) is int
+    mistyped = [True, None, 2.5]
+    if kind is int:
+        outside = [c + step for c in choices for step in (-1, 1) if c + step not in choices]
+        mistyped += [float(c) for c in choices]
+    else:
+        outside = [c.upper() for c in choices] + [c + " " for c in choices] + [""]
+    listed = ", ".join(map(repr, choices))
+    for value in outside:
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be one of {listed}, got {value!r}")):
+            cls(**{name: value})
+    # a value of another type is refused by the type rule first
+    for value in mistyped:
+        with pytest.raises(TypeError, match=f"{name} must be {kind.__name__}, got "):
+            cls(**{name: value})
+
+
+_KINDS = (
+    "'conv3d', 'transposed_conv3d', 'downsample', 'upsample', 'activation', "
+    "'normalization', 'add_skip', 'concat_skip', 'attention_gate'"
+)
+# every choice refusal, from a settings field or a function argument: (call, its message)
+CHOICE_REFUSALS = {
+    "foreground_connectivity": (
+        lambda: PostprocessConfig(foreground_connectivity=7),
+        "foreground_connectivity must be one of 6, 18, 26, got 7",
+    ),
+    "hole_connectivity": (
+        lambda: PostprocessConfig(hole_connectivity=np.int64(4)),
+        "hole_connectivity must be one of 6, 18, 26, got 4",
+    ),
+    "hole_fill_label": (
+        lambda: PostprocessConfig(hole_fill_label=2), "hole_fill_label must be one of 1, 3, got 2",
+    ),
+    "fusion_method": (
+        lambda: PipelineConfig(fusion_method="average"),
+        "fusion_method must be one of 'staple', 'majority', got 'average'",
+    ),
+    "prior": (lambda: StapleConfig(prior="uniform"), "prior must be one of 'auto', got 'uniform'"),
+    "connectivity": (
+        lambda: connected_components(np.ones((2, 2, 2), dtype=bool), 8),
+        "connectivity must be one of 6, 18, 26, got 8",
+    ),
+    "method": (
+        lambda: fuse_labels([random_labels(np.random.default_rng(0))], method="mean"),
+        "method must be one of 'staple', 'majority', got 'mean'",
+    ),
+    "kind": (lambda: LayerSpec("pool"), f"kind must be one of {_KINDS}, got 'pool'"),
+    "activation": (
+        lambda: LayerSpec("activation", activation="sigmoid", in_channels=1, out_channels=1),
+        "activation must be one of 'relu', 'prelu', got 'sigmoid'",
+    ),
+}
+
+
+@pytest.mark.parametrize("site", sorted(CHOICE_REFUSALS))
+def test_every_choice_refusal_names_the_choices(site):
+    call, message = CHOICE_REFUSALS[site]
+    with pytest.raises(ValueError) as refused:
+        call()
+    assert str(refused.value) == message
 
 
 def test_unreadable_config_path_is_a_usage_error(tmp_path):

@@ -640,6 +640,17 @@ def test_graph_reads_its_channel_counts_off_its_nodes():
         NetworkGraph("g", (Node("a", LayerSpec("activation", activation="relu"), (INPUT_NAME,)),))
 
 
+def test_graph_takes_only_an_integer_spatial_divisor_of_at_least_one():
+    nodes = side_branch_graph().nodes
+    for bad in (0, -2, 2.5, True):
+        with pytest.raises(ValueError, match=re.escape(f"spatial_divisor must be an integer >= 1, got {bad!r}")):
+            NetworkGraph("g", nodes, spatial_divisor=bad)
+    net = NetworkGraph("g", nodes, spatial_divisor=np.int64(4))
+    assert net.spatial_divisor == 4 and type(net.spatial_divisor) is int
+    assert [build().spatial_divisor for build in (build_unet3d, build_vnet, build_msavnet)] == [8, 8, 8]
+    assert build_unet3d(depth=2).spatial_divisor == 2
+
+
 def test_node_arity_is_checked():
     layer = LayerSpec("add_skip", in_channels=2, out_channels=2)
     with pytest.raises(ValueError, match="2 inputs"):

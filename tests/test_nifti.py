@@ -8,6 +8,7 @@ are checked against the format rather than against each other.
 from __future__ import annotations
 
 import gzip
+import re
 import struct
 import tracemalloc
 import zlib
@@ -380,6 +381,34 @@ def test_truncated_data(tmp_path):
     blob = build_nifti_bytes(np.zeros((4, 4, 4), dtype=np.float32), 16, 32)
     with pytest.raises(NiftiFormatError, match="truncated"):
         read_scalar_volume(write_fixture(tmp_path, "trunc.nii", blob[:-8]))
+
+
+@pytest.mark.parametrize("damage", ["truncated", "invalid-block-type", "bad-crc"])
+def test_damaged_gzip_stream_is_a_format_error(tmp_path, damage):
+    path = tmp_path / "seg.nii.gz"
+    write_label_volume(LabelVolume(np.ones((3, 4, 5), dtype=np.uint8)), path)
+    packed = bytearray(path.read_bytes())
+    if damage == "truncated":  # EOFError from gzip
+        del packed[-9:]
+    elif damage == "invalid-block-type":  # zlib.error: BTYPE 11 is reserved
+        packed[10] |= 0b110
+    else:  # gzip.BadGzipFile
+        packed[-8] ^= 0xFF
+    path.write_bytes(packed)
+    with pytest.raises(NiftiFormatError, match=re.escape(f"{path}: damaged gzip stream")):
+        read_label_volume(path)
+
+
+def test_multi_member_gzip_reads_as_its_concatenation(tmp_path):
+    # bgzip and `cat a.gz b.gz` write several members; the reader takes them all
+    labels = LabelVolume(np.random.default_rng(12).integers(0, 4, (5, 6, 7)).astype(np.uint8))
+    write_label_volume(labels, tmp_path / "plain.nii")
+    plain = (tmp_path / "plain.nii").read_bytes()
+    split = tmp_path / "split.nii.gz"
+    split.write_bytes(gzip.compress(plain[:200]) + gzip.compress(plain[200:]))
+    back = read_label_volume(split)
+    assert np.array_equal(back.data, labels.data)
+    assert back.spacing == labels.spacing and np.array_equal(back.orientation, labels.orientation)
 
 
 def test_missing_file(tmp_path):
