@@ -21,10 +21,13 @@ edge and a central convolutional block between encoder and decoder.
 
 from __future__ import annotations
 
+from typing import Annotated
+
 import numpy as np
 
 from glioseg.netkit.graph import INPUT_NAME, NetworkGraph, Node
 from glioseg.netkit.layers import PRELU_INITIAL_SLOPE, LayerSpec, _triple
+from glioseg.volume import check_value
 
 VNET_BASE_FEATURES = 32
 VNET_STAGE_KERNEL = (5, 5, 5)
@@ -125,10 +128,9 @@ def build_unet3d(
     joins equal widths (doubling the count across the join), then two
     convs reduce back to the skip width.
     """
-    if depth < 2:
-        raise ValueError(f"depth must be at least 2, got {depth}")
-    if base_features < 1 or num_classes < 1:
-        raise ValueError("base_features and num_classes must be positive")
+    depth = check_value("depth", depth, Annotated[int, "[2, inf)"])
+    base_features = check_value("base_features", base_features, Annotated[int, "[1, inf)"])
+    num_classes = check_value("num_classes", num_classes, Annotated[int, "[1, inf)"])
     g = _GraphAssembler(np.random.default_rng(seed))
     stage_out = [base_features * 2 ** (i + 1) for i in range(depth)]
 
@@ -184,8 +186,7 @@ def _vnet_decoder(g, x, skips, widths, num_classes, gated: bool) -> None:
 
 def build_vnet(num_classes: int = 4, seed: int = 0) -> NetworkGraph:
     """Residual 5x5x5 stages with additive skip joins, 32 maps first."""
-    if num_classes < 1:
-        raise ValueError("num_classes must be positive")
+    num_classes = check_value("num_classes", num_classes, Annotated[int, "[1, inf)"])
     g = _GraphAssembler(np.random.default_rng(seed))
     x, skips, widths = _vnet_encoder(g)
     _vnet_decoder(g, x, skips, widths, num_classes, gated=False)
@@ -194,8 +195,7 @@ def build_vnet(num_classes: int = 4, seed: int = 0) -> NetworkGraph:
 
 def build_msavnet(num_classes: int = 4, seed: int = 0) -> NetworkGraph:
     """vnet plus attention-gated skips and a central refinement block."""
-    if num_classes < 1:
-        raise ValueError("num_classes must be positive")
+    num_classes = check_value("num_classes", num_classes, Annotated[int, "[1, inf)"])
     g = _GraphAssembler(np.random.default_rng(seed))
     x, skips, widths = _vnet_encoder(g)
     deep = widths[-1]

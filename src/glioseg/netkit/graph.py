@@ -15,13 +15,13 @@ it formats the output shapes a hooked forward pass recorded.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
 from glioseg.netkit.layers import (
     LAYER_KINDS,
     LayerSpec,
-    _is_integer,
     activation_forward,
     add_skip_forward,
     attention_gate_forward,
@@ -33,6 +33,7 @@ from glioseg.netkit.layers import (
     transposed_conv3d_forward,
     upsample_forward,
 )
+from glioseg.volume import check_value
 
 INPUT_NAME = "input"
 
@@ -65,9 +66,8 @@ class NetworkGraph:
         object.__setattr__(self, "nodes", tuple(self.nodes))
         if not self.nodes:
             raise ValueError(f"graph {self.name!r} has no nodes")
-        if not _is_integer(self.spatial_divisor) or self.spatial_divisor < 1:
-            raise ValueError(f"spatial_divisor must be an integer >= 1, got {self.spatial_divisor!r}")
-        object.__setattr__(self, "spatial_divisor", int(self.spatial_divisor))
+        divisor = check_value("spatial_divisor", self.spatial_divisor, Annotated[int, "[1, inf)"])
+        object.__setattr__(self, "spatial_divisor", divisor)
         seen = {INPUT_NAME}
         for node in self.nodes:
             if node.name in seen:

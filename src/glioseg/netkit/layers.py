@@ -27,18 +27,22 @@ is stored as contiguous float64 and must have the shape its kind declares;
 a missing array (other than a bias) or one the kind does not take is
 refused, so ``num_parameters`` counts nothing a forward pass does not read.
 Channel counts are integers >= 0, and only conv3d and transposed_conv3d
-may give out_channels another value than in_channels.
+may give out_channels another value than in_channels. Likewise a kernel,
+stride, padding or activation other than the default is refused on a kind
+that does not read it. Instance normalization adds the constant
+INSTANCE_NORM_EPSILON to each variance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Annotated, Literal
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import expit
 
-from glioseg.volume import check_choice
+from glioseg.volume import check_value
 
 # each layer kind -> the number of tensors it consumes
 LAYER_KINDS = {
@@ -58,10 +62,21 @@ ACTIVATIONS = ("relu", "prelu")
 # the kinds whose out_channels may differ from in_channels; every other kind keeps them
 _CHANNEL_MAPPING_KINDS = ("conv3d", "transposed_conv3d")
 
+# the settings besides channels and arrays that each kind reads; any other keeps its default
+_SETTINGS_READ = {
+    "conv3d": ("kernel", "stride", "padding"),
+    "transposed_conv3d": ("kernel", "stride", "padding"),
+    "downsample": ("kernel", "stride"),
+    "upsample": ("kernel", "stride"),
+    "activation": ("activation",),
+}
+
 # LayerSpec's optional parameter arrays
 _PARAMETER_FIELDS = ("weights", "bias", "gate_weights", "gate_bias", "psi_weights", "psi_bias")
 
 PRELU_INITIAL_SLOPE = 0.25
+
+INSTANCE_NORM_EPSILON = 1e-5  # added to each variance before the square root
 
 
 def require_tensor5(x: np.ndarray, channels: int | None = None, what: str = "input") -> np.ndarray:
@@ -107,7 +122,6 @@ class LayerSpec:
     weights: np.ndarray | None = None
     bias: np.ndarray | None = None
     activation: str = ""  # for kind == "activation"
-    epsilon: float = 1e-5  # for kind == "normalization"
     # attention_gate extras: gate branch and the 1-channel gate head
     gate_weights: np.ndarray | None = None
     gate_bias: np.ndarray | None = None
@@ -115,7 +129,7 @@ class LayerSpec:
     psi_bias: np.ndarray | None = None
 
     def __post_init__(self):
-        check_choice("kind", self.kind, LAYER_KINDS)
+        check_value("kind", self.kind, Literal[tuple(LAYER_KINDS)])
         for name in ("kernel", "stride", "padding"):
             object.__setattr__(self, name, _triple(getattr(self, name), name))
         if any(k < 1 for k in self.kernel) or any(s < 1 for s in self.stride):
@@ -123,21 +137,21 @@ class LayerSpec:
         if any(p < 0 for p in self.padding):
             raise ValueError(f"padding must be >= 0, got {self.padding}")
         for name in ("in_channels", "out_channels"):
-            value = getattr(self, name)
-            if not _is_integer(value) or value < 0:
-                raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            channels = check_value(name, getattr(self, name), Annotated[int, "[0, inf)"])
+            object.__setattr__(self, name, channels)
         if self.kind not in _CHANNEL_MAPPING_KINDS and self.out_channels != self.in_channels:
             raise ValueError(
                 f"{self.kind} out_channels must equal in_channels {self.in_channels}, "
                 f"got {self.out_channels}"
             )
+        for name in ("kernel", "stride", "padding", "activation"):
+            unread = name not in _SETTINGS_READ.get(self.kind, ())
+            if unread and getattr(self, name) != getattr(LayerSpec, name):
+                raise ValueError(f"{self.kind} takes no {name}")
         if self.kind in ("downsample", "upsample") and self.kernel != self.stride:
             raise ValueError(f"{self.kind} kernel {self.kernel} must equal stride {self.stride}")
         if self.kind == "activation":
-            check_choice("activation", self.activation, ACTIVATIONS)
-        if self.kind == "normalization" and not 0.0 < self.epsilon < np.inf:
-            raise ValueError(f"normalization epsilon must lie in (0, inf), got {self.epsilon}")
+            check_value("activation", self.activation, Literal[ACTIVATIONS])
         declared = self._parameter_shapes()
         for name in _PARAMETER_FIELDS:
             value, shape = getattr(self, name), declared.get(name)
@@ -334,7 +348,7 @@ def normalization_forward(x: np.ndarray, layer: LayerSpec) -> np.ndarray:
     x = require_tensor5(x)
     mean = x.mean(axis=(2, 3, 4), keepdims=True)
     var = x.var(axis=(2, 3, 4), keepdims=True)
-    return (x - mean) / np.sqrt(var + layer.epsilon)
+    return (x - mean) / np.sqrt(var + INSTANCE_NORM_EPSILON)
 
 
 def add_skip_forward(a: np.ndarray, b: np.ndarray) -> np.ndarray:

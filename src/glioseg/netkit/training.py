@@ -14,7 +14,7 @@ from typing import Annotated
 import numpy as np
 
 from glioseg.netkit.layers import require_tensor5
-from glioseg.volume import check_field_types
+from glioseg.volume import check_field_types, check_value
 
 DEFAULT_INITIAL_LR = 6e-5
 DEFAULT_WEIGHT_DECAY = 1e-5
@@ -40,8 +40,7 @@ class TrainingSchedule:
 
 
 def _check_loss_inputs(pred, target, eps):
-    if not 0.0 <= eps < np.inf:
-        raise ValueError(f"eps must be non-negative and finite, got {eps}")
+    eps = check_value("eps", eps, Annotated[float, "[0, inf)"])
     pred = require_tensor5(pred, what="pred")
     target = require_tensor5(target, what="target")
     if pred.shape != target.shape:
@@ -50,7 +49,7 @@ def _check_loss_inputs(pred, target, eps):
         raise ValueError("pred values must lie in [0, 1]")
     if not np.all((target == 0.0) | (target == 1.0)):
         raise ValueError("target values must be exactly 0 or 1")
-    return pred, target
+    return pred, target, eps
 
 
 def _dice_sums(pred, target, eps):
@@ -68,7 +67,7 @@ def soft_dice_loss(pred: np.ndarray, target: np.ndarray, eps: float = 1e-5) -> f
     sum(g) + eps). An all-zero pair with eps == 0 is treated as a
     perfect match (ratio 1), the eps -> 0 limit.
     """
-    pred, target = _check_loss_inputs(pred, target, eps)
+    pred, target, eps = _check_loss_inputs(pred, target, eps)
     overlap, denom = _dice_sums(pred, target, eps)
     ratio = np.ones_like(denom)
     np.divide(2.0 * overlap + eps, denom, out=ratio, where=denom > 0.0)
@@ -83,7 +82,7 @@ def soft_dice_grad(pred: np.ndarray, target: np.ndarray, eps: float = 1e-5) -> n
     (2*S_pg + eps)) / S^2; the loss negates it and averages over the
     batch*class pairs. Pairs with S == 0 contribute zero gradient.
     """
-    pred, target = _check_loss_inputs(pred, target, eps)
+    pred, target, eps = _check_loss_inputs(pred, target, eps)
     overlap, denom = _dice_sums(pred, target, eps)
     batch, channels = pred.shape[:2]
     safe = np.where(denom > 0.0, denom, 1.0)
@@ -100,10 +99,8 @@ def cosine_lr(step: int, total_steps: int, schedule: TrainingSchedule) -> float:
     Both endpoints are returned exactly rather than through the cosine,
     so lr(0) == initial_lr and lr(T) == eta_min bit for bit.
     """
-    if total_steps < 1:
-        raise ValueError(f"total_steps must be at least 1, got {total_steps}")
-    if not 0 <= step <= total_steps:
-        raise ValueError(f"step must lie in [0, {total_steps}], got {step}")
+    total_steps = check_value("total_steps", total_steps, Annotated[int, "[1, inf)"])
+    step = check_value("step", step, Annotated[int, f"[0, {total_steps}]"])
     if step == 0:
         return schedule.initial_lr
     if step == total_steps:

@@ -21,7 +21,7 @@ the repair's diff, repair_tc_holes(labels).data != labels.data.
 Foreground components use 26-adjacency and cavities 6-adjacency by
 default, the complementary pairing that keeps foreground/background
 topology consistent. Any other adjacency or fill label is refused as
-``<name> must be one of ..., got <value>`` (volume.check_choice).
+``<name> must be one of ..., got <value>`` (volume.check_value).
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ from glioseg.volume import (
     LABEL_NCR,
     LabelVolume,
     Region,
-    check_choice,
     check_field_types,
+    check_value,
     extract_region,
     label_box,
 )
@@ -74,7 +74,7 @@ def connected_components(
     and from 1 in raster order of each component's first voxel; sizes[i]
     counts id i, sizes[0] the background.
     """
-    check_choice("connectivity", connectivity, CONNECTIVITIES)
+    connectivity = check_value("connectivity", connectivity, Literal[CONNECTIVITIES])
     ids, count = ndimage.label(
         np.ascontiguousarray(mask), structure=_STRUCTURES[connectivity], output=np.int32
     )

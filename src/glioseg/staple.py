@@ -58,7 +58,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Annotated
+from typing import Annotated, Literal
 
 import numpy as np
 
@@ -66,8 +66,8 @@ from glioseg.volume import (
     LabelVolume,
     VALID_LABELS,
     Region,
-    check_choice,
     check_field_types,
+    check_value,
     extract_region,
     label_box,
     reconstruct_labels,
@@ -92,10 +92,8 @@ class StapleConfig:
 
     def __post_init__(self):
         check_field_types(self)
-        if isinstance(self.prior, str):
-            check_choice("prior", self.prior, ("auto",))
-        elif not 0.0 < self.prior < 1.0:
-            raise ValueError(f"prior must lie in (0,1), got {self.prior}")
+        hint = Literal["auto"] if isinstance(self.prior, str) else Annotated[float, "(0,1)"]
+        check_value("prior", self.prior, hint)
 
 
 @dataclass(frozen=True)
@@ -294,7 +292,7 @@ def fuse_labels(
     """
     if not predictions:
         raise ValueError("need at least one prediction to fuse")
-    check_choice("method", method, FUSION_METHODS)
+    method = check_value("method", method, Literal[FUSION_METHODS])
     first = predictions[0]
     for other in predictions[1:]:
         require_same_grid(first, other, "predictions")

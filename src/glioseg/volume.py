@@ -54,54 +54,53 @@ _REGION_LABELS = {
 
 
 def check_field_types(settings) -> None:
-    """Raise naming the first field of a settings dataclass whose value does not fit it.
+    """Store each field of a settings dataclass as check_value returns it, naming the
+    first that does not fit; rules between fields are each class's own."""
+    for name, hint in typing.get_type_hints(type(settings), include_extras=True).items():
+        object.__setattr__(settings, name, check_value(name, getattr(settings, name), hint))
 
-    A field fits by type, else TypeError: bool takes only a bool, int a
+
+def check_value(name: str, value, hint):
+    """Return ``value`` as a field or argument annotated ``hint`` stores it; else raise naming ``name``.
+
+    A value fits by type, else TypeError: bool takes only a bool, int a
     non-bool integer (NumPy's included), float a non-bool real, any other
-    type its instances. An accepted real is stored as a Python int in an
-    int field and a float otherwise, so settings hold the plain numbers
-    ``json`` writes. A field annotated ``Annotated[T, "(lo, hi)"]`` also
-    fits by range, else ValueError: a parenthesis excludes its end, a
-    bracket includes it, an end may be ``inf``, and NaN lies in no
-    interval. A ``Literal[a, b, ...]`` field takes its choices' type and
-    then one of them (check_choice). Rules between fields are each class's own.
+    type its instances. An accepted real is returned as a Python int for
+    an int and a float otherwise, so settings hold the plain numbers
+    ``json`` writes. ``Annotated[T, "(lo, hi)"]`` also asks for a range,
+    else ValueError: a parenthesis excludes its end, a bracket includes
+    it, an end may be ``inf``, and NaN lies in no interval. A
+    ``Literal[a, b, ...]`` takes its choices' type and then one of them,
+    else ValueError naming every choice in its order.
     """
-    hints = typing.get_type_hints(type(settings), include_extras=True)
-    for name, hint in hints.items():
-        interval = choices = None
-        if typing.get_origin(hint) is typing.Annotated:
-            hint, interval = hint.__origin__, hint.__metadata__[0]
-        if typing.get_origin(hint) is typing.Literal:  # typed as the union of its choices' types
-            choices = typing.get_args(hint)
-            hint = typing.Union[tuple(map(type, choices))]
-        types, value = typing.get_args(hint) or (hint,), getattr(settings, name)
-        if isinstance(value, bool):
-            fits = bool in types
-        elif isinstance(value, Real):
-            integer = int in types and isinstance(value, Integral)
-            fits = integer or float in types
-            if integer:
-                value = int(value)
-            elif fits:
-                try:
-                    value = float(value)
-                except OverflowError:  # an integer past float range, never a setting
-                    raise ValueError(f"{name} is too large for a float") from None
-            object.__setattr__(settings, name, value)
-        else:
-            fits = isinstance(value, types)
-        if not fits:
-            raise TypeError(f"{name} must be {' or '.join(t.__name__ for t in types)}, got {value!r}")
-        if interval is not None and not _in_interval(value, interval):
-            raise ValueError(f"{name} must lie in {interval}, got {value!r}")
-        if choices is not None:
-            check_choice(name, value, choices)
-
-
-def check_choice(name: str, value, choices) -> None:
-    """Raise ValueError unless ``value in choices``, naming every choice in its order."""
-    if value not in choices:
+    interval = choices = None
+    if typing.get_origin(hint) is typing.Annotated:
+        hint, interval = hint.__origin__, hint.__metadata__[0]
+    if typing.get_origin(hint) is typing.Literal:  # typed as the union of its choices' types
+        choices = typing.get_args(hint)
+        hint = typing.Union[tuple(map(type, choices))]
+    types = typing.get_args(hint) or (hint,)
+    if isinstance(value, bool):
+        fits = bool in types
+    elif isinstance(value, Real):
+        integer = int in types and isinstance(value, Integral)
+        fits = integer or float in types
+        if integer:
+            value = int(value)
+        elif fits:
+            try:
+                value = float(value)
+            except OverflowError:  # an integer past float range, never a setting
+                raise ValueError(f"{name} is too large for a float") from None
+    else:
+        fits = isinstance(value, types)
+    if not fits:
+        raise TypeError(f"{name} must be {' or '.join(t.__name__ for t in types)}, got {value!r}")
+    if interval is not None and not _in_interval(value, interval):
+        raise ValueError(f"{name} must lie in {interval}, got {value!r}")
+    if choices is not None and value not in choices:
         raise ValueError(f"{name} must be one of {', '.join(map(repr, choices))}, got {value!r}")
+    return value
 
 
 def _in_interval(value, interval: str) -> bool:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import hashlib
 import json
 import os
 import re
@@ -27,7 +28,19 @@ from glioseg.config import (
     load_config,
 )
 from glioseg.metrics import MetricConfig, aggregate, evaluate_case
-from glioseg.netkit import LayerSpec, build_vnet, graph
+from glioseg.netkit import (
+    INPUT_NAME,
+    LayerSpec,
+    NetworkGraph,
+    Node,
+    build_msavnet,
+    build_unet3d,
+    build_vnet,
+    cosine_lr,
+    graph,
+    soft_dice_grad,
+    soft_dice_loss,
+)
 from glioseg.netkit.training import TrainingSchedule
 from glioseg.nifti import (
     FLOAT32_MAX,
@@ -954,6 +967,104 @@ def test_every_choice_refusal_names_the_choices(site):
     assert str(refused.value) == message
 
 
+_MASK = np.ones((2, 2, 2), dtype=bool)
+_HALF = np.full((1, 1, 2, 2, 2), 0.5)
+
+
+def _relu_graph(spatial_divisor):
+    layer = LayerSpec("activation", activation="relu", in_channels=1, out_channels=1)
+    return NetworkGraph("g", (Node("a", layer, (INPUT_NAME,)),), spatial_divisor=spatial_divisor)
+
+
+# every scalar argument the library checks by volume.check_value, keyed by its name (and
+# "-<caller>" where several calls take it): (its type, a call with a value, the result's
+# attribute storing it or None, an accepted value, a refused value of the argument's
+# type, the refusal's text)
+ARGUMENT_SITES = {
+    "connectivity": (
+        int, lambda v: connected_components(_MASK, v), None,
+        18, 8, "connectivity must be one of 6, 18, 26, got 8",
+    ),
+    "method": (
+        str, lambda v: fuse_labels([random_labels(np.random.default_rng(0))], method=v),
+        None, "majority", "mean", "method must be one of 'staple', 'majority', got 'mean'",
+    ),
+    "kind": (str, LayerSpec, "kind", "add_skip", "pool", f"kind must be one of {_KINDS}, got 'pool'"),
+    "activation": (
+        str, lambda v: LayerSpec("activation", activation=v), "activation",
+        "relu", "tanh", "activation must be one of 'relu', 'prelu', got 'tanh'",
+    ),
+    "in_channels": (
+        int, lambda v: LayerSpec("add_skip", in_channels=v, out_channels=v),
+        "in_channels", 2, -1, "in_channels must lie in [0, inf), got -1",
+    ),
+    "out_channels": (
+        int, lambda v: LayerSpec("concat_skip", in_channels=2, out_channels=v),
+        "out_channels", 2, -1, "out_channels must lie in [0, inf), got -1",
+    ),
+    "spatial_divisor": (
+        int, _relu_graph, "spatial_divisor",
+        4, 0, "spatial_divisor must lie in [1, inf), got 0",
+    ),
+    "depth": (
+        int, lambda v: build_unet3d(base_features=1, depth=v), None,
+        2, 1, "depth must lie in [2, inf), got 1",
+    ),
+    "base_features": (
+        int, lambda v: build_unet3d(base_features=v, depth=2), None,
+        1, 0, "base_features must lie in [1, inf), got 0",
+    ),
+    "num_classes-unet3d": (
+        int, lambda v: build_unet3d(base_features=1, num_classes=v, depth=2),
+        "num_classes", 2, 0, "num_classes must lie in [1, inf), got 0",
+    ),
+    "num_classes-vnet": (
+        int, lambda v: build_vnet(num_classes=v), "num_classes",
+        2, 0, "num_classes must lie in [1, inf), got 0",
+    ),
+    "num_classes-msavnet": (
+        int, lambda v: build_msavnet(num_classes=v), "num_classes",
+        2, -1, "num_classes must lie in [1, inf), got -1",
+    ),
+    "eps-loss": (
+        float, lambda v: soft_dice_loss(_HALF, np.ones_like(_HALF), eps=v), None,
+        0.0, -1.0, "eps must lie in [0, inf), got -1.0",
+    ),
+    "eps-grad": (
+        float, lambda v: soft_dice_grad(_HALF, np.ones_like(_HALF), eps=v), None,
+        1e-5, float("inf"), "eps must lie in [0, inf), got inf",
+    ),
+    "total_steps": (
+        int, lambda v: cosine_lr(0, v, TrainingSchedule()), None,
+        10, 0, "total_steps must lie in [1, inf), got 0",
+    ),
+    "step": (
+        int, lambda v: cosine_lr(v, 10, TrainingSchedule()), None,
+        5, 11, "step must lie in [0, 10], got 11",
+    ),
+}
+
+
+@pytest.mark.parametrize("site", list(ARGUMENT_SITES))
+def test_every_argument_site_meets_the_value_rule(site):
+    name = site.split("-")[0]
+    kind, call, attribute, accepted, refused, message = ARGUMENT_SITES[site]
+    for value in (accepted, np.int64(accepted)) if kind is int else (accepted,):
+        result = call(value)
+        if attribute is not None:  # stored as the plain Python value
+            stored = getattr(result, attribute)
+            assert stored == accepted and type(stored) is kind
+    for value in (26.0, True, "3", None):
+        if type(value) is kind:  # a value of the argument's own type is a member or not
+            continue
+        with pytest.raises(TypeError) as mistyped:
+            call(value)
+        assert str(mistyped.value) == f"{name} must be {kind.__name__}, got {value!r}"
+    with pytest.raises(ValueError) as outside:
+        call(refused)
+    assert str(outside.value) == message
+
+
 def test_unreadable_config_path_is_a_usage_error(tmp_path):
     (tmp_path / "config.json").mkdir()
     latin = tmp_path / "latin.json"
@@ -1031,6 +1142,22 @@ def test_demo_net_lists_attention_gates(capsys):
     assert main(["demo-net", "msavnet", "--size", "8"]) == 0
     out = capsys.readouterr().out
     assert all(f"gate{level}" in out for level in range(3))
+
+
+# SHA-256 of the full stdout of `demo-net <architecture> --size 8`; it prints no
+# floats, so the text is the same on every platform
+DEMO_NET_STDOUT_SHA256 = {
+    "unet3d": "7d48a144d2bc3a7fb3fc18e3228c91c20210d50170f569ade4b8a230cd89faab",
+    "vnet": "dd336a1ea784eefdec00ad43ae4ff8ff78b439a18383cb246d17e8797fdfb100",
+    "msavnet": "51b51ec4bf896a1a532640f9e87a186e51ccaa65451d30a99c69d01e6189d025",
+}
+
+
+@pytest.mark.parametrize("architecture", list(DEMO_NET_STDOUT_SHA256))
+def test_demo_net_stdout_is_pinned(capsys, architecture):
+    assert main(["demo-net", architecture, "--size", "8"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == DEMO_NET_STDOUT_SHA256[architecture], out
 
 
 def test_demo_net_rejects_indivisible_size(capsys):
